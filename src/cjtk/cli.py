@@ -34,7 +34,6 @@ class _State:
         self.text: str | None = text
         self.model = None
         self.exit = 0
-        self.saved = False
         self.finished = False
         self.extensions = extensions
 
@@ -239,7 +238,6 @@ def partition_cmd(grid, by_type, random_k, seed, out_dir):
             target.write_text(codec.dumps(part), encoding="utf-8")
             click.echo(str(target))
         state.finished = True
-        state.saved = True
     return "partition", stage
 
 
@@ -304,7 +302,6 @@ def save_cmd(output, pretty):
         else:
             Path(output).write_text(codec.dumps(model, pretty=pretty),
                                     encoding="utf-8")
-        state.saved = True
     return "save", stage
 
 

@@ -21,14 +21,14 @@ silently ignored.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ERROR, ExtensionError, Finding
-from .model import COBJECT_TYPES, CityModel, nesting_depth
+from .model import (COBJECT_TYPES, CityModel, iter_boundary_indices,
+                    nesting_depth)
 
 ENV_VAR = "CJTK_EXTENSIONS"
 
@@ -342,20 +342,12 @@ def _contains_geometry(value) -> bool:
         return any(_contains_geometry(v) for v in value.values())
     if isinstance(value, list):
         if (nesting_depth(value) >= 2
-                and sum(1 for _ in _leaves(value)) >= 3
+                and sum(1 for _ in iter_boundary_indices(value)) >= 3
                 and all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in _leaves(value))):
+                        for x in iter_boundary_indices(value))):
             return True
         return any(_contains_geometry(v) for v in value)
     return False
-
-
-def _leaves(node):
-    if isinstance(node, list):
-        for child in node:
-            yield from _leaves(child)
-    else:
-        yield node
 
 
 # -- stripping ----------------------------------------------------------------
@@ -366,20 +358,16 @@ def strip_extensions(model: CityModel) -> CityModel:
 
     Objects of "+" types disappear entirely (links to them are pruned);
     "+" attributes and "+" root members are dropped.  The result is a
-    plain core model; running this twice changes nothing more.
+    plain core model; running this twice changes nothing more.  Only the
+    kept objects and the root members are rebuilt; geometries and the rest
+    are shared with ``model``.
     """
-    out = copy.deepcopy(model)
-    out.extensions = {}
-    out.extra = {k: v for k, v in out.extra.items() if not k.startswith("+")}
-    keep = {oid for oid, co in out.city_objects.items()
+    keep = {oid for oid, co in model.city_objects.items()
             if not co.type.startswith("+")}
-    out.city_objects = {oid: co for oid, co in out.city_objects.items()
-                        if oid in keep}
-    for co in out.city_objects.values():
-        co.attributes = {k: v for k, v in co.attributes.items()
-                         if not k.startswith("+")}
-        co.parents = [p for p in co.parents if p in keep]
-        co.children = [c for c in co.children if c in keep]
-        if "members" in co.extra:
-            co.extra["members"] = [m for m in co.extra["members"] if m in keep]
-    return out
+    return replace(
+        model, extensions={},
+        extra={k: v for k, v in model.extra.items() if not k.startswith("+")},
+        city_objects={oid: co.linked_within(
+            keep, attributes={k: v for k, v in co.attributes.items()
+                              if not k.startswith("+")})
+            for oid, co in model.city_objects.items() if oid in keep})

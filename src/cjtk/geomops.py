@@ -1,12 +1,17 @@
 """Coordinate-level operations: quantization, vertex hygiene, templates.
 
-All functions return a new model and leave their argument untouched, so a
-model value can be shared freely across threads.
+All functions return a new model and never mutate their argument, so a
+model value can be shared freely across threads.  The result shares with
+the argument every part the function did not change: quantizing rebuilds
+the vertex pool and transform only, vertex hygiene rebuilds the pool and
+the geometries' index arrays.  Callers that mutate a result in place
+should ``copy.deepcopy`` it first.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the
 ``transform`` member; decoding is ``real = stored * scale + translate``.
-Rounding is half-away-from-zero, computed in exact rational arithmetic, so
+Rounding is half-away-from-zero, computed in exact integer arithmetic on
+the binary values of the coordinates (``float.as_integer_ratio``), so
 each decoded component sits within half a quantum of the original and
 requantizing an already-quantized model with the same offsets is the
 identity on the stored integers.
@@ -16,17 +21,25 @@ from __future__ import annotations
 
 import copy
 import math
-from fractions import Fraction
+from dataclasses import replace
 
 from .errors import CjtkError
-from .model import CityModel, Geometry, Transform, map_boundaries
+from .model import (CityModel, Geometry, TemplateBank, Transform,
+                    iter_boundary_indices, map_boundaries)
 
 _MAX_QUANTUM = 2 ** 53
 
 
-def _round_half_away(fr: Fraction) -> int:
-    """Round a rational to the nearest integer, ties away from zero."""
-    n, d = fr.numerator, fr.denominator
+def _quantum_multiple(value, shift: tuple[int, int], power: int) -> int:
+    """(value - c/e) / 10^-digits rounded half away from zero, exactly.
+
+    ``shift`` is the offset as an integer ratio (c, e) and ``power`` is
+    10^digits.  With value = a/b the quotient is n/d with
+    n = (a*e - c*b) * power and d = b*e > 0.
+    """
+    a, b = value.as_integer_ratio()
+    c, e = shift
+    n, d = (a * e - c * b) * power, b * e
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((-2 * n + d) // (2 * d))
@@ -58,23 +71,22 @@ def quantize(model: CityModel, digits: int = 3,
                             "requantize=True to re-encode", "transform")
         model = dequantize(model)
 
-    out = copy.deepcopy(model)
-    quantum = Fraction(10) ** -digits
-    scale = float(quantum)
-
-    if not out.vertices:
-        out.transform = Transform(scale=[scale] * 3, translate=[0.0, 0.0, 0.0])
-        return out
+    scale = 1 / 10 ** digits  # int / int rounds correctly
+    if not model.vertices:
+        return replace(model, vertices=[],
+                       transform=Transform(scale=[scale] * 3,
+                                           translate=[0.0, 0.0, 0.0]))
 
     if translate is None:
-        translate = [min(v[axis] for v in out.vertices) for axis in range(3)]
-    shift = [Fraction(t) for t in translate]
+        translate = [min(v[axis] for v in model.vertices) for axis in range(3)]
+    shifts = [t.as_integer_ratio() for t in translate]
+    power = 10 ** digits
 
     pool = []
-    for vi, v in enumerate(out.vertices):
+    for vi, v in enumerate(model.vertices):
         row = []
         for axis in range(3):
-            q = _round_half_away((Fraction(v[axis]) - shift[axis]) / quantum)
+            q = _quantum_multiple(v[axis], shifts[axis], power)
             if abs(q) >= _MAX_QUANTUM:
                 raise CjtkError("QUANTUM_OVERFLOW",
                                 f"vertex {vi} needs quantum multiples beyond "
@@ -82,10 +94,9 @@ def quantize(model: CityModel, digits: int = 3,
                                 f"vertices/{vi}")
             row.append(q)
         pool.append(row)
-    out.vertices = pool
-    out.transform = Transform(scale=[scale] * 3,
-                              translate=[float(t) for t in translate])
-    return out
+    return replace(model, vertices=pool,
+                   transform=Transform(scale=[scale] * 3,
+                                       translate=[float(t) for t in translate]))
 
 
 def dequantize(model: CityModel) -> CityModel:
@@ -93,13 +104,11 @@ def dequantize(model: CityModel) -> CityModel:
     if model.transform is None:
         raise CjtkError("NO_TRANSFORM", "model carries no transform",
                         "transform")
-    out = copy.deepcopy(model)
-    sx, sy, sz = out.transform.scale
-    tx, ty, tz = out.transform.translate
-    out.vertices = [[v[0] * sx + tx, v[1] * sy + ty, v[2] * sz + tz]
-                    for v in out.vertices]
-    out.transform = None
-    return out
+    sx, sy, sz = model.transform.scale
+    tx, ty, tz = model.transform.translate
+    return replace(model, transform=None,
+                   vertices=[[v[0] * sx + tx, v[1] * sy + ty, v[2] * sz + tz]
+                             for v in model.vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +126,7 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
     """
     if tolerance < 0:
         raise CjtkError("BAD_TRANSFORM", "tolerance must be >= 0")
-    out = copy.deepcopy(model)
-    verts = out.vertices
+    verts = model.vertices
     remap: dict[int, int] = {}
     survivors: list[int] = []
 
@@ -157,46 +165,40 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
                 remap[vi] = target
 
     new_index = {old: new for new, old in enumerate(survivors)}
-    out.vertices = [verts[old] for old in survivors]
-    _remap_model(out, lambda i: new_index[remap[i]])
-    return out
+    return _rebase(model, survivors, lambda i: new_index[remap[i]])
 
 
 def remove_orphan_vertices(model: CityModel) -> CityModel:
     """New model without vertices that no boundary references."""
-    out = copy.deepcopy(model)
     used = set()
-    for _, _, geom in out.iter_geometries():
-        for idx in _indices(geom.boundaries):
-            used.add(idx)
-    survivors = [vi for vi in range(len(out.vertices)) if vi in used]
+    for _, _, geom in model.iter_geometries():
+        used.update(iter_boundary_indices(geom.boundaries))
+    survivors = [vi for vi in range(len(model.vertices)) if vi in used]
     new_index = {old: new for new, old in enumerate(survivors)}
-    out.vertices = [out.vertices[old] for old in survivors]
-    _remap_model(out, new_index.__getitem__)
+    out = _rebase(model, survivors, new_index.__getitem__)
     if out.templates:
+        bank = out.templates
         tused = set()
-        for t in out.templates.templates:
-            tused.update(_indices(t.boundaries))
-        tsurv = [vi for vi in range(len(out.templates.vertices)) if vi in tused]
+        for t in bank.templates:
+            tused.update(iter_boundary_indices(t.boundaries))
+        tsurv = [vi for vi in range(len(bank.vertices)) if vi in tused]
         tmap = {old: new for new, old in enumerate(tsurv)}
-        out.templates.vertices = [out.templates.vertices[old] for old in tsurv]
-        for t in out.templates.templates:
-            t.boundaries = map_boundaries(t.boundaries, tmap.__getitem__)
+        out.templates = TemplateBank(
+            templates=[t.remapped(tmap.__getitem__) for t in bank.templates],
+            vertices=[bank.vertices[old] for old in tsurv])
     return out
 
 
-def _indices(node):
-    if isinstance(node, list):
-        for child in node:
-            yield from _indices(child)
-    else:
-        yield node
+def _rebase(model: CityModel, survivors: list[int], fn) -> CityModel:
+    """New model keeping the ``survivors`` rows, in that order, as its pool.
 
-
-def _remap_model(model: CityModel, fn) -> None:
-    """Rewrite every boundary index of the model pool in place."""
-    for _, _, geom in model.iter_geometries():
-        geom.boundaries = map_boundaries(geom.boundaries, fn)
+    Every geometry is rebuilt with its indices passed through ``fn``;
+    everything else is shared with ``model``.
+    """
+    objects = {oid: replace(co, geometry=[g.remapped(fn) for g in co.geometry])
+               for oid, co in model.city_objects.items()}
+    return replace(model, city_objects=objects,
+                   vertices=[model.vertices[old] for old in survivors])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,7 @@ def instance_world_vertices(model: CityModel, geom: Geometry,
     # One row per template vertex index the template uses, in index order,
     # so callers can remap boundaries by rank.
     out = []
-    used = sorted(set(_indices(template.boundaries)))
+    used = sorted(set(iter_boundary_indices(template.boundaries)))
     for idx in used:
         x, y, z = bank.vertices[idx]
         w = [m[0] * x + m[1] * y + m[2] * z + m[3],
@@ -265,7 +267,7 @@ def instantiate_template(model: CityModel, object_id: str,
     path = f"CityObjects/{object_id}/geometry/{geom_index}"
     verts = instance_world_vertices(model, geom, path)
     template = model.templates.templates[geom.template]
-    used = sorted(set(_indices(template.boundaries)))
+    used = sorted(set(iter_boundary_indices(template.boundaries)))
     rank = {idx: k for k, idx in enumerate(used)}
     expanded = Geometry(
         type=template.type,
@@ -301,7 +303,7 @@ def compute_extent(model: CityModel) -> list[float]:
                     lo[a] = min(lo[a], v[a])
                     hi[a] = max(hi[a], v[a])
         else:
-            used.update(_indices(geom.boundaries))
+            used.update(iter_boundary_indices(geom.boundaries))
     for idx in used:
         v = model.real_vertex(idx)
         seen = True

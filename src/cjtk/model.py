@@ -8,12 +8,16 @@ to the wire format makes reading and writing cheap and keeps every
 operation honest about what actually gets stored.
 
 Models are treated as values: operations elsewhere in the package return
-new models and never alter their argument.
+new models and never alter their argument.  A result may share the parts
+it did not change (objects, geometries, vertex rows, metadata) with its
+argument, so a caller that wants to mutate a result in place should
+``copy.deepcopy`` it first.  ``ops.merge`` is the exception: it returns a
+model independent of its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 from .errors import CjtkError
@@ -168,6 +172,10 @@ class Geometry:
     def is_instance(self) -> bool:
         return self.type == "GeometryInstance"
 
+    def remapped(self, fn: Callable[[int], int]) -> "Geometry":
+        """Copy with fn applied to every boundary index; the rest is shared."""
+        return replace(self, boundaries=map_boundaries(self.boundaries, fn))
+
     def to_json(self) -> dict:
         out: dict[str, Any] = {"type": self.type}
         if self.lod is not None:
@@ -249,6 +257,20 @@ class CityObject:
         out["geometry"] = [g.to_json() for g in self.geometry]
         out.update(self.extra)
         return out
+
+    def linked_within(self, keep, **changes) -> "CityObject":
+        """Copy whose parents, children and group members all lie in keep.
+
+        Other members are shared with this object unless ``changes``
+        replaces them.
+        """
+        extra = self.extra
+        if "members" in extra:
+            extra = {**extra,
+                     "members": [m for m in extra["members"] if m in keep]}
+        return replace(self, parents=[p for p in self.parents if p in keep],
+                       children=[c for c in self.children if c in keep],
+                       extra=extra, **changes)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CityObject":
@@ -361,8 +383,3 @@ def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
                                     f"{where}/{i}" if where else str(i))
 
     yield from walk(boundaries, level, "")
-
-
-def iter_indices_of_model(model: CityModel) -> Iterator[int]:
-    for _, _, g in model.iter_geometries():
-        yield from iter_boundary_indices(g.boundaries)

@@ -1,23 +1,29 @@
 """Model-level operations: subset, merge, partition, bookkeeping.
 
-Everything here returns new models; arguments are never modified.  The
+Everything here returns new models; arguments are never mutated.  The
 operations exploit the flat layout of the encoding: carving a subset or a
 partition part means picking entries of the objects dictionary, rebuilding
 the vertex pool with rebased indices, and pruning links — no geometry math
-involved.
+involved.  A result shares with its argument whatever the operation did
+not change (attributes, semantics, appearance, templates, metadata
+values), so callers that mutate a result in place should
+``copy.deepcopy`` it first.  ``merge`` is the exception: its result is
+independent of its inputs.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import random
+from dataclasses import replace
 
 from . import codec
 from .errors import CjtkError
 from .geomops import (compute_extent, dequantize, instance_world_vertices,
                       quantize)
-from .model import CityModel, map_boundaries
+from .model import CityModel, iter_boundary_indices, map_boundaries
 
 # ---------------------------------------------------------------------------
 # subset
@@ -51,8 +57,9 @@ def subset(model: CityModel, ids: list[str] | None = None,
         if len(bbox) != 4 or bbox[0] > bbox[2] or bbox[1] > bbox[3]:
             raise CjtkError("INVALID_EXTENT",
                             "bbox must be [minx, miny, maxx, maxy]")
+        centroid = _centroids(model)
         for oid in model.city_objects:
-            c = _object_centroid(model, oid)
+            c = centroid(oid)
             if c is not None and bbox[0] <= c[0] <= bbox[2] \
                     and bbox[1] <= c[1] <= bbox[3]:
                 selected.add(oid)
@@ -69,27 +76,45 @@ def subset(model: CityModel, ids: list[str] | None = None,
     return _carve(model, selected)
 
 
-def _object_centroid(model: CityModel, oid: str):
-    """Centroid of the extent of one object plus its descendants."""
+def _centroids(model: CityModel):
+    """Function giving the centroid of an object's extent plus its
+    descendants'.
+
+    Each object's own extent is computed once per returned function and
+    combined with min/max, which is exact, so the centroids do not depend
+    on how often an object is reached.
+    """
+    own = functools.cache(functools.partial(_own_extent, model))
+
+    def centroid(oid: str):
+        boxes = [box for box in map(own, _with_descendants(model, [oid]))
+                 if box is not None]
+        if not boxes:
+            return None
+        return [(min(lo[a] for lo, _ in boxes)
+                 + max(hi[a] for _, hi in boxes)) / 2 for a in range(3)]
+
+    return centroid
+
+
+def _own_extent(model: CityModel, oid: str):
+    """(lo, hi) corners over one object's own geometries, or None."""
     lo = [math.inf] * 3
     hi = [-math.inf] * 3
     seen = False
-    for member in _with_descendants(model, [oid]):
-        for gi, geom in enumerate(model.city_objects[member].geometry):
-            if geom.is_instance():
-                rows = instance_world_vertices(
-                    model, geom, f"CityObjects/{member}/geometry/{gi}")
-            else:
-                rows = [model.real_vertex(i)
-                        for i in set(_flat_indices(geom.boundaries))]
-            for v in rows:
-                seen = True
-                for a in range(3):
-                    lo[a] = min(lo[a], v[a])
-                    hi[a] = max(hi[a], v[a])
-    if not seen:
-        return None
-    return [(lo[a] + hi[a]) / 2 for a in range(3)]
+    for gi, geom in enumerate(model.city_objects[oid].geometry):
+        if geom.is_instance():
+            rows = instance_world_vertices(
+                model, geom, f"CityObjects/{oid}/geometry/{gi}")
+        else:
+            rows = [model.real_vertex(i)
+                    for i in set(iter_boundary_indices(geom.boundaries))]
+        for v in rows:
+            seen = True
+            for a in range(3):
+                lo[a] = min(lo[a], v[a])
+                hi[a] = max(hi[a], v[a])
+    return (lo, hi) if seen else None
 
 
 def _with_descendants(model: CityModel, roots) -> set[str]:
@@ -105,46 +130,35 @@ def _with_descendants(model: CityModel, roots) -> set[str]:
     return out
 
 
-def _flat_indices(node):
-    if isinstance(node, list):
-        for child in node:
-            yield from _flat_indices(child)
-    else:
-        yield node
-
-
 def _carve(model: CityModel, keep: set[str]) -> CityModel:
-    """New model holding exactly the ``keep`` objects, pool rebased from 0."""
-    out = copy.deepcopy(model)
-    out.city_objects = {oid: co for oid, co in out.city_objects.items()
-                        if oid in keep}
-    for co in out.city_objects.values():
-        co.parents = [p for p in co.parents if p in keep]
-        co.children = [c for c in co.children if c in keep]
-        if "members" in co.extra:
-            co.extra["members"] = [m for m in co.extra["members"] if m in keep]
+    """New model holding exactly the ``keep`` objects, pool rebased from 0.
 
+    Only the kept objects and their geometries are rebuilt; everything
+    else is shared with ``model``.
+    """
+    kept = [(oid, co) for oid, co in model.city_objects.items()
+            if oid in keep]
     used: set[int] = set()
     uses_templates = False
-    uses_materials = False
-    uses_textures = False
-    for _, _, geom in out.iter_geometries():
-        used.update(_flat_indices(geom.boundaries))
-        if geom.is_instance():
-            uses_templates = True
-        if geom.material is not None:
-            uses_materials = True
-        if geom.texture is not None:
-            uses_textures = True
+    uses_appearance = False
+    for _, co in kept:
+        for geom in co.geometry:
+            used.update(iter_boundary_indices(geom.boundaries))
+            if geom.is_instance():
+                uses_templates = True
+            if geom.material is not None or geom.texture is not None:
+                uses_appearance = True
     survivors = sorted(used)
-    new_index = {old: new for new, old in enumerate(survivors)}
-    out.vertices = [out.vertices[old] for old in survivors]
-    for _, _, geom in out.iter_geometries():
-        geom.boundaries = map_boundaries(geom.boundaries,
-                                         new_index.__getitem__)
+    new_index = {old: new for new, old in enumerate(survivors)}.__getitem__
+    out = replace(
+        model,
+        city_objects={oid: co.linked_within(
+            keep, geometry=[g.remapped(new_index) for g in co.geometry])
+            for oid, co in kept},
+        vertices=[model.vertices[old] for old in survivors])
     if not uses_templates:
         out.templates = None
-    if not (uses_materials or uses_textures):
+    if not uses_appearance:
         out.appearance = None if out.appearance is None else {}
     if not out.vertices:
         out.transform = None
@@ -184,8 +198,7 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
                         "metadata/referenceSystem")
 
     digits = [_transform_digits(m.transform) for m in models if m.transform]
-    inputs = [dequantize(m) if m.transform else copy.deepcopy(m)
-              for m in models]
+    inputs = [_detached(m) for m in models]
 
     out = inputs[0]
     for nxt in inputs[1:]:
@@ -197,6 +210,17 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
             or out.metadata.get("presentLoDs") is not None:
         out = refresh_metadata(out)
     return out
+
+
+def _detached(model: CityModel) -> CityModel:
+    """A copy sharing nothing with ``model``, with real-valued vertices,
+    for ``_absorb`` to rewrite in place."""
+    if model.transform is None:
+        return copy.deepcopy(model)
+    model = dequantize(model)
+    # The decoded pool is already fresh; the memo entry keeps deepcopy from
+    # copying it a second time.
+    return copy.deepcopy(model, {id(model.vertices): model.vertices})
 
 
 def _transform_digits(tr) -> int:
@@ -262,13 +286,10 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
 
 def _merge_templates(a, b):
     if a is None:
-        return copy.deepcopy(b)
+        return b
     voff = len(a.vertices)
     a.vertices.extend(b.vertices)
-    for t in b.templates:
-        t = copy.deepcopy(t)
-        t.boundaries = map_boundaries(t.boundaries, lambda i: i + voff)
-        a.templates.append(t)
+    a.templates.extend(t.remapped(lambda i: i + voff) for t in b.templates)
     return a
 
 
@@ -349,8 +370,10 @@ def partition_grid(model: CityModel, nx: int, ny: int) \
     ext = compute_extent(model)
     spans = (ext[3] - ext[0], ext[4] - ext[1])
 
+    centroid = _centroids(model)
+
     def place(oid: str) -> str:
-        c = _object_centroid(model, oid)
+        c = centroid(oid)
         if c is None:
             return "r0c0"
         col = _cell(c[0] - ext[0], spans[0], nx)
@@ -433,17 +456,18 @@ def _partition(model: CityModel, place, ordered: bool = False) \
 
 def update_texture_paths(model: CityModel, base: str) -> CityModel:
     """New model whose texture image paths are base + filename component."""
-    out = copy.deepcopy(model)
-    for tex in (out.appearance or {}).get("textures", []):
-        image = tex.get("image")
-        if not isinstance(image, str):
-            continue
-        filename = image.replace("\\", "/").rsplit("/", 1)[-1]
-        if base and not base.endswith("/"):
-            tex["image"] = base + "/" + filename
-        else:
-            tex["image"] = base + filename
-    return out
+    appearance = model.appearance
+    if appearance and "textures" in appearance:
+        textures = []
+        for tex in appearance["textures"]:
+            image = tex.get("image")
+            if isinstance(image, str):
+                filename = image.replace("\\", "/").rsplit("/", 1)[-1]
+                sep = "/" if base and not base.endswith("/") else ""
+                tex = {**tex, "image": base + sep + filename}
+            textures.append(tex)
+        appearance = {**appearance, "textures": textures}
+    return replace(model, appearance=appearance)
 
 
 def refresh_metadata(model: CityModel) -> CityModel:
@@ -454,7 +478,7 @@ def refresh_metadata(model: CityModel) -> CityModel:
     presentTextures/presentMaterials flag the appearance; the declared
     extension names are mirrored into the metadata.
     """
-    out = copy.deepcopy(model)
+    out = replace(model, metadata=dict(model.metadata))
     try:
         out.metadata["geographicalExtent"] = compute_extent(out)
     except CjtkError:

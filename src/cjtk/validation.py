@@ -8,9 +8,8 @@ an EPSG reference system, a well-shaped transform and extent.
 
 Consistency answers "do the pieces agree with each other": parents and
 children listing one another, semantic values mirroring the shape of the
-boundaries they annotate, no duplicate identifiers, no duplicate or
-unreferenced vertices (warnings), and every boundary index inside the
-vertex pool.
+boundaries they annotate, no duplicate or unreferenced vertices
+(warnings), and every boundary index inside the vertex pool.
 
 `validate` composes the layers and, when extensions are supplied, the
 extension checks.  `validate_text` adds the syntax layer in front, so a
@@ -30,7 +29,7 @@ from .errors import ERROR, WARNING, CjtkError, Finding
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
-                    iter_rings, nesting_depth)
+                    iter_boundary_indices, iter_rings, nesting_depth)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 
@@ -199,11 +198,7 @@ def validate_consistency(model: CityModel) -> list[Finding]:
         if problem:
             err(base, "SEMANTICS_SHAPE_MISMATCH", problem)
 
-    # 3. duplicate identifiers cannot occur inside one JSON object, but a
-    #    programmatically merged model may carry a marker for them; the
-    #    decoder raises instead (see codec.parse).
-
-    # 4. duplicate and unreferenced vertices (warnings).
+    # 3. duplicate and unreferenced vertices (warnings).
     seen: dict[tuple, int] = {}
     for vi, v in enumerate(model.vertices):
         key = tuple(v)
@@ -221,16 +216,16 @@ def validate_consistency(model: CityModel) -> list[Finding]:
     tused = set()
     if model.templates:
         for t in model.templates.templates:
-            tused.update(_boundary_indices(t.boundaries))
+            tused.update(iter_boundary_indices(t.boundaries))
     for vi in range(len(tverts)):
         if vi not in tused:
             warn(f"geometry-templates/vertices-templates/{vi}", "ORPHAN_VERTEX",
                  "template vertex is referenced by no template")
 
-    # 5. every boundary index addresses an existing vertex.
+    # 4. every boundary index addresses an existing vertex.
     limit = len(model.vertices)
     for oid, gi, geom in model.iter_geometries():
-        for idx in _boundary_indices(geom.boundaries):
+        for idx in iter_boundary_indices(geom.boundaries):
             if not isinstance(idx, int) or isinstance(idx, bool) \
                     or not 0 <= idx < limit:
                 err(f"CityObjects/{oid}/geometry/{gi}/boundaries",
@@ -239,7 +234,7 @@ def validate_consistency(model: CityModel) -> list[Finding]:
                 break
     if model.templates:
         for ti, t in enumerate(model.templates.templates):
-            for idx in _boundary_indices(t.boundaries):
+            for idx in iter_boundary_indices(t.boundaries):
                 if not isinstance(idx, int) or isinstance(idx, bool) \
                         or not 0 <= idx < len(tverts):
                     err(f"geometry-templates/templates/{ti}/boundaries",
@@ -253,15 +248,7 @@ def validate_consistency(model: CityModel) -> list[Finding]:
 
 def _used_indices(model: CityModel):
     for _, _, geom in model.iter_geometries():
-        yield from _boundary_indices(geom.boundaries)
-
-
-def _boundary_indices(node):
-    if isinstance(node, list):
-        for child in node:
-            yield from _boundary_indices(child)
-    else:
-        yield node
+        yield from iter_boundary_indices(geom.boundaries)
 
 
 def _semantics_problem(boundaries, values, levels: int, nsurf: int):

@@ -1,6 +1,11 @@
 """Quantization, vertex hygiene, template expansion, extents."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cjtk import (CityModel, compute_extent, dedupe_vertices, dequantize,
                   quantize, remove_orphan_vertices)
@@ -71,6 +76,79 @@ def test_quantum_overflow():
     with pytest.raises(CjtkError) as exc:
         quantize(model, digits=12, translate=[0.0, 0.0, 0.0])
     assert exc.value.code == "QUANTUM_OVERFLOW"
+
+
+def fraction_oracle(value, shift, digits: int) -> int:
+    """(value - shift) in quanta of 10^-digits, rounded half away from zero
+    in exact Fraction arithmetic."""
+    fr = (Fraction(value) - Fraction(shift)) / Fraction(10) ** -digits
+    n, d = fr.numerator, fr.denominator
+    if n >= 0:
+        return (2 * n + d) // (2 * d)
+    return -((-2 * n + d) // (2 * d))
+
+
+# Finite floats (subnormal and huge included), plain and huge integers,
+# dyadic rationals whose decimal expansion often ends in an exact .5
+# quantum, and x.5 values.
+COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.builds(lambda k, j: k / 2 ** j, st.integers(-2 ** 40, 2 ** 40),
+              st.integers(0, 12)),
+    st.integers(-2 ** 51, 2 ** 51).map(lambda k: k + 0.5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=COORDINATES, shift=COORDINATES, digits=st.integers(0, 12))
+@example(value=0.5, shift=0.0, digits=0)
+@example(value=-2.5, shift=0.0, digits=0)
+@example(value=0.125, shift=0.0, digits=2)
+@example(value=-0.125, shift=0.0, digits=2)
+@example(value=5e-324, shift=-5e-324, digits=12)
+@example(value=1.7976931348623157e308, shift=0.0, digits=0)
+def test_quantize_matches_fraction_oracle(value, shift, digits):
+    shift = float(shift)
+    translate = [shift, 0.0, -shift]
+    want = [fraction_oracle(value, t, digits) for t in translate]
+    model = CityModel(vertices=[[value, value, value]])
+    if any(abs(q) >= 2 ** 53 for q in want):
+        with pytest.raises(CjtkError) as exc:
+            quantize(model, digits=digits, translate=translate)
+        assert exc.value.code == "QUANTUM_OVERFLOW"
+    else:
+        assert quantize(model, digits=digits,
+                        translate=translate).vertices == [want]
+
+
+@pytest.mark.parametrize("value", [2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53,
+                                   2 ** 53 + 1])
+@pytest.mark.parametrize("shift", [-1.5, -0.5, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quantum_overflow_boundary(value, shift, sign):
+    value, shift = sign * value, sign * shift
+    want = fraction_oracle(value, shift, 0)
+    model = CityModel(vertices=[[value, 0.0, 0.0]])
+    if abs(want) >= 2 ** 53:
+        with pytest.raises(CjtkError) as exc:
+            quantize(model, digits=0, translate=[shift, 0.0, 0.0])
+        assert exc.value.code == "QUANTUM_OVERFLOW"
+    else:
+        q = quantize(model, digits=0, translate=[shift, 0.0, 0.0])
+        assert q.vertices[0][0] == want
+
+
+@pytest.mark.parametrize("bad, error", [(math.nan, ValueError),
+                                        (math.inf, OverflowError),
+                                        (-math.inf, OverflowError)])
+def test_non_finite_coordinates_are_not_quantizable(bad, error):
+    with pytest.raises(error):
+        quantize(CityModel(vertices=[[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]),
+                 translate=[0.0, 0.0, 0.0])
+    with pytest.raises(error):
+        quantize(CityModel(vertices=[[1.0, 2.0, 3.0]]),
+                 translate=[bad, 0.0, 0.0])
 
 
 def test_quantize_empty_pool():
