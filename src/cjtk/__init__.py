@@ -6,38 +6,49 @@ Read and write models (:mod:`cjtk.codec`), validate them in layers
 handle Extension files (:mod:`cjtk.extensions`), import scoped CityGML 2.0
 (:mod:`cjtk.gml`), and generate synthetic scenes (:mod:`cjtk.synth`).
 The ``cjtk`` command chains all of it on the command line.
+
+The public names below are resolved lazily (PEP 562): ``cjtk.merge`` or
+``from cjtk import merge`` imports :mod:`cjtk.ops` on first use, so a
+program, such as the ``cjtk`` command, loads only the modules it uses.
+Each access returns the submodule's current attribute.
 """
 
-from .codec import dump, dumps, load, loads, parse
-from .errors import (ERROR, WARNING, CjtkError, CodecError, ExtensionError,
-                     Finding, GmlImportError)
-from .extensions import (Extension, load_extension, strip_extensions,
-                         validate_extended)
-from .geomops import (compute_extent, dedupe_vertices, dequantize,
-                      instantiate_template, quantize, remove_orphan_vertices)
-from .gml import ImportReport, import_citygml
-from .model import (CityModel, CityObject, Geometry, Semantics, Transform,
-                    boundary_depth)
-from .ops import (merge, partition_by_type, partition_grid, partition_random,
-                  refresh_metadata, stats, subset, update_texture_paths)
-from .validation import (is_valid, validate, validate_consistency,
-                         validate_structure, validate_text)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CityModel", "CityObject", "Geometry", "Semantics", "Transform",
-    "boundary_depth",
-    "parse", "loads", "load", "dumps", "dump",
-    "validate", "validate_text", "validate_structure", "validate_consistency",
-    "is_valid",
-    "quantize", "dequantize", "dedupe_vertices", "remove_orphan_vertices",
-    "instantiate_template", "compute_extent",
-    "subset", "merge", "partition_grid", "partition_by_type",
-    "partition_random", "update_texture_paths", "refresh_metadata", "stats",
-    "Extension", "load_extension", "validate_extended", "strip_extensions",
-    "import_citygml", "ImportReport",
-    "CjtkError", "CodecError", "ExtensionError", "GmlImportError",
-    "Finding", "ERROR", "WARNING",
-    "__version__",
-]
+_EXPORTS = {
+    "model": ["CityModel", "CityObject", "Geometry", "Semantics",
+              "Transform", "boundary_depth"],
+    "codec": ["parse", "loads", "load", "dumps", "dump"],
+    "validation": ["validate", "validate_text", "validate_structure",
+                   "validate_consistency", "is_valid"],
+    "geomops": ["quantize", "dequantize", "dedupe_vertices",
+                "remove_orphan_vertices", "instantiate_template",
+                "compute_extent"],
+    "ops": ["subset", "merge", "partition_grid", "partition_by_type",
+            "partition_random", "update_texture_paths", "refresh_metadata",
+            "stats"],
+    "extensions": ["Extension", "load_extension", "validate_extended",
+                   "strip_extensions"],
+    "gml": ["import_citygml", "ImportReport"],
+    "errors": ["CjtkError", "CodecError", "ExtensionError", "GmlImportError",
+               "Finding", "ERROR", "WARNING"],
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] \
+    + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,6 +10,10 @@ left to right, entirely in memory::
 "-" reads standard input; ``save -`` writes minified JSON to standard
 output.  Exit codes: 0 success (and valid), 1 validation warnings only,
 2 errors (validation errors or a failed stage), 3 usage errors.
+
+The input is parsed at most once.  What only some stages need (the
+validator and extension files, the CityGML importer) is imported or
+loaded by those stages, so a pipeline loads only what it uses.
 """
 
 from __future__ import annotations
@@ -20,22 +24,21 @@ from pathlib import Path
 
 import click
 
-from . import codec, geomops, gml, ops
+from . import codec, geomops, ops
 from .errors import ERROR, CjtkError, WARNING
-from .extensions import discover, load_extension
-from .validation import validate, validate_text
 
 
 class _State:
-    """What flows between stages: raw text until something needs a model."""
+    """What flows between stages: the input text until something needs a
+    model."""
 
-    def __init__(self, source: str, text: str, extensions):
+    def __init__(self, source: str, text: str | bytes, extension_paths):
         self.source = source
-        self.text: str | None = text
+        self.text: str | bytes | None = text
         self.model = None
         self.exit = 0
         self.finished = False
-        self.extensions = extensions
+        self.extension_paths = extension_paths
 
     def require_model(self, stage: str):
         if self.finished:
@@ -47,31 +50,37 @@ class _State:
         return self.model
 
 
-def _read_input(source: str) -> str:
+def _text(data: bytes) -> str | bytes:
+    """The text of a document; bytes that are not UTF-8 stay bytes, for
+    the parser to report as SYNTAX_ERROR."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data
+
+
+def _read_input(source: str) -> str | bytes:
     if source == "-":
-        return sys.stdin.read()
+        return _text(sys.stdin.buffer.read())
     path = Path(source)
     if not path.exists():
         raise click.UsageError(f"input file not found: {source}")
-    return path.read_text(encoding="utf-8")
+    return _text(path.read_bytes())
 
 
 @click.group(chain=True)
 @click.argument("input", metavar="INPUT")
-@click.option("--extension", "extensions", multiple=True,
+@click.option("--extension", "extension_paths", multiple=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Extension file to validate against (repeatable); the "
                    "CJTK_EXTENSIONS variable adds a default search path.")
-def cli(input, extensions):
+def cli(input, extension_paths):
     """Process the CityJSON (or CityGML) file INPUT through a pipeline."""
 
 
 @cli.result_callback()
-def run_pipeline(processors, input, extensions):
-    exts = list(discover())
-    for path in extensions:
-        exts.append(load_extension(path))
-    state = _State(input, _read_input(input), exts)
+def run_pipeline(processors, input, extension_paths):
+    state = _State(input, _read_input(input), extension_paths)
     for name, processor in processors:
         try:
             processor(state)
@@ -92,12 +101,19 @@ def run_pipeline(processors, input, extensions):
               help="Report findings as JSON lines instead of text.")
 def validate_cmd(as_json):
     """Check the model; exit 0 valid, 1 warnings only, 2 errors."""
+    from . import extensions, validation
+
     def stage(state: _State):
+        exts = extensions.discover() + [extensions.load_extension(path)
+                                        for path in state.extension_paths]
         if state.model is None and not state.finished:
-            findings = validate_text(state.text, state.extensions)
+            # Later stages reuse the model parsed here.
+            state.model, findings = validation.parse_and_validate(
+                state.text, exts)
+            state.text = None
         else:
-            findings = validate(state.require_model("validate"),
-                                state.extensions)
+            findings = validation.validate(state.require_model("validate"),
+                                           exts)
         for f in findings:
             line = json.dumps(f.to_json()) if as_json else \
                 f"{f.severity}: [{f.code}] {f.path or '<root>'}" \
@@ -189,7 +205,7 @@ def merge_cmd(other, policy):
     Chain several merge stages to combine more than two files.
     """
     def stage(state: _State):
-        m, _ = codec.parse(Path(other).read_text(encoding="utf-8"))
+        m, _ = codec.parse(_text(Path(other).read_bytes()))
         state.model = ops.merge([state.require_model("merge"), m],
                                 policy=policy)
     return "merge", stage
@@ -275,10 +291,12 @@ def info_cmd():
 @cli.command("import")
 def import_cmd():
     """Read the input as CityGML 2.0 (must be the first stage)."""
+    from . import gml
+
     def stage(state: _State):
         if state.model is not None or state.text is None:
             raise click.UsageError("import must be the first stage")
-        model, report = gml.import_citygml(state.text)
+        model, report = gml.import_citygml(codec.decode(state.text))
         state.model = model
         state.text = None
         for line in report.to_json_lines():

@@ -1,8 +1,10 @@
 """Reading and writing the JSON text encoding.
 
 The reader fails fast, with a slash-separated path from the document root,
-on anything that breaks the shape of the encoding: bad JSON syntax, a
-wrong or missing type tag, missing required members, members of the wrong
+on anything that breaks the shape of the encoding: bad JSON syntax
+(including bytes that are not UTF-8, nesting deeper than the interpreter
+can follow, and the NaN/Infinity literals RFC 8259 excludes), a wrong or
+missing type tag, missing required members, members of the wrong
 type, boundary arrays whose nesting does not match their geometry kind,
 and duplicate keys (duplicate city-object identifiers in particular).
 Checks that need whole-model reasoning (index ranges, family links,
@@ -93,13 +95,40 @@ def _raise_duplicates(root, duplicates: dict) -> None:
                      path=path)
 
 
-def parse(text: str) -> tuple[CityModel, ParseDiagnostics]:
-    """Parse a document string; returns the model plus diagnostics."""
+def decode(data: str | bytes) -> str:
+    """Text of a document: a str as it is, bytes decoded as UTF-8
+    (SYNTAX_ERROR where they are not)."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = data.rfind(b"\n", 0, e.start) + 1
+        raise CodecError("SYNTAX_ERROR",
+                         f"invalid UTF-8 at byte {e.start}: {e.reason}",
+                         line=data.count(b"\n", 0, e.start) + 1,
+                         column=e.start - line_start + 1) from None
+
+
+def _reject_constant(name: str):
+    # json calls this for the NaN, Infinity and -Infinity literals only.
+    raise CodecError("SYNTAX_ERROR",
+                     f"{name} is not a JSON number (RFC 8259, section 6)")
+
+
+def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
+    """Parse a document (text, or UTF-8 bytes); returns the model plus
+    diagnostics."""
+    text = decode(text)
     duplicates: dict[int, list[str]] = {}
     try:
-        root = json.loads(text, object_pairs_hook=_collecting_pairs_hook(duplicates))
+        root = json.loads(text, parse_constant=_reject_constant,
+                          object_pairs_hook=_collecting_pairs_hook(duplicates))
     except json.JSONDecodeError as e:
         raise CodecError("SYNTAX_ERROR", e.msg, line=e.lineno, column=e.colno) from e
+    except RecursionError:
+        raise CodecError("SYNTAX_ERROR",
+                         "arrays or objects nest too deeply") from None
     if not isinstance(root, dict):
         raise CodecError("NOT_CITYJSON", "document root is not an object")
     if duplicates:
@@ -107,15 +136,15 @@ def parse(text: str) -> tuple[CityModel, ParseDiagnostics]:
     return model_from_json(root)
 
 
-def loads(text: str) -> CityModel:
+def loads(text: str | bytes) -> CityModel:
     return parse(text)[0]
 
 
 def load(source) -> CityModel:
-    """Parse from a path or an open text file."""
+    """Parse from a path or an open text or binary file."""
     if hasattr(source, "read"):
         return loads(source.read())
-    with open(source, encoding="utf-8") as fp:
+    with open(source, "rb") as fp:
         return loads(fp.read())
 
 

@@ -21,6 +21,7 @@ import report, never on the floor.
 
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -172,6 +173,10 @@ def _group(tokens: list[str], dim: int) -> list[tuple]:
         bad = str(exc).rsplit(":", 1)[-1].strip()
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"cannot read coordinate token {bad}")
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
+        raise GmlImportError("BAD_COORDINATE_TOKEN",
+                             f"coordinate token {bad!r} is not finite")
     if not values or len(values) % dim:
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"coordinate count {len(values)} does not "

@@ -11,8 +11,8 @@ Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  A result may share the parts
 it did not change (objects, geometries, vertex rows, metadata) with its
 argument, so a caller that wants to mutate a result in place should
-``copy.deepcopy`` it first.  ``ops.merge`` is the exception: it returns a
-model independent of its inputs.
+``copy.deepcopy`` it first.  ``ops.merge`` is the exception: it builds a
+fresh model, independent of its inputs.
 """
 
 from __future__ import annotations

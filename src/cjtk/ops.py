@@ -6,14 +6,14 @@ partition part means picking entries of the objects dictionary, rebuilding
 the vertex pool with rebased indices, and pruning links — no geometry math
 involved.  A result shares with its argument whatever the operation did
 not change (attributes, semantics, appearance, templates, metadata
-values), so callers that mutate a result in place should
-``copy.deepcopy`` it first.  ``merge`` is the exception: its result is
-independent of its inputs.
+values), so callers that mutate a result in place should deep-copy it
+first.  ``merge`` is the exception: it builds its result afresh in one
+walk over each input (links renamed, indices offset, JSON-valued members
+copied), so the result is independent of its inputs.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import random
@@ -23,7 +23,8 @@ from . import codec
 from .errors import CjtkError
 from .geomops import (compute_extent, dequantize, instance_world_vertices,
                       quantize)
-from .model import CityModel, iter_boundary_indices, map_boundaries
+from .model import (CityModel, CityObject, Geometry, Semantics, TemplateBank,
+                    iter_boundary_indices, map_boundaries)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -183,7 +184,11 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     model-internal links to match.  If any input is quantized, all are
     decoded and the result is re-encoded at the finest input scale with
     fresh minimum-corner offsets; per-model index offsets keep every
-    boundary, template and appearance reference valid.
+    boundary, template and appearance reference valid.  A scale that is
+    not a positive finite number is refused with BAD_TRANSFORM.
+
+    The result is built afresh, one walk over each input, and shares
+    nothing with the inputs.
     """
     if policy not in ("error", "suffix"):
         raise CjtkError("UNKNOWN_ID", f"unknown id policy {policy!r}")
@@ -198,47 +203,61 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
                         "metadata/referenceSystem")
 
     digits = [_transform_digits(m.transform) for m in models if m.transform]
-    inputs = [_detached(m) for m in models]
+    inputs = [dequantize(m) if m.transform else m for m in models]
 
-    out = inputs[0]
+    first = inputs[0]
+    out = CityModel(
+        city_objects={oid: _copied_object(co)
+                      for oid, co in first.city_objects.items()},
+        vertices=list(first.vertices),
+        templates=_copied_bank(first.templates),
+        appearance=_json_copy(first.appearance),
+        metadata=_json_copy(first.metadata),
+        extensions=_json_copy(first.extensions),
+        version=first.version,
+        extra=_json_copy(first.extra))
     for nxt in inputs[1:]:
         _absorb(out, nxt, policy)
 
+    # The pool still holds the inputs' rows; re-encoding replaces them.
     if digits:
         out = quantize(out, digits=max(digits))
+    else:
+        out.vertices = [list(v) for v in out.vertices]
     if out.metadata.get("geographicalExtent") is not None \
             or out.metadata.get("presentLoDs") is not None:
         out = refresh_metadata(out)
     return out
 
 
-def _detached(model: CityModel) -> CityModel:
-    """A copy sharing nothing with ``model``, with real-valued vertices,
-    for ``_absorb`` to rewrite in place."""
-    if model.transform is None:
-        return copy.deepcopy(model)
-    model = dequantize(model)
-    # The decoded pool is already fresh; the memo entry keeps deepcopy from
-    # copying it a second time.
-    return copy.deepcopy(model, {id(model.vertices): model.vertices})
-
-
 def _transform_digits(tr) -> int:
     """Recover the decimal-digit count encoded in a transform scale."""
-    try:
-        exp = -round(math.log10(tr.scale[0]))
-    except ValueError:
-        exp = 0
-    return max(0, min(12, exp))
+    if not all(math.isfinite(s) and s > 0 for s in tr.scale):
+        raise CjtkError("BAD_TRANSFORM",
+                        f"scale {tr.scale!r} is not three positive finite "
+                        "numbers", "transform/scale")
+    return max(0, min(12, -round(math.log10(tr.scale[0]))))
 
 
 def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
+    """Add fresh copies of nxt's objects and members to out, in place.
+
+    ``out`` belongs to ``merge``; nothing of ``nxt`` is shared with it
+    except the vertex rows, which ``merge`` replaces at the end.
+    """
     voffset = len(out.vertices)
     out.vertices.extend(nxt.vertices)
 
     toffset = len(out.templates.templates) if out.templates else 0
     if nxt.templates is not None and nxt.templates.templates:
-        out.templates = _merge_templates(out.templates, nxt.templates)
+        if out.templates is None:
+            out.templates = _copied_bank(nxt.templates)
+        else:
+            bank = out.templates
+            shift = len(bank.vertices)
+            bank.vertices.extend(_json_copy(nxt.templates.vertices))
+            bank.templates.extend(_copied_geometry(t, vertex_offset=shift)
+                                  for t in nxt.templates.templates)
 
     moffset = len((out.appearance or {}).get("materials", []))
     txoffset = len((out.appearance or {}).get("textures", []))
@@ -259,69 +278,135 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
                 n += 1
             rename[oid] = f"{oid}-{n}"
 
+    moves = dict(
+        vertex_offset=voffset, template_offset=toffset,
+        material=functools.partial(_shift_material, offset=moffset)
+        if moffset else _json_copy,
+        texture=functools.partial(_shift_texture, tex_offset=txoffset,
+                                  uv_offset=uvoffset))
     for oid, co in nxt.city_objects.items():
-        co.parents = [rename.get(p, p) for p in co.parents]
-        co.children = [rename.get(c, c) for c in co.children]
-        if "members" in co.extra:
-            co.extra["members"] = [rename.get(m, m)
-                                   for m in co.extra["members"]]
-        for geom in co.geometry:
-            geom.boundaries = map_boundaries(geom.boundaries,
-                                             lambda i: i + voffset)
-            if geom.is_instance() and toffset:
-                geom.template += toffset
-            if geom.material is not None and moffset:
-                geom.material = _shift_material(geom.material, moffset)
-            if geom.texture is not None:
-                geom.texture = _shift_texture(geom.texture, txoffset, uvoffset)
-        out.city_objects[rename.get(oid, oid)] = co
+        out.city_objects[rename.get(oid, oid)] = _copied_object(
+            co, lambda ids: [rename.get(i, i) for i in ids], **moves)
 
-    for name, decl in (nxt.extensions or {}).items():
-        out.extensions.setdefault(name, decl)
-    for key, value in nxt.metadata.items():
-        out.metadata.setdefault(key, value)
-    for key, value in nxt.extra.items():
-        out.extra.setdefault(key, value)
+    for mine, theirs in ((out.extensions, nxt.extensions),
+                         (out.metadata, nxt.metadata),
+                         (out.extra, nxt.extra)):
+        for key, value in (theirs or {}).items():
+            if key not in mine:
+                mine[key] = _json_copy(value)
 
 
-def _merge_templates(a, b):
-    if a is None:
-        return b
-    voff = len(a.vertices)
-    a.vertices.extend(b.vertices)
-    a.templates.extend(t.remapped(lambda i: i + voff) for t in b.templates)
-    return a
+_CONTAINERS = (list, dict)
+
+
+def _json_copy(value):
+    """Copy of a JSON-shaped value: fresh lists and dicts, shared scalars."""
+    if type(value) is list:
+        return [_json_copy(x) if type(x) in _CONTAINERS else x
+                for x in value]
+    if type(value) is dict:
+        return {k: _json_copy(x) if type(x) in _CONTAINERS else x
+                for k, x in value.items()}
+    return value
+
+
+def _copied_object(co: CityObject, relink=_json_copy, **moves) -> CityObject:
+    """Fresh copy of co sharing nothing with it.
+
+    ``relink`` copies (and may rename) its parents, children and group
+    members; ``moves`` are passed on to ``_copied_geometry``.
+    """
+    return CityObject(
+        type=co.type, attributes=_json_copy(co.attributes),
+        geometry=[_copied_geometry(g, **moves) for g in co.geometry],
+        parents=relink(co.parents), children=relink(co.children),
+        extent=_json_copy(co.extent),
+        extra={key: relink(value) if key == "members" else _json_copy(value)
+               for key, value in co.extra.items()})
+
+
+def _copied_geometry(g: Geometry, vertex_offset: int | None = None,
+                     template_offset: int = 0, material=_json_copy,
+                     texture=_json_copy) -> Geometry:
+    """Fresh copy of g sharing nothing with it.
+
+    With ``vertex_offset`` every boundary index moves by that much (and is
+    otherwise copied as it is), and an instance's template index moves by
+    ``template_offset``; ``material`` and ``texture`` copy (and may shift)
+    those members.
+    """
+    if vertex_offset is None:
+        boundaries = _json_copy(g.boundaries)
+    else:
+        boundaries = map_boundaries(g.boundaries,
+                                    lambda i: i + vertex_offset)
+    sem = g.semantics
+    if sem is not None:
+        sem = Semantics(_json_copy(sem.surfaces), _json_copy(sem.values),
+                        _json_copy(sem.extra))
+    template = g.template
+    if template_offset and g.is_instance():
+        template += template_offset
+    return Geometry(
+        type=g.type, lod=g.lod, boundaries=boundaries, semantics=sem,
+        material=None if g.material is None else material(g.material),
+        texture=None if g.texture is None else texture(g.texture),
+        template=template,
+        transformation_matrix=_json_copy(g.transformation_matrix),
+        extra=_json_copy(g.extra))
+
+
+def _copied_bank(bank: TemplateBank | None) -> TemplateBank | None:
+    if bank is None:
+        return None
+    return TemplateBank(templates=[_copied_geometry(t)
+                                   for t in bank.templates],
+                        vertices=_json_copy(bank.vertices))
 
 
 def _merge_appearance(a: dict, b: dict) -> dict:
     out = dict(a) if a else {}
     for key in ("materials", "textures", "vertices-texture"):
         if b.get(key):
-            out[key] = list(out.get(key, [])) + list(b[key])
+            out[key] = list(out.get(key, [])) + [_json_copy(x)
+                                                 for x in b[key]]
     for key in ("default-theme-material", "default-theme-texture"):
         if key in b:
-            out.setdefault(key, b[key])
+            out.setdefault(key, _json_copy(b[key]))
+    return out
+
+
+def _shift_themes(member: dict, values) -> dict:
+    """Copy of a material or texture member, each theme's "values"
+    rebuilt by ``values``."""
+    out = {}
+    for theme, themed in member.items():
+        if type(themed) is dict:
+            out[theme] = {key: values(x) if key == "values" else _json_copy(x)
+                          for key, x in themed.items()}
+        else:
+            out[theme] = _json_copy(themed)
     return out
 
 
 def _shift_material(member: dict, offset: int) -> dict:
-    out = {}
-    for theme, themed in member.items():
-        themed = copy.deepcopy(themed)
-        if isinstance(themed.get("value"), int):
+    def shift(node):
+        if isinstance(node, list):
+            return [shift(x) for x in node]
+        if isinstance(node, int):
+            return node + offset
+        return _json_copy(node)
+
+    out = _shift_themes(member, shift)
+    for themed in out.values():
+        if isinstance(themed, dict) and isinstance(themed.get("value"), int):
             themed["value"] += offset
-        if "values" in themed:
-            themed["values"] = _shift_leaves(themed["values"],
-                                             lambda x: x + offset)
-        out[theme] = themed
     return out
 
 
 def _shift_texture(member: dict, tex_offset: int, uv_offset: int) -> dict:
     def shift_ring(ring):
         # A texture ring reads [texture index, uv index, uv index, ...].
-        if not ring:
-            return ring
         head = ring[0] + tex_offset if isinstance(ring[0], int) else ring[0]
         return [head] + [x + uv_offset if isinstance(x, int) else x
                          for x in ring[1:]]
@@ -332,23 +417,9 @@ def _shift_texture(member: dict, tex_offset: int, uv_offset: int) -> dict:
             return shift_ring(node)
         if isinstance(node, list):
             return [walk(x) for x in node]
-        return node
+        return _json_copy(node)
 
-    out = {}
-    for theme, themed in member.items():
-        themed = copy.deepcopy(themed)
-        if "values" in themed:
-            themed["values"] = walk(themed["values"])
-        out[theme] = themed
-    return out
-
-
-def _shift_leaves(node, fn):
-    if isinstance(node, list):
-        return [_shift_leaves(x, fn) for x in node]
-    if isinstance(node, int):
-        return fn(node)
-    return node
+    return _shift_themes(member, walk)
 
 
 # ---------------------------------------------------------------------------

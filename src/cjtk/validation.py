@@ -296,14 +296,23 @@ def validate(model: CityModel,
     return findings
 
 
-def validate_text(text: str,
+def validate_text(text: str | bytes,
                   extensions: list[Extension] | None = None) -> list[Finding]:
     """Full pipeline for raw bytes/text: syntax, then the model layers."""
+    return parse_and_validate(text, extensions)[1]
+
+
+def parse_and_validate(text: str | bytes,
+                       extensions: list[Extension] | None = None) \
+        -> tuple[CityModel | None, list[Finding]]:
+    """``validate_text`` that also returns the parsed model, or None when
+    the text does not parse."""
     try:
         model, _ = parse(text)
     except CjtkError as exc:
-        return [Finding(exc.path or "", exc.code, ERROR, exc.message, "syntax")]
-    return validate(model, extensions)
+        return None, [Finding(exc.path or "", exc.code, ERROR, exc.message,
+                              "syntax")]
+    return model, validate(model, extensions)
 
 
 def errors_of(findings: list[Finding]) -> list[Finding]:

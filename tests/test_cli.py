@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
-from cjtk import codec
+from cjtk import cli, codec
 
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
 from helpers import as_text, cube_tree
+from test_codec import hostile_inputs
 from test_extensions import noise_building_tree
 from test_ops import town_tree
 
@@ -233,3 +235,44 @@ def test_usage_errors_exit_three(tmp_path, town_path):
         .returncode == 3
     proc = run_cli(str(town_path), "compress", "--digits", "15")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("name", sorted(hostile_inputs()))
+def test_hostile_input_exits_two_with_a_coded_finding(name, tmp_path):
+    data = hostile_inputs()[name]
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    proc = run_cli(str(path), "validate", "--json")
+    assert proc.returncode == 2
+    findings = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(f["code"], f["stage"]) for f in findings] \
+        == [("SYNTAX_ERROR", "syntax")]
+    proc = run_cli(str(path), "compress", "save", str(tmp_path / "out.json"))
+    assert proc.returncode == 2
+    assert "[SYNTAX_ERROR]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_validate_first_parses_the_input_once(town_path, tmp_path,
+                                              monkeypatch):
+    monkeypatch.delenv("CJTK_EXTENSIONS", raising=False)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **k: calls.append(1) or loads(*a, **k))
+    result = CliRunner().invoke(cli.cli, [
+        str(town_path), "validate", "compress",
+        "save", str(tmp_path / "out.json")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_extension_files_are_loaded_by_validate_only(town_path, tmp_path):
+    bad = tmp_path / "bad.ext.json"
+    bad.write_text('{"type": "CityJSON"}', encoding="utf-8")
+    proc = run_cli("--extension", str(bad), str(town_path),
+                   "save", str(tmp_path / "out.json"))
+    assert proc.returncode == 0
+    proc = run_cli("--extension", str(bad), str(town_path), "validate")
+    assert proc.returncode == 2
+    assert "validate: [NOT_EXTENSION]" in proc.stderr

@@ -180,3 +180,48 @@ def test_empty_appearance_round_trips_but_empty_metadata_is_dropped():
     tree2 = cube_tree(metadata={})
     model2, _ = codec.parse(as_text(tree2))
     assert "metadata" not in tree_of(model2)
+
+
+# -- hostile input -------------------------------------------------------------
+
+
+def hostile_inputs():
+    """Documents that must be refused as SYNTAX_ERROR, by name."""
+    text = as_text(cube_tree())
+    nested = "[" * 100_000 + "]" * 100_000
+    return {
+        "nan": text.replace("[0.0, 0.0, 0.0]", "[NaN, 0.0, 0.0]", 1),
+        "infinity": text.replace("[0.0, 0.0, 0.0]", "[Infinity, 0, 0]", 1),
+        "minus-infinity": text.replace("[0.0, 0.0, 0.0]",
+                                       "[0.0, -Infinity, 0]", 1),
+        "deep-nesting": text.replace('"version"', f'"deep": {nested}, '
+                                     '"version"', 1),
+        "non-utf8": text.encode("utf-8").replace(b'"Building"',
+                                                 b'"Build\xe9ng \xff"', 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hostile_inputs()))
+def test_hostile_input_is_a_syntax_error(name):
+    with pytest.raises(CodecError) as exc:
+        codec.parse(hostile_inputs()[name])
+    assert exc.value.code == "SYNTAX_ERROR"
+
+
+def test_non_utf8_error_locates_the_bad_byte():
+    data = b'{"type": "CityJSON",\n "version": "1.\xff"}'
+    with pytest.raises(CodecError) as exc:
+        codec.parse(data)
+    assert (exc.value.line, exc.value.column) == (2, 16)
+
+
+def test_utf8_bytes_parse_like_text(tmp_path):
+    tree = cube_tree()
+    tree["CityObjects"]["b-1"]["attributes"] = {"name": "turm-β"}
+    text = as_text(tree)
+    assert tree_of(codec.loads(text.encode("utf-8"))) == tree_of(
+        codec.loads(text))
+    path = tmp_path / "m.city.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "rb") as fp:
+        assert tree_of(codec.load(fp)) == tree_of(codec.load(path))

@@ -308,3 +308,15 @@ def test_lod4_rejected():
     text = SQUARE_VARIANTS["poslist-one-line"]().replace(
         "lod2MultiSurface", "lod4MultiSurface")
     expect_code(text, "LOD4_UNSUPPORTED")
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_coordinate_tokens(token):
+    poly = _polygon_xml([], ring_inner=f"<gml:posList>0 0 0 1 {token} 0 "
+                                       "1 1 0</gml:posList>")
+    body = (f'  <core:cityObjectMember><bldg:Building gml:id="b">'
+            f'<bldg:lod2MultiSurface><gml:MultiSurface><gml:surfaceMember>'
+            f'{poly}</gml:surfaceMember></gml:MultiSurface>'
+            f'</bldg:lod2MultiSurface></bldg:Building>'
+            f'</core:cityObjectMember>')
+    expect_code(_document(body), "BAD_COORDINATE_TOKEN")

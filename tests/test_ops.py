@@ -1,9 +1,12 @@
 """Subset, merge, partition, and the bookkeeping helpers."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from cjtk import (merge, partition_by_type, partition_grid, partition_random,
-                  quantize, refresh_metadata, stats, subset,
+from cjtk import (Transform, merge, partition_by_type, partition_grid,
+                  partition_random, quantize, refresh_metadata, stats, subset,
                   update_texture_paths)
 from cjtk.errors import CjtkError
 from cjtk.validation import validate
@@ -404,3 +407,15 @@ def test_stats_shape():
     assert got["templates"] == 1
     assert got["quantized"] is False
     assert got["minifiedBytes"] > 0
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.001, math.nan, math.inf])
+def test_merge_refuses_a_scale_that_is_not_positive_and_finite(scale):
+    good = quantize(as_model(cube_tree(oid="a")), digits=3)
+    bad = replace(quantize(as_model(cube_tree(oid="b")), digits=3),
+                  transform=Transform(scale=[0.001, scale, 0.001],
+                                      translate=[0.0, 0.0, 0.0]))
+    for inputs in ([bad], [good, bad]):
+        with pytest.raises(CjtkError) as exc:
+            merge(inputs)
+        assert exc.value.code == "BAD_TRANSFORM"

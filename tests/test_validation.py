@@ -3,10 +3,12 @@
 import pytest
 
 from cjtk import is_valid, validate, validate_text
-from cjtk.validation import (errors_of, validate_consistency,
-                             validate_structure, warnings_of)
+from cjtk.validation import (errors_of, parse_and_validate,
+                             validate_consistency, validate_structure,
+                             warnings_of)
 
-from helpers import as_model, as_text, codes_of, cube_tree
+from helpers import as_model, as_text, codes_of, cube_tree, tree_of
+from test_codec import hostile_inputs
 
 IDENTITY = [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0]
 
@@ -279,3 +281,18 @@ def test_is_valid_tolerates_warnings():
     tree["vertices"].append([99.0, 99.0, 99.0])
     findings = validate(as_model(tree))
     assert warnings_of(findings) and is_valid(findings)
+
+
+@pytest.mark.parametrize("name", sorted(hostile_inputs()))
+def test_validate_text_reports_hostile_input_without_raising(name):
+    findings = validate_text(hostile_inputs()[name])
+    assert [(f.code, f.severity, f.stage) for f in findings] \
+        == [("SYNTAX_ERROR", "error", "syntax")]
+
+
+def test_parse_and_validate_returns_the_model_it_checked():
+    text = as_text(cube_tree(semantics=True))
+    model, findings = parse_and_validate(text)
+    assert findings == validate_text(text) == validate(model)
+    assert tree_of(model) == tree_of(as_model(cube_tree(semantics=True)))
+    assert parse_and_validate('{"type": "CityJSON"')[0] is None

@@ -129,3 +129,24 @@ def test_merge_result_shares_nothing_with_inputs(policy, corpus_models):
         for m in inputs:
             _mutable_ids(m, owned)
         assert not shared & owned, f"merge result shares state on {name}"
+
+
+@pytest.mark.parametrize("digits", [None, 3])
+def test_chained_partition_merge_shares_nothing_with_parts(digits,
+                                                           corpus_models):
+    for name, model in corpus_models:
+        try:
+            if digits is not None:
+                model = geomops.quantize(model, digits=digits,
+                                         requantize=True)
+            parts = [part for _, part in ops.partition_grid(model, 2, 2)]
+        except CjtkError:
+            continue
+        out = ops.merge(parts[:2])
+        for part in parts[2:]:
+            out = ops.merge([out, part])
+        owned = set()
+        for part in parts:
+            _mutable_ids(part, owned)
+        assert not _mutable_ids(out, set()) & owned, \
+            f"chained merge shares state with a part of {name}"
