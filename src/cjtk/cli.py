@@ -9,7 +9,8 @@ left to right, entirely in memory::
 
 "-" reads standard input; ``save -`` writes minified JSON to standard
 output.  Exit codes: 0 success (and valid), 1 validation warnings only,
-2 errors (validation errors or a failed stage), 3 usage errors.
+2 errors (validation errors or a failed stage, including a crash, which
+reports ``stage: [INTERNAL_ERROR] <type>: <message>``), 3 usage errors.
 
 The input is parsed at most once.  What only some stages need (the
 validator and extension files, the CityGML importer) is imported or
@@ -62,10 +63,10 @@ def _text(data: bytes) -> str | bytes:
 def _read_input(source: str) -> str | bytes:
     if source == "-":
         return _text(sys.stdin.buffer.read())
-    path = Path(source)
-    if not path.exists():
-        raise click.UsageError(f"input file not found: {source}")
-    return _text(path.read_bytes())
+    try:
+        return _text(Path(source).read_bytes())
+    except OSError as exc:
+        raise click.UsageError(f"cannot read {source}: {exc.strerror}") from None
 
 
 @click.group(chain=True)
@@ -84,10 +85,15 @@ def run_pipeline(processors, input, extension_paths):
     for name, processor in processors:
         try:
             processor(state)
+        except click.ClickException:
+            raise
         except CjtkError as exc:
             raise click.ClickException(f"{name}: [{exc.code}] {exc.message}"
                                        + (f" at {exc.path}" if exc.path
                                           else ""))
+        except Exception as exc:
+            raise click.ClickException(f"{name}: [INTERNAL_ERROR] "
+                                       f"{type(exc).__name__}: {exc}")
         if state.exit >= 2:
             break
     sys.exit(state.exit)

@@ -7,6 +7,7 @@ can follow, and the NaN/Infinity literals RFC 8259 excludes), a wrong or
 missing type tag, missing required members, members of the wrong
 type, boundary arrays whose nesting does not match their geometry kind,
 and duplicate keys (duplicate city-object identifiers in particular).
+Vertices, ``lod`` and the transform hold finite doubles only (no ``1e999``).
 Checks that need whole-model reasoning (index ranges, family links,
 semantics coherence) belong to the validator, which reports findings
 instead of raising.
@@ -15,7 +16,8 @@ The writer emits members in one canonical order so output is stable
 across runs: type, version, metadata, extensions, transform, CityObjects,
 vertices, appearance, geometry-templates, then any retained unknown
 members.  Minified mode uses no whitespace; integers print without a
-decimal point and reals with their shortest round-trip form.
+decimal point and reals with their shortest round-trip form.  A NaN or
+infinity, which the reader refuses, is a ``SYNTAX_ERROR`` here too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .model import (
     Geometry,
     TemplateBank,
     Transform,
+    is_finite_number,
 )
 
 _REQUIRED = ("version", "CityObjects", "vertices")
@@ -41,7 +44,6 @@ _REQUIRED = ("version", "CityObjects", "vertices")
 class ParseDiagnostics:
     """Non-fatal observations made while reading a document."""
 
-    warnings: list = field(default_factory=list)
     unknown_members: list = field(default_factory=list)
 
 
@@ -110,10 +112,14 @@ def decode(data: str | bytes) -> str:
                          column=e.start - line_start + 1) from None
 
 
+def _not_a_number(name: str) -> CodecError:
+    return CodecError("SYNTAX_ERROR",
+                      f"{name} is not a JSON number (RFC 8259, section 6)")
+
+
 def _reject_constant(name: str):
     # json calls this for the NaN, Infinity and -Infinity literals only.
-    raise CodecError("SYNTAX_ERROR",
-                     f"{name} is not a JSON number (RFC 8259, section 6)")
+    raise _not_a_number(name)
 
 
 def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
@@ -153,10 +159,6 @@ def _require(cond: bool, code: str, message: str, path: str) -> None:
         raise CodecError(code, message, path=path)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _check_boundary_shape(node, depth: int, path: str) -> None:
     if depth == 0:
         _require(isinstance(node, int) and not isinstance(node, bool),
@@ -176,7 +178,7 @@ def _check_geometry(obj, path: str) -> None:
              f"{path}/type")
     kind = obj["type"]
     lod = obj.get("lod")
-    _require(lod is None or _is_number(lod), "WRONG_MEMBER_TYPE",
+    _require(lod is None or is_finite_number(lod), "WRONG_MEMBER_TYPE",
              "lod must be a number", f"{path}/lod")
     if kind == "GeometryInstance":
         for member in ("template", "boundaries", "transformationMatrix"):
@@ -202,8 +204,9 @@ def _check_geometry(obj, path: str) -> None:
 
 def _check_vertices(vertices, path: str) -> None:
     for i, v in enumerate(vertices):
-        _require(isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
-                 "BAD_GEOMETRY_SHAPE", "vertex must hold exactly three numbers",
+        _require(isinstance(v, list) and len(v) == 3
+                 and all(map(is_finite_number, v)), "BAD_GEOMETRY_SHAPE",
+                 "vertex must hold exactly three finite numbers",
                  f"{path}/{i}")
 
 
@@ -256,7 +259,7 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         ok = (isinstance(t, dict)
               and isinstance(t.get("scale"), list) and len(t["scale"]) == 3
               and isinstance(t.get("translate"), list) and len(t["translate"]) == 3
-              and all(map(_is_number, t["scale"] + t["translate"])))
+              and all(map(is_finite_number, t["scale"] + t["translate"])))
         _require(ok, "WRONG_MEMBER_TYPE",
                  "transform needs 3-element scale and translate", "transform")
         model.transform = Transform.from_json(t)
@@ -269,18 +272,11 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         _check_vertices(bank.get("vertices-templates", []),
                         "geometry-templates/vertices-templates")
         model.templates = TemplateBank.from_json(bank)
-    if "appearance" in root:
-        _require(isinstance(root["appearance"], dict), "WRONG_MEMBER_TYPE",
-                 "appearance must be an object", "appearance")
-        model.appearance = root["appearance"]
-    if "metadata" in root:
-        _require(isinstance(root["metadata"], dict), "WRONG_MEMBER_TYPE",
-                 "metadata must be an object", "metadata")
-        model.metadata = root["metadata"]
-    if "extensions" in root:
-        _require(isinstance(root["extensions"], dict), "WRONG_MEMBER_TYPE",
-                 "extensions must be an object", "extensions")
-        model.extensions = root["extensions"]
+    for member in ("appearance", "metadata", "extensions"):
+        if member in root:
+            _require(isinstance(root[member], dict), "WRONG_MEMBER_TYPE",
+                     f"{member} must be an object", member)
+            setattr(model, member, root[member])
 
     known = {"type", "version", "CityObjects", "vertices", "transform",
              "geometry-templates", "appearance", "metadata", "extensions"}
@@ -313,9 +309,11 @@ def model_to_json(model: CityModel) -> dict:
 
 def dumps(model: CityModel, pretty: bool = False) -> str:
     root = model_to_json(model)
-    if pretty:
-        return json.dumps(root, indent=2, ensure_ascii=False)
-    return json.dumps(root, separators=(",", ":"), ensure_ascii=False)
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    try:
+        return json.dumps(root, ensure_ascii=False, allow_nan=False, **layout)
+    except ValueError:
+        raise _not_a_number("a NaN or infinite value") from None
 
 
 def dump(model: CityModel, target, pretty: bool = False) -> None:

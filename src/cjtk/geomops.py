@@ -1,11 +1,15 @@
-"""Coordinate-level operations: quantization, vertex hygiene, templates.
+"""Coordinate-level operations: quantization, vertex hygiene, templates,
+extents.
 
 All functions return a new model and never mutate their argument, so a
 model value can be shared freely across threads.  The result shares with
 the argument every part the function did not change: quantizing rebuilds
 the vertex pool and transform only, vertex hygiene rebuilds the pool and
-the geometries' index arrays.  Callers that mutate a result in place
-should ``copy.deepcopy`` it first.
+the geometries' index arrays, and an expanded instance shares the
+template's semantics.  Nothing here deep-copies; callers that mutate a
+result in place should ``copy.deepcopy`` it first.  The package's one
+pool compaction (``compact_pool``) and one extent walk (``object_extent``)
+live here.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the
@@ -19,15 +23,16 @@ identity on the stored integers.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import replace
 
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
-                    iter_boundary_indices, map_boundaries)
+                    is_finite_number, is_matrix, iter_boundary_indices,
+                    map_boundaries)
 
 _MAX_QUANTUM = 2 ** 53
+_BANK = "geometry-templates/vertices-templates"
 
 
 def _quantum_multiple(value, shift: tuple[int, int], power: int) -> int:
@@ -124,22 +129,21 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
     vertex merges into the earliest survivor within reach; boundary indices
     are rewritten and the pool is compacted in first-appearance order.
     """
-    if tolerance < 0:
-        raise CjtkError("BAD_TRANSFORM", "tolerance must be >= 0")
+    if not is_finite_number(tolerance) or tolerance < 0:
+        raise CjtkError("BAD_TRANSFORM",
+                        f"tolerance {tolerance!r} is not a finite number >= 0")
     verts = model.vertices
-    remap: dict[int, int] = {}
+    new_index: dict[int, int] = {}
     survivors: list[int] = []
 
     if tolerance == 0:
         first: dict[tuple, int] = {}
         for vi, v in enumerate(verts):
             key = tuple(v)
-            if key in first:
-                remap[vi] = first[key]
-            else:
-                first[key] = vi
-                remap[vi] = vi
+            if key not in first:
+                first[key] = len(survivors)
                 survivors.append(vi)
+            new_index[vi] = first[key]
     else:
         cell = tolerance
         buckets: dict[tuple, list[int]] = {}
@@ -159,44 +163,62 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
                                 target = si
             if target is None:
                 buckets.setdefault((cx, cy, cz), []).append(vi)
-                remap[vi] = vi
+                new_index[vi] = len(survivors)
                 survivors.append(vi)
             else:
-                remap[vi] = target
+                new_index[vi] = new_index[target]
 
-    new_index = {old: new for new, old in enumerate(survivors)}
-    return _rebase(model, survivors, lambda i: new_index[remap[i]])
+    return _rebase(model, survivors, new_index.__getitem__)
 
 
 def remove_orphan_vertices(model: CityModel) -> CityModel:
-    """New model without vertices that no boundary references."""
-    used = set()
-    for _, _, geom in model.iter_geometries():
-        used.update(iter_boundary_indices(geom.boundaries))
-    survivors = [vi for vi in range(len(model.vertices)) if vi in used]
-    new_index = {old: new for new, old in enumerate(survivors)}
-    out = _rebase(model, survivors, new_index.__getitem__)
+    """New model without vertices (or template vertices) that no boundary
+    references."""
+    out = _rebase(model, *compact_pool(
+        (g.boundaries for _, _, g in model.iter_geometries()),
+        len(model.vertices), "vertices"))
     if out.templates:
         bank = out.templates
-        tused = set()
-        for t in bank.templates:
-            tused.update(iter_boundary_indices(t.boundaries))
-        tsurv = [vi for vi in range(len(bank.vertices)) if vi in tused]
-        tmap = {old: new for new, old in enumerate(tsurv)}
+        survivors, new_index = compact_pool(
+            (t.boundaries for t in bank.templates), len(bank.vertices), _BANK)
         out.templates = TemplateBank(
-            templates=[t.remapped(tmap.__getitem__) for t in bank.templates],
-            vertices=[bank.vertices[old] for old in tsurv])
+            templates=[t.remapped(new_index) for t in bank.templates],
+            vertices=[bank.vertices[old] for old in survivors])
     return out
 
 
-def _rebase(model: CityModel, survivors: list[int], fn) -> CityModel:
+def compact_pool(boundary_arrays, size: int, path: str):
+    """(survivors, new_index): the pool rows the boundary arrays use, in
+    pool order, and the function mapping each to its index among them.
+
+    An index outside the pool of ``size`` rows, negative included, raises
+    VERTEX_INDEX_OUT_OF_RANGE at ``path``.
+    """
+    used: set[int] = set()
+    for boundaries in boundary_arrays:
+        used.update(iter_boundary_indices(boundaries))
+    survivors = sorted(used)
+    if survivors and not (0 <= survivors[0] and survivors[-1] < size):
+        bad = survivors[0] if survivors[0] < 0 else survivors[-1]
+        raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
+                        f"index {bad} outside pool of {size}", path)
+    return survivors, {old: new for new, old in enumerate(survivors)}.__getitem__
+
+
+def _rebase(model: CityModel, survivors: list[int], new_index) -> CityModel:
     """New model keeping the ``survivors`` rows, in that order, as its pool.
 
-    Every geometry is rebuilt with its indices passed through ``fn``;
-    everything else is shared with ``model``.
+    Every geometry is rebuilt with its indices passed through ``new_index``
+    (a KeyError: outside the pool); everything else is shared with ``model``.
     """
-    objects = {oid: replace(co, geometry=[g.remapped(fn) for g in co.geometry])
-               for oid, co in model.city_objects.items()}
+    try:
+        objects = {oid: replace(co, geometry=[g.remapped(new_index)
+                                              for g in co.geometry])
+                   for oid, co in model.city_objects.items()}
+    except KeyError as exc:
+        raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE", f"index {exc.args[0]!r} "
+                        f"outside pool of {len(model.vertices)}",
+                        "vertices") from None
     return replace(model, city_objects=objects,
                    vertices=[model.vertices[old] for old in survivors])
 
@@ -206,20 +228,6 @@ def _rebase(model: CityModel, survivors: list[int], fn) -> CityModel:
 # ---------------------------------------------------------------------------
 
 
-def _require_instance(model: CityModel, object_id: str, geom_index: int):
-    try:
-        geom = model.city_objects[object_id].geometry[geom_index]
-    except (KeyError, IndexError):
-        raise CjtkError("UNKNOWN_ID",
-                        f"no geometry {geom_index} on object {object_id!r}",
-                        f"CityObjects/{object_id}/geometry/{geom_index}")
-    if not geom.is_instance():
-        raise CjtkError("UNKNOWN_GEOMETRY_KIND",
-                        "geometry is not a template instance",
-                        f"CityObjects/{object_id}/geometry/{geom_index}")
-    return geom
-
-
 def instance_world_vertices(model: CityModel, geom: Geometry,
                             path: str = "geometry") -> list[list[float]]:
     """Real-world vertices of one template instance.
@@ -227,27 +235,24 @@ def instance_world_vertices(model: CityModel, geom: Geometry,
     Each template vertex p is mapped to the first three components of
     R + M.[p 1], where M is the row-major 4x4 matrix and R the decoded
     reference point; the fourth component is dropped, not divided by.
+    Rows follow ``compact_pool`` over the template's boundaries.
     """
-    bank = model.templates
-    n = len(bank.templates) if bank else 0
-    if not isinstance(geom.template, int) or not 0 <= geom.template < n:
+    template = model.placed_template(geom)
+    if template is None:
+        n = len(model.templates.templates) if model.templates else 0
         raise CjtkError("TEMPLATE_INDEX_OUT_OF_RANGE",
                         f"template {geom.template!r} not in 0..{n - 1}", path)
     m = geom.transformation_matrix
-    if (not isinstance(m, list) or len(m) != 16
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in m)):
+    if not is_matrix(m):
         raise CjtkError("BAD_MATRIX",
                         "transformationMatrix must hold 16 finite numbers",
                         path)
     ref = model.real_vertex(geom.boundaries[0])
-    template = bank.templates[geom.template]
-    # One row per template vertex index the template uses, in index order,
-    # so callers can remap boundaries by rank.
+    bank = model.templates.vertices
+    used, _ = compact_pool([template.boundaries], len(bank), _BANK)
     out = []
-    used = sorted(set(iter_boundary_indices(template.boundaries)))
     for idx in used:
-        x, y, z = bank.vertices[idx]
+        x, y, z = bank[idx]
         w = [m[0] * x + m[1] * y + m[2] * z + m[3],
              m[4] * x + m[5] * y + m[6] * z + m[7],
              m[8] * x + m[9] * y + m[10] * z + m[11]]
@@ -260,20 +265,28 @@ def instantiate_template(model: CityModel, object_id: str,
     """Expand one instance into an explicit geometry plus its vertex rows.
 
     Returns (geometry, vertices): the geometry's boundary indices address
-    the returned vertex list from zero, its kind/lod/semantics are copied
-    from the template, and the vertices are real-world coordinates.
+    the returned vertex list from zero, its kind and lod come from the
+    template (unless the instance has its own lod), it shares the
+    template's semantics, and the vertices are real-world coordinates.
     """
-    geom = _require_instance(model, object_id, geom_index)
     path = f"CityObjects/{object_id}/geometry/{geom_index}"
+    try:
+        geom = model.city_objects[object_id].geometry[geom_index]
+    except (KeyError, IndexError):
+        raise CjtkError("UNKNOWN_ID", f"no geometry {geom_index} on object "
+                        f"{object_id!r}", path) from None
+    if not geom.is_instance():
+        raise CjtkError("UNKNOWN_GEOMETRY_KIND",
+                        "geometry is not a template instance", path)
     verts = instance_world_vertices(model, geom, path)
-    template = model.templates.templates[geom.template]
-    used = sorted(set(iter_boundary_indices(template.boundaries)))
-    rank = {idx: k for k, idx in enumerate(used)}
+    template = model.placed_template(geom)
+    _, new_index = compact_pool([template.boundaries],
+                                len(model.templates.vertices), _BANK)
     expanded = Geometry(
         type=template.type,
         lod=geom.lod if geom.lod is not None else template.lod,
-        boundaries=map_boundaries(template.boundaries, rank.__getitem__),
-        semantics=copy.deepcopy(template.semantics),
+        boundaries=map_boundaries(template.boundaries, new_index),
+        semantics=template.semantics,
     )
     return expanded, verts
 
@@ -283,33 +296,41 @@ def instantiate_template(model: CityModel, object_id: str,
 # ---------------------------------------------------------------------------
 
 
+def object_extent(model: CityModel, oid: str):
+    """(lo, hi) corners over one object's own geometries (an instance's
+    over its placed template vertices), or None when they use no vertex."""
+    boxes = []
+    for gi, geom in enumerate(model.city_objects[oid].geometry):
+        if geom.is_instance():
+            rows = instance_world_vertices(
+                model, geom, f"CityObjects/{oid}/geometry/{gi}")
+        else:
+            rows = [model.real_vertex(i)
+                    for i in set(iter_boundary_indices(geom.boundaries))]
+        if rows:
+            columns = list(zip(*rows))
+            boxes.append((list(map(min, columns)), list(map(max, columns))))
+    return box_union(boxes)
+
+
+def box_union(boxes):
+    """(lo, hi) corners around every (lo, hi) box that is not None, or
+    None when there is none."""
+    boxes = [box for box in boxes if box is not None]
+    if not boxes:
+        return None
+    return ([min(lo[a] for lo, _ in boxes) for a in range(3)],
+            [max(hi[a] for _, hi in boxes) for a in range(3)])
+
+
 def compute_extent(model: CityModel) -> list[float]:
     """[minx, miny, minz, maxx, maxy, maxz] over every referenced vertex.
 
-    Template instances contribute their transformed template vertices;
-    vertices no geometry references do not count.  An empty model (or one
-    whose geometries reference nothing) has no extent.
+    The union of every ``object_extent``, so vertices no geometry
+    references do not count, and an empty model (or one whose geometries
+    reference nothing) has no extent.
     """
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    seen = False
-    used = set()
-    for oid, gi, geom in model.iter_geometries():
-        if geom.is_instance():
-            for v in instance_world_vertices(
-                    model, geom, f"CityObjects/{oid}/geometry/{gi}"):
-                seen = True
-                for a in range(3):
-                    lo[a] = min(lo[a], v[a])
-                    hi[a] = max(hi[a], v[a])
-        else:
-            used.update(iter_boundary_indices(geom.boundaries))
-    for idx in used:
-        v = model.real_vertex(idx)
-        seen = True
-        for a in range(3):
-            lo[a] = min(lo[a], v[a])
-            hi[a] = max(hi[a], v[a])
-    if not seen:
+    box = box_union(object_extent(model, oid) for oid in model.city_objects)
+    if box is None:
         raise CjtkError("EMPTY_MODEL", "no geometry references any vertex")
-    return lo + hi
+    return box[0] + box[1]

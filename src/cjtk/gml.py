@@ -21,13 +21,13 @@ import report, never on the floor.
 
 from __future__ import annotations
 
-import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import GmlImportError
-from .model import CityModel, CityObject, Geometry, Semantics
+from .model import (CityModel, CityObject, Geometry, Semantics,
+                    is_finite_number)
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
@@ -62,6 +62,17 @@ _EPSG_SUFFIX = re.compile(r"EPSG:+(\d+)$")
 
 def _local(tag) -> str:
     return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+
+
+def _cast(elem: ET.Element, cast):
+    """An element's text cast by ``cast`` (str, int or float), or the text
+    itself where it does not parse to a value JSON can carry."""
+    text = (elem.text or "").strip()
+    try:
+        value = cast(text)
+    except ValueError:
+        return text
+    return value if cast is str or is_finite_number(value) else text
 
 
 @dataclass
@@ -173,8 +184,9 @@ def _group(tokens: list[str], dim: int) -> list[tuple]:
         bad = str(exc).rsplit(":", 1)[-1].strip()
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"cannot read coordinate token {bad}")
-    if not all(map(math.isfinite, values)):
-        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
+    if not all(map(is_finite_number, values)):
+        bad = next(t for t, v in zip(tokens, values)
+                   if not is_finite_number(v))
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"coordinate token {bad!r} is not finite")
     if not values or len(values) % dim:
@@ -359,11 +371,7 @@ class _Importer:
                 self.report.skip(name, f"unsupported {cotype} member")
 
     def _scalar(self, elem: ET.Element, cast):
-        text = (elem.text or "").strip()
-        try:
-            value = cast(text)
-        except ValueError:
-            value = text
+        value = _cast(elem, cast)
         uom = elem.get("uom")
         if uom:
             return {"value": value, "uom": uom}
@@ -377,11 +385,7 @@ class _Importer:
         cast = _GENERIC_ATTR_CASTS[kind]
         for child in elem:
             if _local(child.tag) == "value":
-                text = (child.text or "").strip()
-                try:
-                    value = cast(text)
-                except ValueError:
-                    value = text
+                value = _cast(child, cast)
                 uom = child.get("uom")
                 if kind == "measureAttribute" and uom:
                     co.attributes[name] = {"value": value, "uom": uom}

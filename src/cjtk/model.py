@@ -7,6 +7,10 @@ integer rows back to real-world coordinates.  Keeping the shapes identical
 to the wire format makes reading and writing cheap and keeps every
 operation honest about what actually gets stored.
 
+The shape rules that codec, validator and ops share are written here once
+(``is_finite_number``, ``is_matrix``, ``is_extent`` and
+``CityModel.placed_template``), so those modules cannot disagree.
+
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  A result may share the parts
 it did not change (objects, geometries, vertex rows, metadata) with its
@@ -17,6 +21,7 @@ fresh model, independent of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
@@ -86,6 +91,33 @@ SEMANTIC_SURFACE_TYPES = {
     "TrafficArea",
     "AuxiliaryTrafficArea",
 }
+
+
+def is_finite_number(x) -> bool:
+    """An int or float, not a bool, that is finite as a double (so an int
+    beyond a double's range is not)."""
+    if type(x) is float:  # the common case, first
+        return math.isfinite(x)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def is_matrix(m) -> bool:
+    """A transformation matrix: 16 finite numbers, row-major."""
+    return isinstance(m, list) and len(m) == 16 \
+        and all(map(is_finite_number, m))
+
+
+def is_extent(e) -> bool:
+    """[minx, miny, minz, maxx, maxy, maxz]: six finite numbers with
+    min <= max per axis."""
+    return isinstance(e, list) and len(e) == 6 \
+        and all(map(is_finite_number, e)) \
+        and all(e[i] <= e[i + 3] for i in range(3))
 
 
 def boundary_depth(kind: str) -> int:
@@ -315,6 +347,14 @@ class CityModel:
 
     def real_vertices(self) -> list[tuple[float, float, float]]:
         return [self.real_vertex(i) for i in range(len(self.vertices))]
+
+    def placed_template(self, geom: Geometry) -> Geometry | None:
+        """The template an instance places, or None where it names none."""
+        t = geom.template
+        if self.templates is not None and type(t) is int \
+                and 0 <= t < len(self.templates.templates):
+            return self.templates.templates[t]
+        return None
 
     # -- traversal -----------------------------------------------------
 

@@ -17,14 +17,15 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 from . import codec
 from .errors import CjtkError
-from .geomops import (compute_extent, dequantize, instance_world_vertices,
-                      quantize)
+from .geomops import (box_union, compact_pool, compute_extent, dequantize,
+                      object_extent, quantize)
 from .model import (CityModel, CityObject, Geometry, Semantics, TemplateBank,
-                    iter_boundary_indices, map_boundaries)
+                    is_finite_number, map_boundaries)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -65,16 +66,7 @@ def subset(model: CityModel, ids: list[str] | None = None,
                     and bbox[1] <= c[1] <= bbox[3]:
                 selected.add(oid)
 
-    # Children travel with their parents.
-    queue = list(selected)
-    while queue:
-        oid = queue.pop()
-        for child in model.city_objects[oid].children:
-            if child in model.city_objects and child not in selected:
-                selected.add(child)
-                queue.append(child)
-
-    return _carve(model, selected)
+    return _carve(model, _with_descendants(model, selected))
 
 
 def _centroids(model: CityModel):
@@ -85,37 +77,16 @@ def _centroids(model: CityModel):
     combined with min/max, which is exact, so the centroids do not depend
     on how often an object is reached.
     """
-    own = functools.cache(functools.partial(_own_extent, model))
+    own = functools.cache(functools.partial(object_extent, model))
 
     def centroid(oid: str):
-        boxes = [box for box in map(own, _with_descendants(model, [oid]))
-                 if box is not None]
-        if not boxes:
+        box = box_union(map(own, _with_descendants(model, [oid])))
+        if box is None:
             return None
-        return [(min(lo[a] for lo, _ in boxes)
-                 + max(hi[a] for _, hi in boxes)) / 2 for a in range(3)]
+        lo, hi = box
+        return [(lo[a] + hi[a]) / 2 for a in range(3)]
 
     return centroid
-
-
-def _own_extent(model: CityModel, oid: str):
-    """(lo, hi) corners over one object's own geometries, or None."""
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    seen = False
-    for gi, geom in enumerate(model.city_objects[oid].geometry):
-        if geom.is_instance():
-            rows = instance_world_vertices(
-                model, geom, f"CityObjects/{oid}/geometry/{gi}")
-        else:
-            rows = [model.real_vertex(i)
-                    for i in set(iter_boundary_indices(geom.boundaries))]
-        for v in rows:
-            seen = True
-            for a in range(3):
-                lo[a] = min(lo[a], v[a])
-                hi[a] = max(hi[a], v[a])
-    return (lo, hi) if seen else None
 
 
 def _with_descendants(model: CityModel, roots) -> set[str]:
@@ -139,18 +110,12 @@ def _carve(model: CityModel, keep: set[str]) -> CityModel:
     """
     kept = [(oid, co) for oid, co in model.city_objects.items()
             if oid in keep]
-    used: set[int] = set()
-    uses_templates = False
-    uses_appearance = False
-    for _, co in kept:
-        for geom in co.geometry:
-            used.update(iter_boundary_indices(geom.boundaries))
-            if geom.is_instance():
-                uses_templates = True
-            if geom.material is not None or geom.texture is not None:
-                uses_appearance = True
-    survivors = sorted(used)
-    new_index = {old: new for new, old in enumerate(survivors)}.__getitem__
+    geoms = [g for _, co in kept for g in co.geometry]
+    survivors, new_index = compact_pool((g.boundaries for g in geoms),
+                                        len(model.vertices), "vertices")
+    uses_templates = any(g.is_instance() for g in geoms)
+    uses_appearance = any(g.material is not None or g.texture is not None
+                          for g in geoms)
     out = replace(
         model,
         city_objects={oid: co.linked_within(
@@ -232,7 +197,7 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
 
 def _transform_digits(tr) -> int:
     """Recover the decimal-digit count encoded in a transform scale."""
-    if not all(math.isfinite(s) and s > 0 for s in tr.scale):
+    if not all(is_finite_number(s) and s > 0 for s in tr.scale):
         raise CjtkError("BAD_TRANSFORM",
                         f"scale {tr.scale!r} is not three positive finite "
                         "numbers", "transform/scale")
@@ -545,43 +510,36 @@ def refresh_metadata(model: CityModel) -> CityModel:
     """New model with derived metadata recomputed.
 
     geographicalExtent is set from the geometry (or removed when there is
-    none); presentLoDs becomes a histogram of lod values over geometries;
-    presentTextures/presentMaterials flag the appearance; the declared
-    extension names are mirrored into the metadata.
+    none; any other error of ``compute_extent``, such as an index outside
+    the pool, propagates); presentLoDs becomes a histogram of lod values
+    over geometries; presentTextures/presentMaterials flag the appearance;
+    the declared extension names are mirrored into the metadata.  A
+    derived member with nothing to say is removed.
     """
     out = replace(model, metadata=dict(model.metadata))
     try:
         out.metadata["geographicalExtent"] = compute_extent(out)
-    except CjtkError:
+    except CjtkError as exc:
+        if exc.code != "EMPTY_MODEL":
+            raise
         out.metadata.pop("geographicalExtent", None)
-    lods: dict[str, int] = {}
+    lods: Counter[str] = Counter()
     for _, _, geom in out.iter_geometries():
         lod = geom.lod
-        if lod is None and geom.is_instance() and out.templates \
-                and isinstance(geom.template, int) \
-                and 0 <= geom.template < len(out.templates.templates):
-            lod = out.templates.templates[geom.template].lod
-        if lod is None:
-            continue
-        key = _lod_key(lod)
-        lods[key] = lods.get(key, 0) + 1
-    if lods:
-        out.metadata["presentLoDs"] = dict(sorted(lods.items()))
-    else:
-        out.metadata.pop("presentLoDs", None)
+        if lod is None and geom.is_instance():
+            template = out.placed_template(geom)
+            lod = None if template is None else template.lod
+        if lod is not None:
+            lods[_lod_key(lod)] += 1
     app = out.appearance or {}
-    if app.get("textures"):
-        out.metadata["presentTextures"] = True
-    else:
-        out.metadata.pop("presentTextures", None)
-    if app.get("materials"):
-        out.metadata["presentMaterials"] = True
-    else:
-        out.metadata.pop("presentMaterials", None)
-    if out.extensions:
-        out.metadata["extensions"] = sorted(out.extensions)
-    else:
-        out.metadata.pop("extensions", None)
+    for key, value in (("presentLoDs", dict(sorted(lods.items()))),
+                       ("presentTextures", bool(app.get("textures"))),
+                       ("presentMaterials", bool(app.get("materials"))),
+                       ("extensions", sorted(out.extensions))):
+        if value:
+            out.metadata[key] = value
+        else:
+            out.metadata.pop(key, None)
     return out
 
 
@@ -593,13 +551,8 @@ def _lod_key(lod) -> str:
 
 def stats(model: CityModel) -> dict:
     """Counts and sizes for reporting."""
-    per_type: dict[str, int] = {}
-    per_kind: dict[str, int] = {}
-    for co in model.city_objects.values():
-        per_type[co.type] = per_type.get(co.type, 0) + 1
-        for geom in co.geometry:
-            kind = "GeometryInstance" if geom.is_instance() else geom.type
-            per_kind[kind] = per_kind.get(kind, 0) + 1
+    per_type = Counter(co.type for co in model.city_objects.values())
+    per_kind = Counter(g.type for _, _, g in model.iter_geometries())
     return {
         "cityObjects": len(model.city_objects),
         "byType": dict(sorted(per_type.items())),

@@ -4,12 +4,14 @@ Structure answers "is each piece well-formed on its own": known object
 types, boundary arrays of the right nesting depth for their geometry kind,
 rings with at least three distinct corners, a numeric lod on every
 geometry, 16-number transformation matrices, template indices that exist,
-an EPSG reference system, a well-shaped transform and extent.
+an EPSG reference system, a well-shaped transform and extent, the last
+few judged by the model's own predicates (``model.is_finite_number``...).
 
 Consistency answers "do the pieces agree with each other": parents and
 children listing one another, semantic values mirroring the shape of the
-boundaries they annotate, no duplicate or unreferenced vertices
-(warnings), and every boundary index inside the vertex pool.
+boundaries they annotate, no duplicate vertices (warnings), and, in the
+vertex pool and the template bank alike, every boundary index inside the
+pool and no unreferenced vertices (warnings).
 
 `validate` composes the layers and, when extensions are supplied, the
 extension checks.  `validate_text` adds the syntax layer in front, so a
@@ -21,7 +23,6 @@ reports are sorted by (path, code).
 
 from __future__ import annotations
 
-import math
 import re
 
 from .codec import parse
@@ -29,14 +30,10 @@ from .errors import ERROR, WARNING, CjtkError, Finding
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
+                    is_extent, is_finite_number, is_matrix,
                     iter_boundary_indices, iter_rings, nesting_depth)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
-
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +41,17 @@ def _finite(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _reporters(out: list[Finding], stage: str):
+    """(err, warn): functions adding a finding of ``stage`` to ``out``."""
+    def reporter(severity):
+        return lambda path, code, message: out.append(
+            Finding(path, code, severity, message, stage))
+    return reporter(ERROR), reporter(WARNING)
+
+
 def validate_structure(model: CityModel) -> list[Finding]:
     out: list[Finding] = []
-
-    def err(path, code, message):
-        out.append(Finding(path, code, ERROR, message, "structure"))
-
-    def warn(path, code, message):
-        out.append(Finding(path, code, WARNING, message, "structure"))
+    err, warn = _reporters(out, "structure")
 
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
@@ -64,7 +64,7 @@ def validate_structure(model: CityModel) -> list[Finding]:
     if model.transform is not None:
         tr = model.transform
         if (len(tr.scale) != 3 or len(tr.translate) != 3
-                or not all(_finite(x) for x in tr.scale + tr.translate)
+                or not all(map(is_finite_number, tr.scale + tr.translate))
                 or any(s <= 0 for s in tr.scale)):
             err("transform", "BAD_TRANSFORM",
                 "transform needs 3 positive scales and 3 finite translations")
@@ -75,38 +75,26 @@ def validate_structure(model: CityModel) -> list[Finding]:
             f"{crs!r} is not of the form EPSG:<code>")
 
     extent = (model.metadata or {}).get("geographicalExtent")
-    if extent is not None:
-        ok = (isinstance(extent, list) and len(extent) == 6
-              and all(_finite(x) for x in extent)
-              and all(extent[i] <= extent[i + 3] for i in range(3)))
-        if not ok:
-            err("metadata/geographicalExtent", "INVALID_EXTENT",
-                "extent must be [minx,miny,minz,maxx,maxy,maxz] with "
-                "min <= max per axis")
+    if extent is not None and not is_extent(extent):
+        err("metadata/geographicalExtent", "INVALID_EXTENT",
+            "extent must be [minx,miny,minz,maxx,maxy,maxz] with "
+            "min <= max per axis")
 
     for oid, co in model.city_objects.items():
-        if co.extent is not None:
-            ok = (isinstance(co.extent, list) and len(co.extent) == 6
-                  and all(_finite(x) for x in co.extent)
-                  and all(co.extent[i] <= co.extent[i + 3] for i in range(3)))
-            if not ok:
-                out.append(Finding(f"CityObjects/{oid}/geographicalExtent",
-                                   "INVALID_EXTENT", ERROR,
-                                   "extent must be six finite numbers with "
-                                   "min <= max per axis", "structure"))
+        if co.extent is not None and not is_extent(co.extent):
+            err(f"CityObjects/{oid}/geographicalExtent", "INVALID_EXTENT",
+                "extent must be six finite numbers with min <= max per axis")
     out.sort()
     return out
 
 
 def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
     if geom.is_instance():
-        n = len(model.templates.templates) if model.templates else 0
-        if not isinstance(geom.template, int) or not 0 <= geom.template < n:
+        if model.placed_template(geom) is None:
+            n = len(model.templates.templates) if model.templates else 0
             err(f"{base}/template", "TEMPLATE_INDEX_OUT_OF_RANGE",
                 f"template {geom.template!r} not in 0..{n - 1}")
-        m = geom.transformation_matrix
-        if (not isinstance(m, list) or len(m) != 16
-                or not all(_finite(x) for x in m)):
+        if not is_matrix(geom.transformation_matrix):
             err(f"{base}/transformationMatrix", "BAD_MATRIX",
                 "transformationMatrix must hold 16 finite numbers in "
                 "row-major order")
@@ -120,7 +108,7 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
         err(f"{base}/type", "UNKNOWN_COTYPE",
             f"{geom.type!r} is not a geometry kind")
         return
-    if not isinstance(geom.lod, (int, float)) or isinstance(geom.lod, bool):
+    if not is_finite_number(geom.lod):
         err(f"{base}/lod", "MISSING_REQUIRED_MEMBER",
             "every geometry carries a numeric lod")
 
@@ -155,12 +143,7 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
 
 def validate_consistency(model: CityModel) -> list[Finding]:
     out: list[Finding] = []
-
-    def err(path, code, message):
-        out.append(Finding(path, code, ERROR, message, "consistency"))
-
-    def warn(path, code, message):
-        out.append(Finding(path, code, WARNING, message, "consistency"))
+    err, warn = _reporters(out, "consistency")
 
     ids = model.city_objects.keys()
 
@@ -198,7 +181,7 @@ def validate_consistency(model: CityModel) -> list[Finding]:
         if problem:
             err(base, "SEMANTICS_SHAPE_MISMATCH", problem)
 
-    # 3. duplicate and unreferenced vertices (warnings).
+    # 3. duplicate vertices (warnings).
     seen: dict[tuple, int] = {}
     for vi, v in enumerate(model.vertices):
         key = tuple(v)
@@ -207,48 +190,42 @@ def validate_consistency(model: CityModel) -> list[Finding]:
                  f"same coordinates as vertex {seen[key]}")
         else:
             seen[key] = vi
-    used = set(_used_indices(model))
-    for vi in range(len(model.vertices)):
-        if vi not in used:
-            warn(f"vertices/{vi}", "ORPHAN_VERTEX",
-                 "vertex is referenced by no geometry")
-    tverts = model.templates.vertices if model.templates else []
-    tused = set()
-    if model.templates:
-        for t in model.templates.templates:
-            tused.update(iter_boundary_indices(t.boundaries))
-    for vi in range(len(tverts)):
-        if vi not in tused:
-            warn(f"geometry-templates/vertices-templates/{vi}", "ORPHAN_VERTEX",
-                 "template vertex is referenced by no template")
 
-    # 4. every boundary index addresses an existing vertex.
-    limit = len(model.vertices)
-    for oid, gi, geom in model.iter_geometries():
-        for idx in iter_boundary_indices(geom.boundaries):
-            if not isinstance(idx, int) or isinstance(idx, bool) \
-                    or not 0 <= idx < limit:
-                err(f"CityObjects/{oid}/geometry/{gi}/boundaries",
-                    "VERTEX_INDEX_OUT_OF_RANGE",
-                    f"index {idx!r} not in 0..{limit - 1}")
-                break
+    # 4. every boundary index addresses an existing vertex, and every
+    # vertex is addressed (warnings), in the model pool and the bank.
+    _check_pool(len(model.vertices), "vertices", "vertex", "geometry",
+                ((f"CityObjects/{oid}/geometry/{gi}", geom)
+                 for oid, gi, geom in model.iter_geometries()), err, warn)
     if model.templates:
-        for ti, t in enumerate(model.templates.templates):
-            for idx in iter_boundary_indices(t.boundaries):
-                if not isinstance(idx, int) or isinstance(idx, bool) \
-                        or not 0 <= idx < len(tverts):
-                    err(f"geometry-templates/templates/{ti}/boundaries",
-                        "VERTEX_INDEX_OUT_OF_RANGE",
-                        f"index {idx!r} not in 0..{len(tverts) - 1}")
-                    break
+        bank = model.templates
+        _check_pool(len(bank.vertices), "geometry-templates/vertices-templates",
+                    "template vertex", "template",
+                    ((f"geometry-templates/templates/{ti}", t)
+                     for ti, t in enumerate(bank.templates)), err, warn)
 
     out.sort()
     return out
 
 
-def _used_indices(model: CityModel):
-    for _, _, geom in model.iter_geometries():
-        yield from iter_boundary_indices(geom.boundaries)
+def _check_pool(size: int, pool_path: str, vertex: str, user: str,
+                geometries, err, warn) -> None:
+    """Findings for a pool of ``size`` rows indexed by ``geometries``,
+    (path, geometry) pairs: each geometry's first index outside the pool,
+    and each row no geometry indexes."""
+    used: set = set()
+    for path, geom in geometries:
+        indices = list(iter_boundary_indices(geom.boundaries))
+        used.update(indices)
+        for idx in indices:
+            if not isinstance(idx, int) or isinstance(idx, bool) \
+                    or not 0 <= idx < size:
+                err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
+                    f"index {idx!r} not in 0..{size - 1}")
+                break
+    for vi in range(size):
+        if vi not in used:
+            warn(f"{pool_path}/{vi}", "ORPHAN_VERTEX",
+                 f"{vertex} is referenced by no {user}")
 
 
 def _semantics_problem(boundaries, values, levels: int, nsurf: int):

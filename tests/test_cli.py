@@ -8,12 +8,12 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from cjtk import cli, codec
+from cjtk import cli, codec, ops
 
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
 from helpers import as_text, cube_tree
-from test_codec import hostile_inputs
+from test_codec import hostile_inputs, hostile_models
 from test_extensions import noise_building_tree
 from test_ops import town_tree
 
@@ -276,3 +276,50 @@ def test_extension_files_are_loaded_by_validate_only(town_path, tmp_path):
     proc = run_cli("--extension", str(bad), str(town_path), "validate")
     assert proc.returncode == 2
     assert "validate: [NOT_EXTENSION]" in proc.stderr
+
+
+@pytest.mark.parametrize("name,stage", [
+    pytest.param(name, stage, id=f"{name}-{stage[0]}")
+    for name, (_, stages) in sorted(hostile_models().items())
+    for stage in sorted(stages)])
+def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path):
+    text, stages = hostile_models()[name]
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    if stage == ("validate",):
+        proc = run_cli(str(path), "validate", "--json")
+        codes = [json.loads(line)["code"] for line in proc.stdout.splitlines()]
+        assert stages[stage] in codes
+    else:
+        proc = run_cli(str(path), *stage, "save", str(tmp_path / "out.json"))
+        assert f"{stage[0]}: [{stages[stage]}]" in proc.stderr
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_unreadable_input_is_a_usage_error(tmp_path):
+    proc = run_cli(str(tmp_path), "validate")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+def test_dedupe_refuses_a_nan_tolerance(town_path, tmp_path):
+    proc = run_cli(str(town_path), "dedupe", "--tolerance", "nan",
+                   "save", str(tmp_path / "out.json"))
+    assert proc.returncode == 2
+    assert "dedupe: [BAD_TRANSFORM]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_crashing_stage_exits_two_with_internal_error(town_path,
+                                                        monkeypatch, capsys):
+    def crash(model):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ops, "refresh_metadata", crash)
+    monkeypatch.setattr(sys, "argv", ["cjtk", str(town_path), "metadata"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "metadata: [INTERNAL_ERROR] RuntimeError: boom" \
+        in capsys.readouterr().err

@@ -225,3 +225,106 @@ def test_utf8_bytes_parse_like_text(tmp_path):
     path.write_bytes(text.encode("utf-8"))
     with open(path, "rb") as fp:
         assert tree_of(codec.load(fp)) == tree_of(codec.load(path))
+
+
+# -- numbers and indices past the syntax ----------------------------------------
+
+HUGE = "1" + "0" * 400  # an integer beyond the range of a double
+MARK = 123456789  # stands for a literal json.dumps cannot write
+
+
+def _marked(tree, literal: str) -> str:
+    return as_text(tree).replace(str(MARK), literal, 1)
+
+
+def _pool_of_four(ring):
+    """One MultiSurface ring over a pool of four vertices."""
+    return as_text({
+        "type": "CityJSON", "version": "1.0",
+        "CityObjects": {"b-1": {"type": "Building", "geometry": [
+            {"type": "MultiSurface", "lod": 2, "boundaries": [[ring]]}]}},
+        "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                     [0.0, 1.0, 0.0]],
+    })
+
+
+def _template_ring(ring):
+    """One instance of a template whose ring is ``ring``, over a bank of
+    four template vertices."""
+    return as_text({
+        "type": "CityJSON", "version": "1.0",
+        "CityObjects": {"t-1": {"type": "SolitaryVegetationObject",
+                                "geometry": [{
+                                    "type": "GeometryInstance", "template": 0,
+                                    "boundaries": [0],
+                                    "transformationMatrix": [
+                                        1.0, 0, 0, 0, 0, 1.0, 0, 0,
+                                        0, 0, 1.0, 0, 0, 0, 0, 1.0]}]}},
+        "vertices": [[10.0, 20.0, 5.0]],
+        "geometry-templates": {
+            "templates": [{"type": "MultiSurface", "lod": 2,
+                           "boundaries": [[ring]]}],
+            "vertices-templates": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]},
+    })
+
+
+def hostile_models():
+    """Valid JSON that breaks a rule of the model, by name:
+    (document, {stage: code}).
+
+    A stage is a CLI stage with its options; each refuses the document
+    with the code, and "validate" (``validate_text`` too) reports it as an
+    error finding.
+    """
+    vertex = cube_tree()
+    vertex["vertices"][0][0] = MARK
+    transform = cube_tree(transform={"scale": [0.001, 0.001, 0.001],
+                                     "translate": [MARK, 0.0, 0.0]})
+    extent = cube_tree(metadata={"geographicalExtent": [0, 0, 0, MARK, 1, 1]})
+    own_extent = cube_tree()
+    own_extent["CityObjects"]["b-1"]["geographicalExtent"] = \
+        [0, 0, 0, MARK, 1, 1]
+    bad_index = {("subset", "--type", "Building"): "VERTEX_INDEX_OUT_OF_RANGE",
+                 ("clean",): "VERTEX_INDEX_OUT_OF_RANGE",
+                 ("dedupe",): "VERTEX_INDEX_OUT_OF_RANGE",
+                 ("metadata",): "VERTEX_INDEX_OUT_OF_RANGE"}
+    return {
+        "vertex-1e999": (_marked(vertex, "1e999"),
+                         {("validate",): "BAD_GEOMETRY_SHAPE",
+                          ("compress",): "BAD_GEOMETRY_SHAPE"}),
+        "vertex-huge-int": (_marked(vertex, HUGE),
+                            {("validate",): "BAD_GEOMETRY_SHAPE",
+                             ("compress",): "BAD_GEOMETRY_SHAPE"}),
+        "transform-huge-int": (_marked(transform, HUGE),
+                               {("validate",): "WRONG_MEMBER_TYPE",
+                                ("compress",): "WRONG_MEMBER_TYPE"}),
+        "extent-huge-int": (_marked(extent, HUGE),
+                            {("validate",): "INVALID_EXTENT"}),
+        "object-extent-huge-int": (_marked(own_extent, HUGE),
+                                   {("validate",): "INVALID_EXTENT"}),
+        "index-past-the-pool": (_pool_of_four([0, 1, 2, 7]), bad_index),
+        "index-negative": (_pool_of_four([0, 1, 2, -1]), bad_index),
+        "template-index-past-the-bank": (
+            _template_ring([0, 1, 2, 7]),
+            {("metadata",): "VERTEX_INDEX_OUT_OF_RANGE",
+             ("clean",): "VERTEX_INDEX_OUT_OF_RANGE"}),
+    }
+
+
+@pytest.mark.parametrize("name", ["vertex-1e999", "vertex-huge-int",
+                                  "transform-huge-int"])
+def test_numbers_beyond_a_double_are_refused(name):
+    text, stages = hostile_models()[name]
+    with pytest.raises(CodecError) as exc:
+        codec.parse(text)
+    assert exc.value.code == stages[("validate",)]
+
+
+def test_dumps_refuses_what_the_reader_refuses():
+    model = codec.loads(as_text(cube_tree()))
+    model.city_objects["b-1"].attributes["height"] = float("nan")
+    with pytest.raises(CodecError) as exc:
+        codec.dumps(model)
+    assert exc.value.code == "SYNTAX_ERROR"
+    assert "RFC 8259" in exc.value.message

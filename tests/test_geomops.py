@@ -281,3 +281,20 @@ def test_scaled_instance_extent():
         matrix
     assert compute_extent(as_model(tree)) == [10.0, 20.0, 5.0,
                                               12.0, 22.0, 5.0]
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_dedupe_refuses_a_tolerance_that_is_not_finite(tolerance):
+    with pytest.raises(CjtkError) as exc:
+        dedupe_vertices(as_model(cube_tree()), tolerance=tolerance)
+    assert exc.value.code == "BAD_TRANSFORM"
+
+
+def test_instantiate_template_shares_the_template_semantics():
+    tree = instance_tree()
+    tree["geometry-templates"]["templates"][0] = {
+        "type": "MultiSurface", "lod": 2, "boundaries": [[[0, 1, 2]]],
+        "semantics": {"surfaces": [{"type": "RoofSurface"}], "values": [0]}}
+    model = as_model(tree)
+    expanded, _ = instantiate_template(model, "tree-1", 0)
+    assert expanded.semantics is model.templates.templates[0].semantics

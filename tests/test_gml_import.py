@@ -2,7 +2,7 @@
 
 import pytest
 
-from cjtk import import_citygml
+from cjtk import codec, import_citygml
 from cjtk.errors import GmlImportError
 from cjtk.validation import validate
 
@@ -320,3 +320,21 @@ def test_non_finite_coordinate_tokens(token):
             f'</bldg:lod2MultiSurface></bldg:Building>'
             f'</core:cityObjectMember>')
     expect_code(_document(body), "BAD_COORDINATE_TOKEN")
+
+
+def test_non_finite_attribute_values_stay_text():
+    body = f'''  <core:cityObjectMember>
+    <bldg:Building gml:id="b-1">
+      <bldg:measuredHeight uom="m">INF</bldg:measuredHeight>
+      <gen:doubleAttribute name="parcelArea"><gen:value>NaN</gen:value></gen:doubleAttribute>
+      <gen:measureAttribute name="heatDemand"><gen:value uom="kWh">-inf</gen:value></gen:measureAttribute>
+      <bldg:lod2Solid>{solid_xml()}</bldg:lod2Solid>
+    </bldg:Building>
+  </core:cityObjectMember>'''
+    model, _ = import_citygml(gen_document(body))
+    assert model.city_objects["b-1"].attributes == {
+        "measuredHeight": {"value": "INF", "uom": "m"},
+        "parcelArea": "NaN",
+        "heatDemand": {"value": "-inf", "uom": "kWh"},
+    }
+    assert tree_of(codec.loads(codec.dumps(model))) == tree_of(model)

@@ -8,7 +8,7 @@ from cjtk.validation import (errors_of, parse_and_validate,
                              warnings_of)
 
 from helpers import as_model, as_text, codes_of, cube_tree, tree_of
-from test_codec import hostile_inputs
+from test_codec import hostile_inputs, hostile_models
 
 IDENTITY = [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0]
 
@@ -296,3 +296,11 @@ def test_parse_and_validate_returns_the_model_it_checked():
     assert findings == validate_text(text) == validate(model)
     assert tree_of(model) == tree_of(as_model(cube_tree(semantics=True)))
     assert parse_and_validate('{"type": "CityJSON"')[0] is None
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (_, stages) in hostile_models().items()
+    if ("validate",) in stages))
+def test_validate_text_reports_hostile_models_without_raising(name):
+    text, stages = hostile_models()[name]
+    assert stages[("validate",)] in codes_of(errors_of(validate_text(text)))
