@@ -51,6 +51,13 @@ class _State:
         return self.model
 
 
+def _model_stage(name: str, op):
+    """The stage ``name``, which replaces the model with ``op(model)``."""
+    def stage(state: _State):
+        state.model = op(state.require_model(name))
+    return name, stage
+
+
 def _text(data: bytes) -> str | bytes:
     """The text of a document; bytes that are not UTF-8 stay bytes, for
     the parser to report as SYNTAX_ERROR."""
@@ -141,18 +148,14 @@ def validate_cmd(as_json):
               help="Decimal digits kept (quantum = 10^-digits).")
 def compress_cmd(digits):
     """Quantize vertices onto an integer grid with a transform."""
-    def stage(state: _State):
-        state.model = geomops.quantize(state.require_model("compress"),
-                                       digits=digits, requantize=True)
-    return "compress", stage
+    return _model_stage("compress", lambda model: geomops.quantize(
+        model, digits=digits, requantize=True))
 
 
 @cli.command("decompress")
 def decompress_cmd():
     """Expand quantized vertices back to real-world floats."""
-    def stage(state: _State):
-        state.model = geomops.dequantize(state.require_model("decompress"))
-    return "decompress", stage
+    return _model_stage("decompress", geomops.dequantize)
 
 
 @cli.command("dedupe")
@@ -161,19 +164,14 @@ def decompress_cmd():
                    "(stored units).")
 def dedupe_cmd(tolerance):
     """Merge duplicate (or near-duplicate) vertices."""
-    def stage(state: _State):
-        state.model = geomops.dedupe_vertices(state.require_model("dedupe"),
-                                              tolerance=tolerance)
-    return "dedupe", stage
+    return _model_stage("dedupe", lambda model: geomops.dedupe_vertices(
+        model, tolerance=tolerance))
 
 
 @cli.command("clean")
 def clean_cmd():
     """Drop vertices no geometry references."""
-    def stage(state: _State):
-        state.model = geomops.remove_orphan_vertices(
-            state.require_model("clean"))
-    return "clean", stage
+    return _model_stage("clean", geomops.remove_orphan_vertices)
 
 
 # -- object stages ------------------------------------------------------------
@@ -191,13 +189,9 @@ def subset_cmd(ids, types, bbox):
     """Keep a selection of objects (plus their children)."""
     if not ids and not types and bbox is None:
         raise click.UsageError("subset needs --id, --type, or --bbox")
-
-    def stage(state: _State):
-        state.model = ops.subset(state.require_model("subset"),
-                                 ids=list(ids) or None,
-                                 types=list(types) or None,
-                                 bbox=list(bbox) if bbox else None)
-    return "subset", stage
+    return _model_stage("subset", lambda model: ops.subset(
+        model, ids=list(ids) or None, types=list(types) or None,
+        bbox=list(bbox) if bbox else None))
 
 
 @cli.command("merge")
@@ -271,18 +265,14 @@ def partition_cmd(grid, by_type, random_k, seed, out_dir):
               help="New base for every texture image path.")
 def textures_path_cmd(base):
     """Rebase texture image paths onto --base."""
-    def stage(state: _State):
-        state.model = ops.update_texture_paths(
-            state.require_model("textures-path"), base)
-    return "textures-path", stage
+    return _model_stage("textures-path",
+                        lambda model: ops.update_texture_paths(model, base))
 
 
 @cli.command("metadata")
 def metadata_cmd():
     """Recompute derived metadata (extent, LoDs, appearance flags)."""
-    def stage(state: _State):
-        state.model = ops.refresh_metadata(state.require_model("metadata"))
-    return "metadata", stage
+    return _model_stage("metadata", ops.refresh_metadata)
 
 
 @cli.command("info")

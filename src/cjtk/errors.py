@@ -3,7 +3,7 @@
 Every error and finding carries a stable machine-readable ``code`` (an
 UPPER_SNAKE string such as ``VERTEX_INDEX_OUT_OF_RANGE``) plus a
 slash-separated ``path`` locating the offending member from the document
-root.
+root.  Each validation layer adds its findings through ``reporters``.
 """
 
 from __future__ import annotations
@@ -63,3 +63,11 @@ class Finding:
     def to_json(self) -> dict:
         return {"code": self.code, "path": self.path, "message": self.message,
                 "severity": self.severity, "stage": self.stage}
+
+
+def reporters(out: list[Finding], stage: str):
+    """(err, warn): functions adding a finding of ``stage`` to ``out``."""
+    def reporter(severity):
+        return lambda path, code, message: out.append(
+            Finding(path, code, severity, message, stage))
+    return reporter(ERROR), reporter(WARNING)

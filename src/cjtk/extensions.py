@@ -16,7 +16,9 @@ with ``+``.  A new city object schema must define the ``type`` and
 Value schemas are restricted rule trees over exactly five keywords:
 type (string, number, integer, boolean, object, array), properties, items,
 required, and enum.  Anything else is rejected when the file loads, not
-silently ignored.
+silently ignored, as is a file that is not such a document at all: each
+raises ``ExtensionError``.  When several loaded extensions define a "+"
+name, the first one's fragment checks it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ERROR, ExtensionError, Finding
+from .errors import ExtensionError, Finding, reporters
 from .model import (COBJECT_TYPES, CityModel, iter_boundary_indices,
                     nesting_depth)
 
@@ -62,11 +64,16 @@ def _check_fragment_rules(frag, path: str) -> None:
     if ftype is not None:
         names = ftype if isinstance(ftype, list) else [ftype]
         for name in names:
-            if name not in _TYPE_NAMES:
+            if not isinstance(name, str) or name not in _TYPE_NAMES:
                 raise ExtensionError("UNSUPPORTED_SCHEMA_KEYWORD",
                                      f"type {name!r} is not supported",
                                      f"{path}/type")
-    for name, sub in frag.get("properties", {}).items():
+    props = frag.get("properties", {})
+    if not isinstance(props, dict):
+        raise ExtensionError("UNSUPPORTED_SCHEMA_KEYWORD",
+                             "properties must map member names to fragments",
+                             f"{path}/properties")
+    for name, sub in props.items():
         _check_fragment_rules(sub, f"{path}/properties/{name}")
     if "items" in frag:
         _check_fragment_rules(frag["items"], f"{path}/items")
@@ -81,56 +88,70 @@ def _check_fragment_rules(frag, path: str) -> None:
                              f"{path}/enum")
 
 
+def _check_new_name(kind: str, name: str, frag, path: str) -> None:
+    """A new name must begin with "+", and its fragment keep the rules."""
+    if not name.startswith("+"):
+        raise ExtensionError("BAD_PLUS_PREFIX",
+                             f"new {kind} {name!r} must begin with '+'", path)
+    _check_fragment_rules(frag, path)
+
+
+def _object_member(doc: dict, member: str, path: str = "") -> dict:
+    """``doc[member]`` ({} when absent), which must be a JSON object."""
+    value = doc.get(member, {})
+    path = path or member
+    if not isinstance(value, dict):
+        raise ExtensionError("WRONG_MEMBER_TYPE", f"{path} must be an object",
+                             path)
+    return value
+
+
 def load_extension(source) -> Extension:
     """Load an extension from a path, an open file, or a parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fp:
-            doc = json.load(fp)
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as fp:
+                doc = json.load(fp)
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding
+        raise ExtensionError("SYNTAX_ERROR",
+                             f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ExtensionError("NOT_EXTENSION",
+                             f"document is a JSON {type(doc).__name__}, "
+                             "not an object")
     if doc.get("type") != "CityJSON_Extension":
         raise ExtensionError("NOT_EXTENSION",
                              f"type member is {doc.get('type')!r}", path="type")
     if "name" not in doc:
         raise ExtensionError("MISSING_REQUIRED_MEMBER", "extension has no name",
                              path="name")
+    if not isinstance(doc["name"], str):
+        raise ExtensionError("WRONG_MEMBER_TYPE", "name must be a string",
+                             path="name")
 
-    roots = doc.get("extraRootProperties", {})
-    attrs = doc.get("extraAttributes", {})
-    cotypes = doc.get("extraCityObjects", {})
-    for member, value in (("extraRootProperties", roots),
-                          ("extraAttributes", attrs),
-                          ("extraCityObjects", cotypes)):
-        if not isinstance(value, dict):
-            raise ExtensionError("WRONG_MEMBER_TYPE", f"{member} must be an object",
-                                 path=member)
+    roots = _object_member(doc, "extraRootProperties")
+    attrs = _object_member(doc, "extraAttributes")
+    cotypes = _object_member(doc, "extraCityObjects")
 
     for name, frag in roots.items():
-        if not name.startswith("+"):
-            raise ExtensionError("BAD_PLUS_PREFIX",
-                                 f"new root member {name!r} must begin with '+'",
-                                 f"extraRootProperties/{name}")
-        _check_fragment_rules(frag, f"extraRootProperties/{name}")
-    for host, per_attr in attrs.items():
+        _check_new_name("root member", name, frag,
+                        f"extraRootProperties/{name}")
+    for host in attrs:
         if host not in COBJECT_TYPES:
             # Extending another extension's "+" type is not allowed either.
             raise ExtensionError("UNKNOWN_COTYPE",
                                  f"attributes may only target core types, "
                                  f"not {host!r}", f"extraAttributes/{host}")
+        per_attr = _object_member(attrs, host, f"extraAttributes/{host}")
         for name, frag in per_attr.items():
-            if not name.startswith("+"):
-                raise ExtensionError("BAD_PLUS_PREFIX",
-                                     f"new attribute {name!r} must begin with '+'",
-                                     f"extraAttributes/{host}/{name}")
-            _check_fragment_rules(frag, f"extraAttributes/{host}/{name}")
+            _check_new_name("attribute", name, frag,
+                            f"extraAttributes/{host}/{name}")
     for name, frag in cotypes.items():
-        if not name.startswith("+"):
-            raise ExtensionError("BAD_PLUS_PREFIX",
-                                 f"new object type {name!r} must begin with '+'",
-                                 f"extraCityObjects/{name}")
-        _check_fragment_rules(frag, f"extraCityObjects/{name}")
+        _check_new_name("object type", name, frag, f"extraCityObjects/{name}")
         props = frag.get("properties", {})
         if "type" not in props or "geometry" not in props:
             raise ExtensionError("MISSING_GEOMETRY_RULE",
@@ -168,7 +189,7 @@ def discover(search_path: str | None = None) -> list[Extension]:
         for cand in candidates:
             try:
                 ext = load_extension(cand)
-            except (OSError, ValueError, ExtensionError):
+            except (OSError, ExtensionError):
                 continue
             if ext.name not in seen:
                 seen.add(ext.name)
@@ -197,28 +218,6 @@ def combine(exts: list[Extension]) -> dict[str, Extension]:
                     f"and {ext.name!r}")
             seen_keys[key] = ext.name
     return by_name
-
-
-def _cotype_fragment(exts: list[Extension], cotype: str):
-    for ext in exts:
-        if cotype in ext.extra_city_objects:
-            return ext.extra_city_objects[cotype]
-    return None
-
-
-def _attribute_fragment(exts: list[Extension], host: str, attr: str):
-    for ext in exts:
-        frag = ext.extra_attributes.get(host, {}).get(attr)
-        if frag is not None:
-            return frag
-    return None
-
-
-def _root_fragment(exts: list[Extension], name: str):
-    for ext in exts:
-        if name in ext.extra_root_properties:
-            return ext.extra_root_properties[name]
-    return None
 
 
 # -- fragment checking -------------------------------------------------------
@@ -278,57 +277,48 @@ def validate_extended(model: CityModel, exts: list[Extension]) -> list[Finding]:
     """
     combine(exts)
     out: list[Finding] = []
+    err, _ = reporters(out, "extension")
     provided = {e.name for e in exts}
     for name in model.extensions or {}:
         if name not in provided:
-            out.append(Finding(f"extensions/{name}", "MISSING_EXTENSION_SCHEMA",
-                               ERROR, "declared extension was not provided",
-                               "extension"))
+            err(f"extensions/{name}", "MISSING_EXTENSION_SCHEMA",
+                "declared extension was not provided")
+
+    def declared_and_checked(tables, name, value, path, what, where=None,
+                             undeclared_path=None):
+        """The "+" item ``name`` is undeclared, or its ``value`` is checked
+        against the fragment of the first of ``tables`` (name -> fragment
+        maps, one per extension) that declares it."""
+        frag = next((table[name] for table in tables if name in table), None)
+        if frag is None:
+            err(undeclared_path or path, "UNDECLARED_EXTENSION_MEMBER",
+                f"no loaded extension defines {what}")
+            return
+        for problem in check_fragment(value, frag,
+                                      name if where is None else where):
+            err(path, "EXTENSION_SCHEMA_VIOLATION", problem)
 
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
         if co.type.startswith("+"):
-            frag = _cotype_fragment(exts, co.type)
-            if frag is None:
-                out.append(Finding(f"{base}/type", "UNDECLARED_EXTENSION_MEMBER",
-                                   ERROR,
-                                   f"no loaded extension defines {co.type!r}",
-                                   "extension"))
-            else:
-                for problem in check_fragment(co.to_json(), frag, oid):
-                    out.append(Finding(base, "EXTENSION_SCHEMA_VIOLATION", ERROR,
-                                       problem, "extension"))
+            declared_and_checked(
+                (e.extra_city_objects for e in exts), co.type, co.to_json(),
+                base, repr(co.type), where=oid, undeclared_path=f"{base}/type")
         for name, value in co.attributes.items():
-            if not name.startswith("+"):
-                continue
-            path = f"{base}/attributes/{name}"
-            frag = _attribute_fragment(exts, co.type, name)
-            if frag is None:
-                out.append(Finding(path, "UNDECLARED_EXTENSION_MEMBER", ERROR,
-                                   f"no loaded extension defines {name!r} on "
-                                   f"{co.type}", "extension"))
-            else:
-                for problem in check_fragment(value, frag, name):
-                    out.append(Finding(path, "EXTENSION_SCHEMA_VIOLATION", ERROR,
-                                       problem, "extension"))
+            if name.startswith("+"):
+                declared_and_checked(
+                    (e.extra_attributes.get(co.type, {}) for e in exts), name,
+                    value, f"{base}/attributes/{name}",
+                    f"{name!r} on {co.type}")
         for name, value in co.extra.items():
             if _contains_geometry(value):
-                out.append(Finding(f"{base}/{name}", "MISPLACED_GEOMETRY", ERROR,
-                                   "geometries may only live under the "
-                                   "geometry member", "extension"))
+                err(f"{base}/{name}", "MISPLACED_GEOMETRY",
+                    "geometries may only live under the geometry member")
 
     for name, value in model.extra.items():
-        if not name.startswith("+"):
-            continue
-        frag = _root_fragment(exts, name)
-        if frag is None:
-            out.append(Finding(name, "UNDECLARED_EXTENSION_MEMBER", ERROR,
-                               f"no loaded extension defines root member "
-                               f"{name!r}", "extension"))
-        else:
-            for problem in check_fragment(value, frag, name):
-                out.append(Finding(name, "EXTENSION_SCHEMA_VIOLATION", ERROR,
-                                   problem, "extension"))
+        if name.startswith("+"):
+            declared_and_checked((e.extra_root_properties for e in exts),
+                                 name, value, name, f"root member {name!r}")
     out.sort()
     return out
 

@@ -145,7 +145,10 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
                 survivors.append(vi)
             new_index[vi] = first[key]
     else:
-        cell = tolerance
+        # Any cell >= tolerance finds the same neighbours; the floor keeps
+        # v / cell finite when the tolerance is tiny next to the coordinates.
+        cell = max(tolerance, max((abs(c) for v in verts for c in v),
+                                  default=0) / 2 ** 52)
         buckets: dict[tuple, list[int]] = {}
         for vi, v in enumerate(verts):
             cx, cy, cz = (math.floor(v[0] / cell), math.floor(v[1] / cell),

@@ -16,7 +16,9 @@ from polygons with exterior/interior linear rings; coordinate spellings
 posList, repeated pos, and coordinates.  LoD comes from the element names
 (lod1Solid, lod2MultiSurface, ...); interior (LoD4) models are rejected.
 Appearances and terrain are out of scope; anything skipped lands in the
-import report, never on the floor.
+import report, never on the floor.  Input the importer cannot read raises
+a coded ``GmlImportError``: a coordinate or ``srsDimension`` that is not a
+number, or an XLink that leads back to where it came from, among others.
 """
 
 from __future__ import annotations
@@ -57,7 +59,11 @@ _GENERIC_ATTR_CASTS = {
     "measureAttribute": float,
 }
 
+_SIMPLE_FEATURES = {"SolitaryVegetationObject": _VEGETATION_ATTRS,
+                    "GenericCityObject": {}}
+
 _EPSG_SUFFIX = re.compile(r"EPSG:+(\d+)$")
+_LOD_HOLDER = re.compile(r"lod(\d)")
 
 
 def _local(tag) -> str:
@@ -73,6 +79,29 @@ def _cast(elem: ET.Element, cast):
     except ValueError:
         return text
     return value if cast is str or is_finite_number(value) else text
+
+
+def _scalar(elem: ET.Element, cast):
+    """``_cast``, as a {value, uom} pair where the element carries a uom."""
+    value = _cast(elem, cast)
+    uom = elem.get("uom")
+    if uom:
+        return {"value": value, "uom": uom}
+    return value
+
+
+def _holder_lod(name: str, oid: str) -> int | None:
+    """The LoD an lod* geometry holder's name gives, or None; LoD4
+    (interiors) is refused."""
+    m = _LOD_HOLDER.match(name)
+    if m is None:
+        return None
+    lod = int(m.group(1))
+    if lod == 4:
+        raise GmlImportError(
+            "LOD4_UNSUPPORTED",
+            f"{name} on {oid}: interior (LoD4) models are not supported")
+    return lod
 
 
 @dataclass
@@ -143,14 +172,12 @@ def normalize_ring(ring_elem: ET.Element, pool: VertexPool) -> list[int]:
 
 
 def _ring_points(ring_elem: ET.Element) -> list[tuple]:
-    dim = int(ring_elem.get("srsDimension", "0") or 0)
+    dim = _dimension(ring_elem, 0)
     pos_children = []
     for child in ring_elem:
         name = _local(child.tag)
         if name == "posList":
-            tokens = (child.text or "").split()
-            d = int(child.get("srsDimension", "0") or 0) or dim or 3
-            return _group(tokens, d)
+            return _pos_points(child, dim)
         if name == "pos":
             pos_children.append(child)
         elif name == "coordinates":
@@ -166,12 +193,28 @@ def _ring_points(ring_elem: ET.Element) -> list[tuple]:
     if pos_children:
         points = []
         for child in pos_children:
-            tokens = (child.text or "").split()
-            d = int(child.get("srsDimension", "0") or 0) or dim or 3
-            points.extend(_group(tokens, d))
+            points.extend(_pos_points(child, dim))
         return points
     raise GmlImportError("BAD_COORDINATE_TOKEN",
                          "ring carries no posList/pos/coordinates")
+
+
+def _dimension(elem: ET.Element, outer: int) -> int:
+    """The srsDimension ``elem`` declares, else ``outer``, the one of the
+    element around it (0 for none)."""
+    text = elem.get("srsDimension")
+    try:
+        return int(text or 0) or outer
+    except ValueError:
+        raise GmlImportError("BAD_COORDINATE_TOKEN",
+                             f"srsDimension {text!r} is not an integer") \
+            from None
+
+
+def _pos_points(elem: ET.Element, dim: int) -> list[tuple]:
+    """Points of one posList or pos element inside a ring of dimension
+    ``dim`` (0 when the ring declares none; 3 when neither does)."""
+    return _group((elem.text or "").split(), _dimension(elem, dim) or 3)
 
 
 def _group(tokens: list[str], dim: int) -> list[tuple]:
@@ -283,59 +326,72 @@ class _Importer:
                                  "share one")
         return codes.pop() if codes else None
 
-    def _fresh_id(self, elem: ET.Element, cotype: str) -> str:
-        for key, value in elem.attrib.items():
-            if _local(key) == "id":
-                return value
-        self.counters[cotype] = self.counters.get(cotype, 0) + 1
-        return f"{cotype}_{self.counters[cotype]}"
-
     # -- features ---------------------------------------------------------
 
     def _feature(self, elem: ET.Element, parent: str | None = None):
         name = _local(elem.tag)
         if name == "Building" or name == "BuildingPart":
             self._building(elem, name, parent)
-        elif name == "SolitaryVegetationObject":
-            self._simple_feature(elem, "SolitaryVegetationObject",
-                                 _VEGETATION_ATTRS, parent)
-        elif name == "GenericCityObject":
-            self._simple_feature(elem, "GenericCityObject", {}, parent)
-        else:
+            return
+        attr_casts = _SIMPLE_FEATURES.get(name)
+        if attr_casts is None:
             # Fallback: keep the feature rather than dropping it, noted in
             # the report.
             self.report.skip(name, "unknown feature imported as "
                                    "GenericCityObject")
-            self._simple_feature(elem, "GenericCityObject", {}, parent)
+            name, attr_casts = "GenericCityObject", {}
+        oid, co = self._city_object(elem, name, parent)
+        for child in elem:
+            member = _local(child.tag)
+            if not self._common_member(co, oid, child, member, attr_casts):
+                self.report.skip(member, f"unsupported {name} member")
 
-    def _count(self, cotype: str) -> None:
-        self.report.features[cotype] = self.report.features.get(cotype, 0) + 1
-
-    def _building(self, elem: ET.Element, cotype: str, parent: str | None):
-        oid = self._fresh_id(elem, cotype)
+    def _city_object(self, elem: ET.Element, cotype: str,
+                     parent: str | None) -> tuple[str, CityObject]:
+        """A new, counted object for a feature, linked to its parent; its
+        id is the feature's gml:id, else a per-type counter."""
+        oid = next((value for key, value in elem.attrib.items()
+                    if _local(key) == "id"), None)
+        if oid is None:
+            self.counters[cotype] = self.counters.get(cotype, 0) + 1
+            oid = f"{cotype}_{self.counters[cotype]}"
         co = CityObject(type=cotype)
         self.objects[oid] = co
-        self._count(cotype)
+        self.report.features[cotype] = self.report.features.get(cotype, 0) + 1
         if parent:
             co.parents.append(parent)
             self.objects[parent].children.append(oid)
+        return oid, co
 
+    def _common_member(self, co: CityObject, oid: str, child: ET.Element,
+                       name: str, attr_casts: dict) -> bool:
+        """Read a member any feature can carry: a typed attribute of
+        ``attr_casts``, a generic attribute or an lod* geometry holder.
+        False for any other member."""
+        if name in attr_casts:
+            co.attributes[name] = _scalar(child, attr_casts[name])
+        elif name in _GENERIC_ATTR_CASTS:
+            self._generic_attribute(co, child, name)
+        elif name.startswith("lod"):
+            geom = self._lod_geometry(child, oid)
+            if geom is not None:
+                co.geometry.append(geom)
+        else:
+            return False
+        return True
+
+    def _building(self, elem: ET.Element, cotype: str, parent: str | None):
+        oid, co = self._city_object(elem, cotype, parent)
         surfaces = self._register_boundaries(elem)
         direct_parts = []
         for child in elem:
             name = _local(child.tag)
-            if name in ("consistsOfBuildingPart",):
+            if self._common_member(co, oid, child, name, _BUILDING_ATTRS):
+                continue
+            if name == "consistsOfBuildingPart":
                 for part in child:
                     if _local(part.tag) == "BuildingPart":
                         direct_parts.append(part)
-            elif name in _BUILDING_ATTRS:
-                co.attributes[name] = self._scalar(child, _BUILDING_ATTRS[name])
-            elif name in _GENERIC_ATTR_CASTS:
-                self._generic_attribute(co, child, name)
-            elif name.startswith("lod"):
-                geom = self._lod_geometry(child, oid)
-                if geom is not None:
-                    co.geometry.append(geom)
             elif name == "boundedBy":
                 pass  # consumed by _register_boundaries
             elif name == "address":
@@ -348,35 +404,6 @@ class _Importer:
         for part in direct_parts:
             self._feature(part, parent=oid)
 
-    def _simple_feature(self, elem: ET.Element, cotype: str, attr_casts: dict,
-                        parent: str | None):
-        oid = self._fresh_id(elem, cotype)
-        co = CityObject(type=cotype)
-        self.objects[oid] = co
-        self._count(cotype)
-        if parent:
-            co.parents.append(parent)
-            self.objects[parent].children.append(oid)
-        for child in elem:
-            name = _local(child.tag)
-            if name in attr_casts:
-                co.attributes[name] = self._scalar(child, attr_casts[name])
-            elif name in _GENERIC_ATTR_CASTS:
-                self._generic_attribute(co, child, name)
-            elif name.startswith("lod"):
-                geom = self._lod_geometry(child, oid)
-                if geom is not None:
-                    co.geometry.append(geom)
-            else:
-                self.report.skip(name, f"unsupported {cotype} member")
-
-    def _scalar(self, elem: ET.Element, cast):
-        value = _cast(elem, cast)
-        uom = elem.get("uom")
-        if uom:
-            return {"value": value, "uom": uom}
-        return value
-
     def _generic_attribute(self, co: CityObject, elem: ET.Element, kind: str):
         name = elem.get("name")
         if not name:
@@ -385,12 +412,8 @@ class _Importer:
         cast = _GENERIC_ATTR_CASTS[kind]
         for child in elem:
             if _local(child.tag) == "value":
-                value = _cast(child, cast)
-                uom = child.get("uom")
-                if kind == "measureAttribute" and uom:
-                    co.attributes[name] = {"value": value, "uom": uom}
-                else:
-                    co.attributes[name] = value
+                co.attributes[name] = _scalar(child, cast) \
+                    if kind == "measureAttribute" else _cast(child, cast)
                 return
         self.report.skip(kind, f"generic attribute {name!r} without a value")
 
@@ -437,12 +460,7 @@ class _Importer:
 
     def _lod_geometry(self, holder: ET.Element, oid: str):
         name = _local(holder.tag)
-        m = re.match(r"lod(\d)", name)
-        lod = int(m.group(1)) if m else None
-        if lod == 4:
-            raise GmlImportError(
-                "LOD4_UNSUPPORTED",
-                f"{name} on {oid}: interior (LoD4) models are not supported")
+        lod = _holder_lod(name, oid)
         if lod is None:
             self.report.skip(name, "unrecognized geometry holder")
             return None
@@ -461,7 +479,9 @@ class _Importer:
         if kind == "Solid":
             return self._solid(body, lod, oid)
         if kind in ("MultiSurface", "CompositeSurface"):
-            return self._surface_collection(body, kind, lod, oid)
+            tracker = _SemanticsTracker()
+            return tracker.attach(Geometry(
+                type=kind, lod=lod, boundaries=self._polygons(body, tracker)))
         self.report.skip(kind, f"unsupported geometry of {oid}")
         return None
 
@@ -473,21 +493,12 @@ class _Importer:
             if name not in ("exterior", "interior"):
                 self.report.skip(name, f"unsupported solid member of {oid}")
                 continue
-            shell_polys = []
-            for polygon in self._collect_polygons(child):
-                shell_polys.append(self._polygon(polygon, tracker))
-            if shell_polys:
-                shells.append(shell_polys)
+            shell = self._polygons(child, tracker)
+            if shell:
+                shells.append(shell)
         return tracker.attach(Geometry(type="Solid", lod=lod,
                                        boundaries=shells),
                               shape=[len(s) for s in shells])
-
-    def _surface_collection(self, body: ET.Element, kind: str, lod,
-                            oid: str) -> Geometry:
-        tracker = _SemanticsTracker()
-        polys = [self._polygon(p, tracker)
-                 for p in self._collect_polygons(body)]
-        return tracker.attach(Geometry(type=kind, lod=lod, boundaries=polys))
 
     def _surfaces_geometry(self, surfaces: list[ET.Element],
                            oid: str) -> Geometry:
@@ -497,28 +508,26 @@ class _Importer:
         lod = None
         for surf in surfaces:
             for child in surf:
-                name = _local(child.tag)
-                m = re.match(r"lod(\d)", name)
-                if not m:
+                child_lod = _holder_lod(_local(child.tag), oid)
+                if child_lod is None:
                     continue
-                if int(m.group(1)) == 4:
-                    raise GmlImportError(
-                        "LOD4_UNSUPPORTED",
-                        f"{name} on {oid}: interior (LoD4) models are "
-                        "not supported")
-                lod = int(m.group(1)) if lod is None else lod
-                for polygon in self._collect_polygons(child):
-                    polys.append(self._polygon(polygon, tracker))
+                lod = child_lod if lod is None else lod
+                polys.extend(self._polygons(child, tracker))
         return tracker.attach(
             Geometry(type="MultiSurface", lod=lod if lod is not None else 2,
                      boundaries=polys))
+
+    def _polygons(self, container: ET.Element, tracker) -> list:
+        """Boundaries of the polygons under a shell or collection."""
+        return [self._polygon(p, tracker)
+                for p in self._collect_polygons(container)]
 
     def _collect_polygons(self, container: ET.Element) -> list[ET.Element]:
         """Polygons under a shell/collection, resolving member links,
         preserving document order."""
         out = []
 
-        def walk(elem):
+        def walk(elem, chain):
             for child in elem:
                 name = _local(child.tag)
                 if name == "Polygon":
@@ -530,14 +539,18 @@ class _Importer:
                         target = resolve_xlink(self.doc, href)
                         if _local(target.tag) == "Polygon":
                             out.append(target)
+                        elif target in chain:
+                            raise GmlImportError(
+                                "UNRESOLVED_XLINK",
+                                f"reference cycle through {href}")
                         else:
-                            walk(target)
+                            walk(target, chain + (target,))
                     else:
-                        walk(child)
+                        walk(child, chain)
                 else:
                     self.report.skip(name, "unsupported surface member")
 
-        walk(container)
+        walk(container, (container,))
         return out
 
     def _polygon(self, polygon: ET.Element, tracker) -> list[list[int]]:

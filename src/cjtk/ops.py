@@ -56,9 +56,11 @@ def subset(model: CityModel, ids: list[str] | None = None,
         selected.update(oid for oid, co in model.city_objects.items()
                         if co.type in wanted)
     if bbox is not None:
-        if len(bbox) != 4 or bbox[0] > bbox[2] or bbox[1] > bbox[3]:
+        if len(bbox) != 4 or not all(map(is_finite_number, bbox)) \
+                or bbox[0] > bbox[2] or bbox[1] > bbox[3]:
             raise CjtkError("INVALID_EXTENT",
-                            "bbox must be [minx, miny, maxx, maxy]")
+                            "bbox must be [minx, miny, maxx, maxy] of finite "
+                            "numbers")
         centroid = _centroids(model)
         for oid in model.city_objects:
             c = centroid(oid)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .codec import parse
-from .errors import ERROR, WARNING, CjtkError, Finding
+from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
@@ -41,17 +41,9 @@ _EPSG_RE = re.compile(r"^EPSG:\d+$")
 # ---------------------------------------------------------------------------
 
 
-def _reporters(out: list[Finding], stage: str):
-    """(err, warn): functions adding a finding of ``stage`` to ``out``."""
-    def reporter(severity):
-        return lambda path, code, message: out.append(
-            Finding(path, code, severity, message, stage))
-    return reporter(ERROR), reporter(WARNING)
-
-
 def validate_structure(model: CityModel) -> list[Finding]:
     out: list[Finding] = []
-    err, warn = _reporters(out, "structure")
+    err, warn = reporters(out, "structure")
 
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
@@ -143,7 +135,7 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
 
 def validate_consistency(model: CityModel) -> list[Finding]:
     out: list[Finding] = []
-    err, warn = _reporters(out, "consistency")
+    err, warn = reporters(out, "consistency")
 
     ids = model.city_objects.keys()
 

@@ -14,7 +14,8 @@ from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
 from helpers import as_text, cube_tree
 from test_codec import hostile_inputs, hostile_models
-from test_extensions import noise_building_tree
+from test_extensions import hostile_extension_files, noise_building_tree
+from test_gml_import import hostile_documents
 from test_ops import town_tree
 
 
@@ -323,3 +324,46 @@ def test_a_crashing_stage_exits_two_with_internal_error(town_path,
     assert exc.value.code == 2
     assert "metadata: [INTERNAL_ERROR] RuntimeError: boom" \
         in capsys.readouterr().err
+
+
+def test_dedupe_with_a_tiny_tolerance_writes_the_tolerance_zero_file(
+        tmp_path):
+    path = tmp_path / "cube.city.json"
+    path.write_text(as_text(cube_tree(origin=(85000.0, 0.0, 0.0))),
+                    encoding="utf-8")
+    outputs = []
+    for tolerance in ("1e-310", "0"):
+        out = tmp_path / f"out-{tolerance}.json"
+        proc = run_cli(str(path), "dedupe", "--tolerance", tolerance,
+                       "save", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", sorted(hostile_documents()))
+def test_hostile_citygml_exits_two_with_a_coded_message(name, tmp_path):
+    text, code, _ = hostile_documents()[name]
+    path = tmp_path / "hostile.gml"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli(str(path), "import", "save", str(tmp_path / "out.json"))
+    assert proc.returncode == 2
+    assert f"import: [{code}]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(hostile_extension_files()))
+def test_hostile_extension_files_are_coded_or_skipped(name, town_path,
+                                                      tmp_path):
+    data, code = hostile_extension_files()[name]
+    bad = tmp_path / "bad.ext.json"
+    bad.write_bytes(data)
+    proc = run_cli("--extension", str(bad), str(town_path), "validate")
+    assert proc.returncode == 2
+    assert f"validate: [{code}]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    env = dict(os.environ, CJTK_EXTENSIONS=str(bad))
+    proc = subprocess.run([sys.executable, "-m", "cjtk.cli", str(town_path),
+                           "validate"], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr

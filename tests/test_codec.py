@@ -309,6 +309,10 @@ def hostile_models():
             _template_ring([0, 1, 2, 7]),
             {("metadata",): "VERTEX_INDEX_OUT_OF_RANGE",
              ("clean",): "VERTEX_INDEX_OUT_OF_RANGE"}),
+        "bbox-not-finite": (
+            as_text(cube_tree()),
+            {("subset", "--bbox", "nan", "0", "1e9", "1e9"): "INVALID_EXTENT",
+             ("subset", "--bbox", "0", "0", "inf", "1e9"): "INVALID_EXTENT"}),
     }
 
 

@@ -106,6 +106,9 @@ def test_new_object_types_must_rule_type_and_geometry():
     {"type": "object", "required": "value"},    # required not a list
     {"enum": "abc"},                            # enum not a list
     {"type": "array", "items": {"maxLength": 4}},
+    {"type": "object", "properties": ["value"]},   # properties not a map
+    {"type": {"name": "string"}},                   # type name not a string
+    {"type": ["string", ["number"]]},
 ])
 def test_unsupported_schema_keywords_fail_at_load(fragment):
     doc = {"type": "CityJSON_Extension", "name": "X",
@@ -113,6 +116,45 @@ def test_unsupported_schema_keywords_fail_at_load(fragment):
     with pytest.raises(ExtensionError) as exc:
         load_extension(doc)
     assert exc.value.code == "UNSUPPORTED_SCHEMA_KEYWORD"
+
+
+def hostile_extension_files():
+    """Files on the extension search path that are not extension documents,
+    by name: (bytes, the code ``load_extension`` refuses them with)."""
+    return {
+        "undecodable-json": (b"{not json", "SYNTAX_ERROR"),
+        "not-utf8": (b'{"type": "CityJSON_Extension", "name": "\xff"}',
+                     "SYNTAX_ERROR"),
+        "deep-nesting": (b"[" * 100_000 + b"]" * 100_000, "SYNTAX_ERROR"),
+        "array-document": (b"[]", "NOT_EXTENSION"),
+        "string-document": (b'"CityJSON_Extension"', "NOT_EXTENSION"),
+        "name-not-a-string": (b'{"type": "CityJSON_Extension", "name": []}',
+                              "WRONG_MEMBER_TYPE"),
+        "host-map-not-object": (
+            b'{"type": "CityJSON_Extension", "name": "X",'
+            b' "extraAttributes": {"Building": []}}', "WRONG_MEMBER_TYPE"),
+        "properties-not-object": (
+            b'{"type": "CityJSON_Extension", "name": "X",'
+            b' "extraRootProperties": {"+x": {"properties": []}}}',
+            "UNSUPPORTED_SCHEMA_KEYWORD"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hostile_extension_files()))
+def test_hostile_extension_files_raise_coded_errors(name, tmp_path):
+    data, code = hostile_extension_files()[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ExtensionError) as exc:
+        load_extension(path)
+    assert exc.value.code == code
+    with open(path, encoding="utf-8") as fp:
+        with pytest.raises(ExtensionError):
+            load_extension(fp)
+    good = tmp_path / "good.json"
+    good.write_text('{"type": "CityJSON_Extension", "name": "Noise"}',
+                    encoding="utf-8")
+    assert [e.name for e in discover(str(tmp_path))] == ["Noise"]
 
 
 def test_discover_scans_directories(tmp_path, monkeypatch):

@@ -207,6 +207,15 @@ def test_dedupe_with_tolerance_merges_into_earliest():
     assert out.city_objects["p"].geometry[0].boundaries == [0, 0, 1]
 
 
+@pytest.mark.parametrize("tolerance", [1e-310, 5e-324])
+def test_dedupe_with_a_tiny_tolerance_matches_tolerance_zero(tolerance):
+    tree = cube_tree(origin=(85000.0, 446000.0, 0.0))
+    tree["vertices"].append(list(tree["vertices"][2]))
+    model = as_model(tree)
+    assert tree_of(dedupe_vertices(model, tolerance=tolerance)) \
+        == tree_of(dedupe_vertices(model))
+
+
 def test_dedupe_rejects_negative_tolerance():
     with pytest.raises(CjtkError):
         dedupe_vertices(CityModel(), tolerance=-0.1)

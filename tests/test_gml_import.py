@@ -293,6 +293,9 @@ def test_closure_does_not_count_as_a_corner():
     "<gml:posList>0 0 zero 1 0 0 1 1 0</gml:posList>",   # bad token
     "<gml:posList>0 0 0 1 0 0 1 1</gml:posList>",        # 8 % 3 != 0
     "",                                                   # no spelling at all
+    '<gml:posList srsDimension="abc">0 0 0 1 0 0 1 1 0</gml:posList>',
+    '<gml:pos srsDimension="3.0">0 0 0</gml:pos><gml:pos>1 0 0</gml:pos>'
+    '<gml:pos>1 1 0</gml:pos>',
 ])
 def test_bad_coordinate_tokens(ring_inner):
     poly = _polygon_xml([], ring_inner=ring_inner)
@@ -338,3 +341,61 @@ def test_non_finite_attribute_values_stay_text():
         "heatDemand": {"value": "-inf", "uom": "kWh"},
     }
     assert tree_of(codec.loads(codec.dumps(model))) == tree_of(model)
+
+
+def _multisurface_building(*multisurfaces: str) -> str:
+    """A building with one lod2MultiSurface holder per MultiSurface."""
+    holders = "".join(f"<bldg:lod2MultiSurface>{ms}</bldg:lod2MultiSurface>"
+                      for ms in multisurfaces)
+    return gen_document(
+        '  <core:cityObjectMember><bldg:Building gml:id="b">'
+        f'{holders}</bldg:Building></core:cityObjectMember>')
+
+
+def hostile_documents():
+    """CityGML documents the importer must refuse with a coded error, by
+    name: (document, code, message fragment)."""
+    square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    return {
+        "ring-dimension-not-an-integer": (
+            _multisurface_building(
+                '<gml:MultiSurface><gml:surfaceMember>'
+                + _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)],
+                               ring_attrs=' srsDimension="abc"')
+                + '</gml:surfaceMember></gml:MultiSurface>'),
+            "BAD_COORDINATE_TOKEN", "srsDimension 'abc'"),
+        "xlink-cycle-to-itself": (
+            _multisurface_building(
+                '<gml:MultiSurface gml:id="ms">'
+                '<gml:surfaceMember xlink:href="#ms"/></gml:MultiSurface>'),
+            "UNRESOLVED_XLINK", "reference cycle through #ms"),
+        "xlink-cycle-of-two": (
+            _multisurface_building(
+                '<gml:MultiSurface gml:id="ms1"><gml:surfaceMember>'
+                f'{square}</gml:surfaceMember>'
+                '<gml:surfaceMember xlink:href="#ms2"/></gml:MultiSurface>',
+                '<gml:MultiSurface gml:id="ms2">'
+                '<gml:surfaceMember xlink:href="#ms1"/></gml:MultiSurface>'),
+            "UNRESOLVED_XLINK", "reference cycle through #ms"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hostile_documents()))
+def test_hostile_documents_are_refused_with_a_code(name):
+    text, code, message = hostile_documents()[name]
+    with pytest.raises(GmlImportError) as exc:
+        import_citygml(text)
+    assert exc.value.code == code
+    assert message in exc.value.message
+
+
+def test_a_shared_link_target_is_not_a_cycle():
+    square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    text = _multisurface_building(
+        '<gml:MultiSurface><gml:surfaceMember xlink:href="#ms"/>'
+        '<gml:surfaceMember xlink:href="#ms"/></gml:MultiSurface>',
+        f'<gml:MultiSurface gml:id="ms"><gml:surfaceMember>{square}'
+        '</gml:surfaceMember></gml:MultiSurface>')
+    model, _ = import_citygml(text)
+    assert [g.boundaries for g in model.city_objects["b"].geometry] \
+        == [[[[0, 1, 2]], [[0, 1, 2]]], [[[0, 1, 2]]]]

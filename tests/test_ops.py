@@ -83,7 +83,9 @@ def test_subset_filters_unite():
     assert set(out.city_objects) == {"ne", "sw"}
 
 
-@pytest.mark.parametrize("bbox", [[0, 0, 10], [10, 0, 0, 10]])
+@pytest.mark.parametrize("bbox", [[0, 0, 10], [10, 0, 0, 10],
+                                  [math.nan, 0, 1e9, 1e9],
+                                  [0, 0, math.inf, 10]])
 def test_subset_rejects_bad_bbox(bbox):
     with pytest.raises(CjtkError) as exc:
         subset(as_model(cube_tree()), bbox=bbox)
