@@ -135,6 +135,10 @@ def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
     except RecursionError:
         raise CodecError("SYNTAX_ERROR",
                          "arrays or objects nest too deeply") from None
+    except ValueError:
+        # int() refuses a literal beyond the interpreter's digit limit.
+        raise CodecError("SYNTAX_ERROR",
+                         "an integer literal has too many digits") from None
     if not isinstance(root, dict):
         raise CodecError("NOT_CITYJSON", "document root is not an object")
     if duplicates:

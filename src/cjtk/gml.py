@@ -318,7 +318,12 @@ class _Importer:
                 raise GmlImportError("NON_EPSG_CRS",
                                      f"cannot read an EPSG code out of "
                                      f"{srs!r}")
-            codes.add(int(m.group(1)))
+            try:
+                codes.add(int(m.group(1)))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise GmlImportError("NON_EPSG_CRS",
+                                     f"the EPSG code in srsName has "
+                                     f"{len(m.group(1))} digits") from None
         if len(codes) > 1:
             raise GmlImportError("MIXED_CRS",
                                  f"document mixes reference systems "
@@ -524,33 +529,45 @@ class _Importer:
 
     def _collect_polygons(self, container: ET.Element) -> list[ET.Element]:
         """Polygons under a shell/collection, resolving member links,
-        preserving document order."""
+        preserving document order.
+
+        The walk keeps its own stack, so neither deep nesting nor a long
+        chain of links runs into the recursion limit.  Each entry holds
+        the children still to visit and the link target it entered, if
+        any; ``on_path`` holds the targets between the container and the
+        walk's position, where a link back is a cycle.
+        """
         out = []
-
-        def walk(elem, chain):
-            for child in elem:
-                name = _local(child.tag)
-                if name == "Polygon":
-                    out.append(child)
-                elif name in ("surfaceMember", "surfaceMembers", "exterior",
-                              "interior", "CompositeSurface", "MultiSurface"):
-                    href = child.get(XLINK_HREF)
-                    if href is not None and len(child) == 0:
-                        target = resolve_xlink(self.doc, href)
-                        if _local(target.tag) == "Polygon":
-                            out.append(target)
-                        elif target in chain:
-                            raise GmlImportError(
-                                "UNRESOLVED_XLINK",
-                                f"reference cycle through {href}")
-                        else:
-                            walk(target, chain + (target,))
+        on_path = {container}
+        stack = [(iter(container), None)]
+        while stack:
+            children, entered = stack[-1]
+            child = next(children, None)
+            if child is None:
+                stack.pop()
+                on_path.discard(entered)
+                continue
+            name = _local(child.tag)
+            if name == "Polygon":
+                out.append(child)
+            elif name in ("surfaceMember", "surfaceMembers", "exterior",
+                          "interior", "CompositeSurface", "MultiSurface"):
+                href = child.get(XLINK_HREF)
+                if href is not None and len(child) == 0:
+                    target = resolve_xlink(self.doc, href)
+                    if _local(target.tag) == "Polygon":
+                        out.append(target)
+                    elif target in on_path:
+                        raise GmlImportError(
+                            "UNRESOLVED_XLINK",
+                            f"reference cycle through {href}")
                     else:
-                        walk(child, chain)
+                        on_path.add(target)
+                        stack.append((iter(target), target))
                 else:
-                    self.report.skip(name, "unsupported surface member")
-
-        walk(container, (container,))
+                    stack.append((iter(child), None))
+            else:
+                self.report.skip(name, "unsupported surface member")
         return out
 
     def _polygon(self, polygon: ET.Element, tracker) -> list[list[int]]:

@@ -7,7 +7,9 @@ the public codec, so the tests exercise the same entry points users do.
 import copy
 import json
 
-from cjtk import codec
+from cjtk import codec, synth
+
+from conftest import committed_corpus
 
 CUBE_SHELL = [
     [[0, 3, 2, 1]], [[4, 5, 6, 7]], [[0, 1, 5, 4]],
@@ -67,3 +69,16 @@ def tree_of(model):
 
 def codes_of(findings):
     return sorted({f.code for f in findings})
+
+
+def base_inputs():
+    """(name, model) of the committed corpus files and three ``synth``
+    scenes, in a fixed order."""
+    out = [(path.name.split(".")[0],
+            codec.parse(path.read_bytes())[0])
+           for path in committed_corpus()]
+    for seed in (1, 2, 3):
+        scene = synth.make_scene(seed=seed, buildings=12, clusters=2,
+                                 part_every=4)
+        out.append((f"synth-{seed}", synth.scene_to_model(scene)))
+    return out

@@ -1,18 +1,23 @@
 """Command-line pipeline, exercised through real subprocesses."""
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from click.testing import CliRunner
 
-from cjtk import cli, codec, ops
+from cjtk import cli, codec, geomops, ops
+from cjtk.errors import CjtkError
+from cjtk.model import Transform
 
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
-from helpers import as_text, cube_tree
+from helpers import as_model, as_text, base_inputs, cube_tree
 from test_codec import hostile_inputs, hostile_models
 from test_extensions import hostile_extension_files, noise_building_tree
 from test_gml_import import hostile_documents
@@ -367,3 +372,245 @@ def test_hostile_extension_files_are_coded_or_skipped(name, town_path,
                            "validate"], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- one ops.merge call per run of merge stages --------------------------------
+
+
+def _cli_main(argv, monkeypatch, capsys):
+    """Exit code, stdout and stderr of one in-process run of ``argv``."""
+    monkeypatch.setattr(sys, "argv", ["cjtk", *map(str, argv)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _per_stage(argv, monkeypatch, capsys):
+    """``_cli_main`` with every merge stage run on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_merge_runs_folded", lambda processors: processors)
+        return _cli_main(argv, patch, capsys)
+
+
+def _merges(paths, policy, out):
+    """The pipeline merging ``paths`` in order, saved to ``out``."""
+    argv = [paths[0]]
+    for path in paths[1:]:
+        argv += ["merge", "--policy", policy, path]
+    return argv + ["save", out]
+
+
+def _chained(paths, policy):
+    """The bytes one ops.merge call per merge stage gives."""
+    model = codec.load(paths[0])
+    for path in paths[1:]:
+        model = ops.merge([model, codec.load(path)], policy=policy)
+    return codec.dumps(model).encode()
+
+
+def _written(models, directory, stem):
+    paths = []
+    for i, model in enumerate(models):
+        path = directory / f"{stem}-{i}.json"
+        path.write_text(codec.dumps(model), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture()
+def merge_calls(monkeypatch):
+    """One entry per ops.merge call the CLI makes."""
+    calls = []
+    merge = ops.merge
+    monkeypatch.setattr(ops, "merge", lambda models, policy="error": (
+        calls.append(len(models)) or merge(models, policy=policy)))
+    return calls
+
+
+@pytest.mark.parametrize("digits", [None, 3])
+def test_a_merge_run_makes_one_call_and_the_chains_bytes(
+        digits, tmp_path, monkeypatch, capsys, merge_calls):
+    """The corpus and synth scenes, raw or at 3 digits, split 2x2 and
+    merged again under both policies, then with a part repeated."""
+    folded = 0
+    for name, model in base_inputs():
+        if digits is not None:
+            model = geomops.quantize(model, digits=digits, requantize=True)
+        try:
+            parts = [part for _, part in ops.partition_grid(model, 2, 2)]
+        except CjtkError:
+            continue  # nothing to split
+        paths = _written(parts, tmp_path, name)
+        for policy, run in [("error", paths), ("suffix", paths),
+                            ("suffix", paths + paths[:1] * 2)]:
+            out = tmp_path / "merged.json"
+            merge_calls.clear()
+            result = _cli_main(_merges(run, policy, out), monkeypatch, capsys)
+            assert result == (0, "", ""), (name, policy)
+            stages = len(run) - 1
+            assert merge_calls == ([len(run)] if stages > 1
+                                   else [2] * stages), (name, policy)
+            folded += stages > 1
+            assert out.read_bytes() == _chained(run, policy), (name, policy)
+    assert folded >= 25
+
+
+def test_fifteen_merges_with_one_transform_make_one_call(
+        tmp_path, monkeypatch, capsys, merge_calls):
+    model = geomops.quantize(as_model(town_tree()), digits=3)
+    paths = _written([model] * 16, tmp_path, "town")
+    out = tmp_path / "merged.json"
+    assert _cli_main(_merges(paths, "suffix", out), monkeypatch, capsys) \
+        == (0, "", "")
+    assert merge_calls == [16]
+    assert out.read_bytes() == _chained(paths, "suffix")
+
+
+def _run_without_a_fold():
+    """Sixteen parts that one ops.merge call would encode differently
+    from the chain, by name."""
+    rng = random.Random(2)
+
+    def cube(i, x0=0.0):
+        return as_model(cube_tree(
+            oid=f"c{i}", origin=(x0 + rng.uniform(0, 100),
+                                 rng.uniform(0, 100), rng.uniform(0, 10)),
+            size=rng.uniform(1, 10)))
+
+    def at(model, digits, **kw):
+        return geomops.quantize(model, digits=digits, **kw)
+
+    raw = [cube(i) for i in range(16)]
+    quarter = Transform(scale=[0.25] * 3, translate=[0.0] * 3)
+    # Nanometres on UTM-sized coordinates: floats hold fewer digits.
+    utm = {"scale": [1e-9] * 3, "translate": [5400000.5, 450000.25, 12.5]}
+    far = []
+    for i in range(16):
+        tree = cube_tree(oid=f"c{i}", transform=utm)
+        tree["vertices"] = [[rng.randint(-10 ** 9, 10 ** 9) for _ in "xyz"]
+                            for _ in tree["vertices"]]
+        far.append(as_model(tree))
+    return {
+        "mixed-digits": [at(m, 3 if i % 2 else 1) for i, m in enumerate(raw)],
+        "raw-model-among-quantized": raw[:1] + [at(m, 3) for m in raw[1:]],
+        "quantized-model-among-raw": [at(raw[0], 3)] + raw[1:],
+        "scale-not-a-power-of-ten": [
+            dataclasses.replace(at(m, 3, translate=[0.0] * 3),
+                                transform=quarter) for m in raw],
+        "beyond-2^48-quanta": far,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_run_without_a_fold()))
+def test_a_run_that_one_call_would_change_is_merged_stage_by_stage(
+        name, tmp_path, monkeypatch, capsys, merge_calls):
+    paths = _written(_run_without_a_fold()[name], tmp_path, "part")
+    out = tmp_path / "merged.json"
+    assert _cli_main(_merges(paths, "suffix", out), monkeypatch, capsys) \
+        == (0, "", "")
+    assert merge_calls == [2] * 15
+    chained = _chained(paths, "suffix")
+    assert out.read_bytes() == chained
+    one_call = ops.merge([codec.load(path) for path in paths], "suffix")
+    assert codec.dumps(one_call).encode() != chained
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """One entry per codec.parse call the CLI makes."""
+    calls = []
+    parse = codec.parse
+    monkeypatch.setattr(codec, "parse", lambda text: (
+        calls.append(len(text)) or parse(text)))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_run_without_a_fold()))
+def test_a_run_merged_stage_by_stage_parses_each_file_once(
+        name, tmp_path, monkeypatch, capsys, parse_calls):
+    paths = _written(_run_without_a_fold()[name], tmp_path, "part")
+    out = tmp_path / "merged.json"
+    parse_calls.clear()
+    assert _cli_main(_merges(paths, "suffix", out), monkeypatch, capsys) \
+        == (0, "", "")
+    assert len(parse_calls) == len(paths)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_merge_run_reads_a_pipe_once(tmp_path):
+    """An OTHER that can be read only once, as ``<(...)`` gives, in a run
+    merged stage by stage: the file that rules out one call."""
+    parts = _run_without_a_fold()["mixed-digits"][:4]
+    paths = _written(parts, tmp_path, "part")
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes,
+                              args=(paths[1].read_bytes(),), daemon=True)
+    writer.start()
+    out = tmp_path / "merged.json"
+    argv = _merges(paths[:1] + [pipe] + paths[2:], "suffix", out)
+    proc = subprocess.run([sys.executable, "-m", "cjtk.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == _chained(paths, "suffix")
+
+
+def _failing_runs(directory):
+    """Merge pipelines that fail at some stage, by name: (argv, the
+    message the first failing stage prints)."""
+    def cube(oid, x, **root):
+        return as_model(cube_tree(oid=oid, origin=(x, 0.0, 0.0), **root))
+
+    cubes = _written([cube(f"c{i}", 20.0 * i) for i in range(5)],
+                     directory, "cube")
+    crs = _written([cube(f"s{i}", 20.0 * i, metadata={
+        "referenceSystem": f"EPSG:{code}"}) for i, code in
+        enumerate([7415, 7415, 28992, 4326])], directory, "crs")
+    # Digits 3 and 1 in turn: reading stops at the second file.
+    mixed = _written([geomops.quantize(cube(f"m{i}", 20.0 * i),
+                                       digits=3 if i % 2 else 1)
+                      for i in range(5)], directory, "mixed")
+    broken = directory / "broken.json"
+    broken.write_text('{"type": "CityJSON"', encoding="utf-8")
+    out = directory / "merged.json"
+    return {
+        "syntax-error-in-the-pipeline-input": (
+            _merges([broken] + cubes[:3], "error", out),
+            "merge: [SYNTAX_ERROR]"),
+        "duplicate-id-at-stage-3-after-a-transform-change": (
+            _merges(mixed[:3] + mixed[1:2] + mixed[3:], "error", out),
+            "merge: [DUPLICATE_ID]"),
+        "syntax-error-in-part-3-after-a-transform-change": (
+            _merges(mixed[:3] + [broken] + mixed[3:], "error", out),
+            "merge: [SYNTAX_ERROR]"),
+        "duplicate-id-at-stage-3": (
+            _merges(cubes[:3] + cubes[1:2] + cubes[3:], "error", out),
+            "merge: [DUPLICATE_ID]"),
+        "crs-mismatch-across-three-systems": (
+            _merges(crs, "error", out),
+            "merge: [CRS_MISMATCH] inputs use different reference systems: "
+            "['EPSG:28992', 'EPSG:7415'] at metadata/referenceSystem"),
+        "syntax-error-in-part-4-after-a-duplicate-id-at-stage-2": (
+            _merges(cubes[:2] + cubes[1:2] + cubes[2:3] + [broken],
+                    "error", out),
+            "merge: [DUPLICATE_ID]"),
+        "syntax-error-in-part-3": (
+            _merges(cubes[:3] + [broken] + cubes[3:], "error", out),
+            "merge: [SYNTAX_ERROR]"),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "duplicate-id-at-stage-3", "crs-mismatch-across-three-systems",
+    "syntax-error-in-part-4-after-a-duplicate-id-at-stage-2",
+    "syntax-error-in-part-3", "syntax-error-in-the-pipeline-input",
+    "duplicate-id-at-stage-3-after-a-transform-change",
+    "syntax-error-in-part-3-after-a-transform-change"])
+def test_a_failing_merge_run_reports_the_first_failing_stage(
+        name, tmp_path, monkeypatch, capsys):
+    argv, message = _failing_runs(tmp_path)[name]
+    want = _per_stage(argv, monkeypatch, capsys)
+    assert _cli_main(argv, monkeypatch, capsys) == want
+    assert want[0] == 2
+    assert want[2].startswith(f"Error: {message}")

@@ -198,6 +198,11 @@ def hostile_inputs():
                                      '"version"', 1),
         "non-utf8": text.encode("utf-8").replace(b'"Building"',
                                                  b'"Build\xe9ng \xff"', 1),
+        # Beyond the interpreter's digit limit for int(), a member the
+        # model does not read.
+        "integer-of-5000-digits": text.replace('"version"',
+                                               f'"count": {"7" * 5000}, '
+                                               '"version"', 1),
     }
 
 

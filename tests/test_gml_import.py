@@ -352,11 +352,35 @@ def _multisurface_building(*multisurfaces: str) -> str:
         f'{holders}</bldg:Building></core:cityObjectMember>')
 
 
+def _nested_multisurface(depth: int, polygon: str) -> str:
+    """``polygon`` at the bottom of ``depth`` nested MultiSurfaces."""
+    return ("<gml:MultiSurface><gml:surfaceMember>" * depth + polygon
+            + "</gml:surfaceMember></gml:MultiSurface>" * depth)
+
+
 def hostile_documents():
     """CityGML documents the importer must refuse with a coded error, by
     name: (document, code, message fragment)."""
     square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    bad_square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)],
+                              ring_attrs=' srsDimension="abc"')
+    hops = 2000
     return {
+        "epsg-code-of-5000-digits": (
+            _multisurface_building(
+                f'<gml:MultiSurface srsName="EPSG:{"7" * 5000}">'
+                f'<gml:surfaceMember>{square}</gml:surfaceMember>'
+                '</gml:MultiSurface>'),
+            "NON_EPSG_CRS", "5000 digits"),
+        "bad-ring-3000-multisurfaces-deep": (
+            _multisurface_building(_nested_multisurface(3000, bad_square)),
+            "BAD_COORDINATE_TOKEN", "srsDimension 'abc'"),
+        "xlink-chain-of-2000-hops-back-to-its-start": (
+            _multisurface_building(*(
+                f'<gml:MultiSurface gml:id="ms{i}"><gml:surfaceMember '
+                f'xlink:href="#ms{(i + 1) % hops}"/></gml:MultiSurface>'
+                for i in range(hops))),
+            "UNRESOLVED_XLINK", "reference cycle through #ms0"),
         "ring-dimension-not-an-integer": (
             _multisurface_building(
                 '<gml:MultiSurface><gml:surfaceMember>'
@@ -399,3 +423,12 @@ def test_a_shared_link_target_is_not_a_cycle():
     model, _ = import_citygml(text)
     assert [g.boundaries for g in model.city_objects["b"].geometry] \
         == [[[[0, 1, 2]], [[0, 1, 2]]], [[[0, 1, 2]]]]
+
+
+def test_deep_nesting_imports():
+    square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    model, report = import_citygml(
+        _multisurface_building(_nested_multisurface(3000, square)))
+    assert [g.boundaries for g in model.city_objects["b"].geometry] \
+        == [[[[0, 1, 2]]]]
+    assert report.skipped == []

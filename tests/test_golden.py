@@ -27,20 +27,9 @@ from cjtk.errors import CjtkError
 from conftest import NOISE_EXTENSION_PATH, committed_corpus
 from gmlvariants import (CUBE_FACES, CUBE_VARIANTS, SQUARE_POINTS,
                          SQUARE_VARIANTS)
+from helpers import base_inputs
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
-
-
-def _inputs():
-    """(name, model) of every base input, in a fixed order."""
-    out = [(path.name.split(".")[0],
-            codec.parse(path.read_bytes())[0])
-           for path in committed_corpus()]
-    for seed in (1, 2, 3):
-        scene = synth.make_scene(seed=seed, buildings=12, clusters=2,
-                                 part_every=4)
-        out.append((f"synth-{seed}", synth.scene_to_model(scene)))
-    return out
 
 
 def _variants(model):
@@ -526,7 +515,7 @@ def digests() -> dict[str, str]:
         for set_name, exts in _extension_sets():
             out[f"ext/{name}/{set_name}"] = _pinned(
                 lambda: _checked(model, exts))
-    bases = _inputs()
+    bases = base_inputs()
     for name, model in bases:
         variants = _variants(model)
         for variant, m in variants.items():
