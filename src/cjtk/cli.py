@@ -12,22 +12,31 @@ output.  Exit codes: 0 success (and valid), 1 validation warnings only,
 2 errors (validation errors or a failed stage, including a crash, which
 reports ``stage: [INTERNAL_ERROR] <type>: <message>``), 3 usage errors.
 
-The input is parsed at most once.  What only some stages need (the
-validator and extension files, the CityGML importer) is imported or
-loaded by those stages, so a pipeline loads only what it uses.
+The command line is parsed whole before any stage runs.  A stage's
+options come first, each followed by as many values as it takes, then
+its positionals; the next word starts the next stage.
+
+The input is parsed at most once, and a pipeline loads only what it
+uses: each stage imports the library modules it calls when it runs.
+Parsing a CityJSON input loads ``codec`` (with ``model`` and
+``errors``); ``validate`` adds ``validation`` and ``extensions``;
+``compress``, ``decompress``, ``dedupe`` and ``clean`` add ``geomops``;
+``subset``, ``merge``, ``partition``, ``textures-path``, ``metadata``
+and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
+``gml``.  ``--help`` loads none of them.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import sys
 from pathlib import Path
 
-import click
 
-from . import codec, geomops, ops
-from .errors import ERROR, CjtkError, WARNING
+class UsageError(Exception):
+    """A command line, or a stage order, that the CLI refuses (exit 3)."""
 
 
 class _State:
@@ -44,19 +53,25 @@ class _State:
 
     def require_model(self, stage: str):
         if self.finished:
-            raise click.UsageError(
+            raise UsageError(
                 f"{stage}: the pipeline already ended with partition")
         if self.model is None:
+            from . import codec
             self.model, _ = codec.parse(self.text)
             self.text = None
         return self.model
 
 
-def _model_stage(name: str, op):
-    """The stage ``name``, which replaces the model with ``op(model)``."""
+def _model_stage(name: str, module: str, op: str, **kwargs):
+    """The stage ``name``, which replaces the model with
+    ``op(model, **kwargs)`` from the cjtk module ``module``, imported when
+    the stage runs."""
     def stage(state: _State):
-        state.model = op(state.require_model(name))
-    return name, stage
+        import importlib
+        model = state.require_model(name)
+        library = importlib.import_module(f".{module}", __package__)
+        state.model = getattr(library, op)(model, **kwargs)
+    return stage
 
 
 def _text(data: bytes) -> str | bytes:
@@ -74,50 +89,48 @@ def _read_input(source: str) -> str | bytes:
     try:
         return _text(Path(source).read_bytes())
     except OSError as exc:
-        raise click.UsageError(f"cannot read {source}: {exc.strerror}") from None
+        raise UsageError(f"cannot read {source}: {exc.strerror}") from None
 
 
-@click.group(chain=True)
-@click.argument("input", metavar="INPUT")
-@click.option("--extension", "extension_paths", multiple=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Extension file to validate against (repeatable); the "
-                   "CJTK_EXTENSIONS variable adds a default search path.")
-def cli(input, extension_paths):
-    """Process the CityJSON (or CityGML) file INPUT through a pipeline."""
+def _echo(text: str, file=None):
+    """Write one line and flush, so a stage's output precedes what later
+    stages write to the other stream."""
+    print(text, file=file or sys.stdout, flush=True)
 
 
-@cli.result_callback()
 def run_pipeline(processors, input, extension_paths):
+    from .errors import CjtkError
+
     state = _State(input, _read_input(input), extension_paths)
     for name, processor in _merge_runs_folded(processors):
         try:
             processor(state)
-        except click.ClickException:
+        except UsageError:
             raise
         except CjtkError as exc:
-            raise click.ClickException(f"{name}: [{exc.code}] {exc.message}"
-                                       + (f" at {exc.path}" if exc.path
-                                          else ""))
+            _fail(f"{name}: [{exc.code}] {exc.message}"
+                  + (f" at {exc.path}" if exc.path else ""))
         except Exception as exc:
-            raise click.ClickException(f"{name}: [INTERNAL_ERROR] "
-                                       f"{type(exc).__name__}: {exc}")
+            _fail(f"{name}: [INTERNAL_ERROR] {type(exc).__name__}: {exc}")
         if state.exit >= 2:
             break
     sys.exit(state.exit)
 
 
+def _fail(message: str):
+    _echo(f"Error: {message}", sys.stderr)
+    sys.exit(2)
+
+
 # -- validation ---------------------------------------------------------------
 
 
-@cli.command("validate")
-@click.option("--json", "as_json", is_flag=True,
-              help="Report findings as JSON lines instead of text.")
 def validate_cmd(as_json):
     """Check the model; exit 0 valid, 1 warnings only, 2 errors."""
-    from . import extensions, validation
-
     def stage(state: _State):
+        from . import extensions, validation
+        from .errors import ERROR, WARNING
+
         exts = extensions.discover() + [extensions.load_extension(path)
                                         for path in state.extension_paths]
         if state.model is None and not state.finished:
@@ -128,78 +141,56 @@ def validate_cmd(as_json):
         else:
             findings = validation.validate(state.require_model("validate"),
                                            exts)
-        for f in findings:
-            line = json.dumps(f.to_json()) if as_json else \
-                f"{f.severity}: [{f.code}] {f.path or '<root>'}" \
+        if findings:
+            _echo("\n".join(
+                json.dumps(f.to_json()) if as_json else
+                f"{f.severity}: [{f.code}] {f.path or '<root>'}"
                 + (f" — {f.message}" if f.message else "")
-            click.echo(line)
+                for f in findings))
         if any(f.severity == ERROR for f in findings):
             state.exit = 2
         elif any(f.severity == WARNING for f in findings):
             state.exit = max(state.exit, 1)
-    return "validate", stage
+    return stage
 
 
 # -- coordinate stages --------------------------------------------------------
 
 
-@cli.command("compress")
-@click.option("--digits", default=3, show_default=True,
-              type=click.IntRange(0, 12),
-              help="Decimal digits kept (quantum = 10^-digits).")
 def compress_cmd(digits):
     """Quantize vertices onto an integer grid with a transform."""
-    return _model_stage("compress", lambda model: geomops.quantize(
-        model, digits=digits, requantize=True))
+    return _model_stage("compress", "geomops", "quantize", digits=digits,
+                        requantize=True)
 
 
-@cli.command("decompress")
 def decompress_cmd():
     """Expand quantized vertices back to real-world floats."""
-    return _model_stage("decompress", geomops.dequantize)
+    return _model_stage("decompress", "geomops", "dequantize")
 
 
-@cli.command("dedupe")
-@click.option("--tolerance", default=0.0, show_default=True, type=float,
-              help="Merge vertices within this per-axis distance "
-                   "(stored units).")
 def dedupe_cmd(tolerance):
     """Merge duplicate (or near-duplicate) vertices."""
-    return _model_stage("dedupe", lambda model: geomops.dedupe_vertices(
-        model, tolerance=tolerance))
+    return _model_stage("dedupe", "geomops", "dedupe_vertices",
+                        tolerance=tolerance)
 
 
-@cli.command("clean")
 def clean_cmd():
     """Drop vertices no geometry references."""
-    return _model_stage("clean", geomops.remove_orphan_vertices)
+    return _model_stage("clean", "geomops", "remove_orphan_vertices")
 
 
 # -- object stages ------------------------------------------------------------
 
 
-@cli.command("subset")
-@click.option("--id", "ids", multiple=True,
-              help="Keep this object (repeatable).")
-@click.option("--type", "types", multiple=True,
-              help="Keep objects of this type (repeatable).")
-@click.option("--bbox", nargs=4, type=float, default=None,
-              help="Keep objects whose extent centroid falls in "
-                   "MINX MINY MAXX MAXY.")
 def subset_cmd(ids, types, bbox):
     """Keep a selection of objects (plus their children)."""
     if not ids and not types and bbox is None:
-        raise click.UsageError("subset needs --id, --type, or --bbox")
-    return _model_stage("subset", lambda model: ops.subset(
-        model, ids=list(ids) or None, types=list(types) or None,
-        bbox=list(bbox) if bbox else None))
+        raise UsageError("subset needs --id, --type, or --bbox")
+    return _model_stage("subset", "ops", "subset", ids=ids or None,
+                        types=types or None,
+                        bbox=bbox[-4:] if bbox else None)  # the last --bbox
 
 
-@cli.command("merge")
-@click.argument("other", type=click.Path(exists=True, dir_okay=False))
-@click.option("--policy", default="error", show_default=True,
-              type=click.Choice(["error", "suffix"]),
-              help="What to do when two inputs share an object id.")
 def merge_cmd(other, policy):
     """Merge the pipeline model with OTHER (another CityJSON file).
 
@@ -209,7 +200,7 @@ def merge_cmd(other, policy):
     output is the same as the chain's.  Otherwise the stages run one by
     one.
     """
-    return "merge", _MergeStage(other, policy)
+    return _MergeStage(other, policy)
 
 
 class _MergeStage:
@@ -220,6 +211,7 @@ class _MergeStage:
         self.policy = policy
 
     def read_other(self):
+        from . import codec
         m, _ = codec.parse(_text(Path(self.other).read_bytes()))
         return m
 
@@ -227,6 +219,7 @@ class _MergeStage:
         self.merge_into(state, self.read_other())
 
     def merge_into(self, state: _State, other):
+        from . import ops
         state.model = ops.merge([state.require_model("merge"), other],
                                 policy=self.policy)
 
@@ -257,6 +250,7 @@ def _merge_run(stages: list[_MergeStage]):
     first failing stage's, reported as that stage reports it.
     """
     def stage(state: _State):
+        from . import ops
         others, failure = _read_others(stages, state)
         if failure is None and len(others) == len(stages) \
                 and _foldable([state.model, *others]):
@@ -331,34 +325,23 @@ def _foldable(models) -> bool:
     return max(map(abs, first.translate)) * power + stored < 2 ** 48
 
 
-@cli.command("partition")
-@click.option("--grid", default=None, metavar="NXxNY",
-              help="Grid split, e.g. 4x3.")
-@click.option("--by-type", "by_type", is_flag=True,
-              help="One part per first-level object type.")
-@click.option("--random", "random_k", default=None, type=int, metavar="K",
-              help="K parts by seeded random draw.")
-@click.option("--seed", default=0, show_default=True, type=int,
-              help="Seed for --random.")
-@click.option("--out-dir", default=".", show_default=True,
-              type=click.Path(file_okay=False),
-              help="Directory receiving <stem>_<part-id>.json files.")
 def partition_cmd(grid, by_type, random_k, seed, out_dir):
     """Split the model into part files; ends the pipeline."""
     chosen = sum(x is not None and x is not False
                  for x in (grid, by_type or None, random_k))
     if chosen != 1:
-        raise click.UsageError(
+        raise UsageError(
             "partition needs exactly one of --grid, --by-type, --random")
     if grid is not None:
         try:
             nx, ny = (int(p) for p in grid.lower().split("x"))
         except ValueError:
-            raise click.UsageError(f"--grid wants NXxNY, got {grid!r}")
+            raise UsageError(f"--grid wants NXxNY, got {grid!r}")
         if nx < 1 or ny < 1:
-            raise click.UsageError("--grid cells must be positive")
+            raise UsageError("--grid cells must be positive")
 
     def stage(state: _State):
+        from . import codec, ops
         model = state.require_model("partition")
         if grid is not None:
             parts = ops.partition_grid(model, nx, ny)
@@ -372,86 +355,253 @@ def partition_cmd(grid, by_type, random_k, seed, out_dir):
         for pid, part in parts:
             target = directory / f"{stem}_{pid}.json"
             target.write_text(codec.dumps(part), encoding="utf-8")
-            click.echo(str(target))
+            _echo(str(target))
         state.finished = True
-    return "partition", stage
+    return stage
 
 
 # -- bookkeeping stages -------------------------------------------------------
 
 
-@cli.command("textures-path")
-@click.option("--base", required=True,
-              help="New base for every texture image path.")
 def textures_path_cmd(base):
     """Rebase texture image paths onto --base."""
-    return _model_stage("textures-path",
-                        lambda model: ops.update_texture_paths(model, base))
+    return _model_stage("textures-path", "ops", "update_texture_paths",
+                        base=base)
 
 
-@cli.command("metadata")
 def metadata_cmd():
     """Recompute derived metadata (extent, LoDs, appearance flags)."""
-    return _model_stage("metadata", ops.refresh_metadata)
+    return _model_stage("metadata", "ops", "refresh_metadata")
 
 
-@cli.command("info")
 def info_cmd():
     """Print summary statistics as JSON."""
     def stage(state: _State):
-        click.echo(json.dumps(ops.stats(state.require_model("info")),
-                              indent=2))
-    return "info", stage
+        from . import ops
+        _echo(json.dumps(ops.stats(state.require_model("info")), indent=2))
+    return stage
 
 
-@cli.command("import")
 def import_cmd():
     """Read the input as CityGML 2.0 (must be the first stage)."""
-    from . import gml
-
     def stage(state: _State):
+        from . import codec, gml
         if state.model is not None or state.text is None:
-            raise click.UsageError("import must be the first stage")
+            raise UsageError("import must be the first stage")
         model, report = gml.import_citygml(codec.decode(state.text))
         state.model = model
         state.text = None
         for line in report.to_json_lines():
-            click.echo(json.dumps(line), err=True)
-    return "import", stage
+            _echo(json.dumps(line), sys.stderr)
+    return stage
 
 
-@cli.command("save")
-@click.argument("output", metavar="OUTPUT")
-@click.option("--pretty", is_flag=True, help="Indent the JSON output.")
 def save_cmd(output, pretty):
     """Write the model to OUTPUT ("-" = standard output, minified)."""
     def stage(state: _State):
+        from . import codec
         model = state.require_model("save")
         if output == "-":
             if pretty:
-                raise click.UsageError(
-                    "save -: standard output is minified only")
+                raise UsageError("save -: standard output is minified only")
             sys.stdout.write(codec.dumps(model))
             sys.stdout.write("\n")
         else:
             Path(output).write_text(codec.dumps(model, pretty=pretty),
                                     encoding="utf-8")
-    return "save", stage
+    return stage
 
 
-def main():
+# -- the command line ---------------------------------------------------------
+
+
+def _existing_file(path: str) -> str:
+    if not Path(path).exists():
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if Path(path).is_dir():
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _not_a_file(path: str) -> str:
+    if Path(path).is_file():
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
+
+
+def _option(nargs: int, help: str, **kwargs):
+    """An option that takes ``nargs`` words as its values (0: a flag), with
+    argparse's add_argument keywords.  argparse is given each value
+    attached to the option (see ``_take``), so an option of several values
+    collects them one by one."""
+    action = {0: "store_true", 1: "store"}.get(nargs, "append")
+    return nargs, {"action": action, **kwargs, "help": help}
+
+
+# Every stage: the function that makes it from its parsed arguments (its
+# docstring is the stage's help), its positionals as argparse's
+# add_argument takes them, and its options.
+_STAGES = {
+    "validate": (validate_cmd, {}, {
+        "--json": _option(0, "Report findings as JSON lines instead of text.",
+                          dest="as_json")}),
+    "compress": (compress_cmd, {}, {
+        "--digits": _option(1, "Decimal digits kept (quantum = 10^-digits; "
+                               "default 3).", default=3, type=int,
+                            choices=range(13), metavar="0..12")}),
+    "decompress": (decompress_cmd, {}, {}),
+    "dedupe": (dedupe_cmd, {}, {
+        "--tolerance": _option(1, "Merge vertices within this per-axis "
+                                  "distance (stored units; default 0).",
+                               default=0.0, type=float)}),
+    "clean": (clean_cmd, {}, {}),
+    "subset": (subset_cmd, {}, {
+        "--id": _option(1, "Keep this object (repeatable).", dest="ids",
+                        action="append", default=[], metavar="ID"),
+        "--type": _option(1, "Keep objects of this type (repeatable).",
+                          dest="types", action="append", default=[],
+                          metavar="TYPE"),
+        "--bbox": _option(4, "Keep objects whose extent centroid falls in "
+                             "the box.", type=float,
+                          metavar="MINX MINY MAXX MAXY")}),
+    "merge": (merge_cmd, {"other": dict(metavar="OTHER",
+                                        type=_existing_file)}, {
+        "--policy": _option(1, "What to do when two inputs share an object "
+                               "id (default error).", default="error",
+                            choices=["error", "suffix"])}),
+    "partition": (partition_cmd, {}, {
+        "--grid": _option(1, "Grid split, e.g. 4x3.", metavar="NXxNY"),
+        "--by-type": _option(0, "One part per first-level object type."),
+        "--random": _option(1, "K parts by seeded random draw.",
+                            dest="random_k", type=int, metavar="K"),
+        "--seed": _option(1, "Seed for --random (default 0).", default=0,
+                          type=int),
+        "--out-dir": _option(1, "Directory receiving <stem>_<part-id>.json "
+                                "files (default .).", default=".",
+                             type=_not_a_file, metavar="DIR")}),
+    "textures-path": (textures_path_cmd, {}, {
+        "--base": _option(1, "New base for every texture image path.",
+                          required=True)}),
+    "metadata": (metadata_cmd, {}, {}),
+    "info": (info_cmd, {}, {}),
+    "import": (import_cmd, {}, {}),
+    "save": (save_cmd, {"output": dict(metavar="OUTPUT")}, {
+        "--pretty": _option(0, "Indent the JSON output.")}),
+}
+
+_PIPELINE = (None, {
+    "input": dict(metavar="INPUT",
+                  help="CityJSON or CityGML file; - for standard input.")}, {
+    "--extension": _option(1, "Extension file to validate against "
+                              "(repeatable); the CJTK_EXTENSIONS variable "
+                              "adds a default search path.",
+                           dest="extension_paths", action="append",
+                           default=[], type=_existing_file, metavar="FILE")})
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are ``UsageError``s."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _parser(prog: str, spec, **kwargs) -> _Parser:
+    _, positionals, options = spec
+    parser = _Parser(prog=prog, add_help=False, allow_abbrev=False,
+                     **kwargs)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    for name, kw in positionals.items():
+        parser.add_argument(name, **kw)
+    for flag, (_, kw) in options.items():
+        parser.add_argument(flag, **kw)
+    return parser
+
+
+def _pipeline_parser() -> _Parser:
+    width = max(map(len, _STAGES))
+    stages = "\n".join(f"  {name:<{width}}  {fn.__doc__.splitlines()[0]}"
+                       for name, (fn, _, _) in _STAGES.items())
+    return _parser(
+        "cjtk", _PIPELINE,
+        usage="%(prog)s [--extension FILE] INPUT STAGE [STAGE ...]",
+        description="Process the CityJSON (or CityGML) file INPUT through "
+                    "a pipeline of stages.",
+        epilog=f"stages:\n{stages}\n\n"
+               "'cjtk INPUT STAGE --help' shows a stage's options.",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+
+
+def _take(spec, args: list[str]) -> list[str]:
+    """Remove the words of one stage from the front of ``args`` and return
+    them as argparse should read them.
+
+    The stage's options come first.  Each takes the words after it as its
+    values, as many as it has, even words that look like options or stage
+    names; its first value may also be attached (``--id=x``).  Each value
+    goes to argparse attached to its option, so that argparse reads it as
+    a value too.  ``--`` ends the options.  The stage's positionals come
+    next, and the word after them starts the next stage.
+    """
+    _, positionals, options = spec
+    words = []
+    while args and args[0].startswith("-") and args[0] != "-":
+        word = args.pop(0)
+        if word == "--":
+            break
+        flag, attached, value = word.partition("=")
+        nargs = options[flag][0] if flag in options else 0
+        if nargs == 0:
+            words.append(word)  # argparse refuses an unknown word or a value
+            continue
+        values = [value] if attached else []
+        missing = nargs - len(values)
+        if len(args) < missing:
+            raise UsageError(f"{flag} takes {nargs} value(s)")
+        values += args[:missing]
+        del args[:missing]
+        words += [f"{flag}={v}" for v in values]
+    if positionals and args:
+        words.append("--")
+        words += args[:len(positionals)]
+        del args[:len(positionals)]
+    return words
+
+
+def _parse(argv: list[str]):
+    """The input, extension files and stages of a command line."""
+    args = list(argv)
+    pipeline = _pipeline_parser()
+    top = pipeline.parse_args(_take(_PIPELINE, args))
+    processors = []
+    while args:
+        name = args.pop(0)
+        if name == "--help":  # "cjtk INPUT --help" shows this help too
+            pipeline.parse_args([name])
+        if name not in _STAGES:
+            raise UsageError(f"no such stage {name!r} (see cjtk --help)")
+        spec = _STAGES[name]
+        parsed = _parser(f"cjtk INPUT {name}", spec,
+                         description=spec[0].__doc__).parse_args(
+            _take(spec, args))
+        processors.append((name, spec[0](**vars(parsed))))
+    if not processors:
+        raise UsageError("no stage given (see cjtk --help)")
+    return processors, top.input, top.extension_paths
+
+
+def main(argv: list[str] | None = None):
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and exit
+    with its code."""
     try:
-        cli(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        run_pipeline(*_parse(sys.argv[1:] if argv is None else argv))
+    except UsageError as exc:
+        _echo(f"usage error: {exc}", sys.stderr)
         sys.exit(3)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(2)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
+        _echo("", sys.stderr)
         sys.exit(130)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

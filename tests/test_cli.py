@@ -9,7 +9,6 @@ import sys
 import threading
 
 import pytest
-from click.testing import CliRunner
 
 from cjtk import cli, codec, geomops, ops
 from cjtk.errors import CjtkError
@@ -266,11 +265,68 @@ def test_validate_first_parses_the_input_once(town_path, tmp_path,
     loads = json.loads
     monkeypatch.setattr(json, "loads",
                         lambda *a, **k: calls.append(1) or loads(*a, **k))
-    result = CliRunner().invoke(cli.cli, [
-        str(town_path), "validate", "compress",
-        "save", str(tmp_path / "out.json")])
-    assert result.exit_code == 0, result.output
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(town_path), "validate", "compress",
+                  "save", str(tmp_path / "out.json")])
+    assert exc.value.code == 0
     assert len(calls) == 1
+
+
+_EMPTY_INFO = json.dumps({
+    "cityObjects": 0, "byType": {}, "byGeometryKind": {}, "vertices": 0,
+    "templates": 0, "quantized": False, "minifiedBytes": 66}, indent=2) + "\n"
+
+# argv (IN: the town, OTHER: a second town, EXT: the noise extension,
+# MISSING: no such file) -> exit code and stdout (None: not pinned).
+ARGV_CASES = {
+    "an-option-value-naming-a-stage": (
+        "IN subset --type merge info", 0, _EMPTY_INFO),
+    "an-option-value-starting-with-a-dash": (
+        "IN subset --id -x info", 2, ""),
+    "an-attached-option-value": ("IN compress --digits=2", 0, ""),
+    "bbox-values-starting-with-a-dash": (
+        "IN subset --bbox -1e3 -1e3 -1e2 -.5e2 info", 0, _EMPTY_INFO),
+    "a-bbox-with-its-first-value-attached": (
+        "IN subset --bbox=-1e3 -1e3 -1e2 -1e2 info", 0, _EMPTY_INFO),
+    "the-last-bbox-counts": (
+        "IN subset --bbox 0 0 99 99 --bbox -1e3 -1e3 -1e2 -1e2 info", 0,
+        _EMPTY_INFO),
+    "an-option-before-the-positional": (
+        "IN merge --policy suffix OTHER", 0, ""),
+    "an-option-after-the-positional": (
+        "IN merge OTHER --policy suffix", 3, ""),
+    "an-unknown-stage": ("IN nosuch", 3, ""),
+    "no-stage": ("IN", 3, ""),
+    "merge-without-other": ("IN merge", 3, ""),
+    "merge-with-a-missing-other": ("IN merge MISSING", 3, ""),
+    "a-missing-extension-file": ("--extension MISSING IN validate", 3, ""),
+    "digits-out-of-range": ("IN compress --digits 13", 3, ""),
+    "a-bbox-with-three-numbers": ("IN subset --bbox 0 0 10", 3, ""),
+    "a-bbox-running-into-the-next-stage": (
+        "IN subset --bbox 0 0 10 save -", 3, ""),
+    "an-abbreviated-option": ("IN compress --dig 2", 3, ""),
+    "a-flag-given-a-value": ("IN validate --json=1", 3, ""),
+    "a-bad-policy": ("IN merge --policy bad OTHER", 3, ""),
+    "extension-before-input": ("--extension EXT IN validate", 0, ""),
+    "extension-after-input": ("IN --extension EXT validate", 3, ""),
+    "help": ("--help", 0, None),
+    "help-after-input": ("IN --help", 0, None),
+    "stage-help": ("IN subset --help", 0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_CASES))
+def test_argv_parsing(name, town_path, tmp_path):
+    argv, code, stdout = ARGV_CASES[name]
+    other = tmp_path / "other.json"
+    other.write_text(as_text(town_tree()), encoding="utf-8")
+    paths = {"IN": town_path, "OTHER": other, "EXT": NOISE_EXTENSION_PATH,
+             "MISSING": tmp_path / "missing.json"}
+    proc = run_cli(*(str(paths.get(arg, arg)) for arg in argv.split()))
+    assert proc.returncode == code, proc.stderr
+    if stdout is not None:
+        assert proc.stdout == stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_extension_files_are_loaded_by_validate_only(town_path, tmp_path):

@@ -203,6 +203,22 @@ def test_merge_requantizes_at_finest_scale():
     assert reals[8] == (50.0, 0.25, 0.0)
 
 
+def test_merge_requantizes_at_the_finest_axis_of_a_scale():
+    scale = [0.01, 0.001, 0.001]
+    models = []
+    for oid, origin in [("a", (0.0, 1.234, 0.5)), ("b", (20.0, 3.217, 0.0))]:
+        tree = cube_tree(oid=oid, transform={"scale": scale,
+                                             "translate": [0.0, 0.0, 0.0]})
+        tree["vertices"] = [[round(c / q) for c, q in zip(v, scale)]
+                            for v in cube_vertices(*origin, 10.0)]
+        models.append(as_model(tree))
+    out = merge(models)
+    assert out.transform.scale == [0.001, 0.001, 0.001]
+    want = [v for m in models for v in m.real_vertices()]
+    for got, real in zip(out.real_vertices(), want):
+        assert all(abs(g - r) <= 0.0005 for g, r in zip(got, real)), \
+            (got, real)
+
 def test_merge_offsets_templates():
     a = as_model(instance_tree())
     b = as_model(instance_tree())

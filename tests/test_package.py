@@ -1,11 +1,14 @@
 """The package surface: lazily resolved names, and what the CLI imports."""
 
+import json
 import subprocess
 import sys
 
 import pytest
 
 import cjtk
+from gmlvariants import SQUARE_VARIANTS
+from helpers import as_text, cube_tree
 
 
 def test_every_public_name_resolves():
@@ -33,3 +36,48 @@ def test_cli_import_loads_only_what_its_stages_need():
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+_MODULES_AT_EXIT = (
+    "import atexit, json, sys; atexit.register(lambda: print(json.dumps("
+    "sorted(sys.modules)))); from cjtk.cli import main; main()")
+
+
+def _modules_loaded_by(*argv):
+    """The modules a CLI run of ``argv`` has loaded when it exits."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _third_party(modules):
+    """The top-level packages among ``modules`` that are neither cjtk nor
+    in the standard library, nor loaded by the interpreter's start-up."""
+    startup = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, check=True).stdout.split()
+    return {m.partition(".")[0] for m in modules} - {"cjtk"} \
+        - set(sys.stdlib_module_names) - set(startup)
+
+
+def test_a_pipeline_loads_only_the_modules_of_its_stages(tmp_path):
+    doc = tmp_path / "cube.city.json"
+    doc.write_text(as_text(cube_tree()), encoding="utf-8")
+    gml = tmp_path / "square.gml"
+    gml.write_text(SQUARE_VARIANTS["poslist-one-line"](), encoding="utf-8")
+
+    loaded = _modules_loaded_by(str(doc), "validate", "--json")
+    assert "cjtk.validation" in loaded
+    assert not loaded & {"cjtk.ops", "cjtk.geomops", "cjtk.gml"}
+    assert _third_party(loaded) == set()
+
+    loaded = _modules_loaded_by(str(gml), "import", "compress", "save",
+                                str(tmp_path / "out.json"))
+    assert {"cjtk.gml", "cjtk.geomops"} <= loaded
+    assert not loaded & {"cjtk.validation", "cjtk.ops"}
+    assert _third_party(loaded) == set()
+
+    loaded = _modules_loaded_by("--help")
+    assert {m for m in loaded if m.startswith("cjtk")} == {"cjtk", "cjtk.cli"}
+    assert _third_party(loaded) == set()
