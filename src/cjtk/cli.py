@@ -195,45 +195,30 @@ def merge_cmd(other, policy):
     """Merge the pipeline model with OTHER (another CityJSON file).
 
     Chain several merge stages to combine more than two files.
-    Consecutive merge stages with one policy are combined in one merge
-    when their inputs share a transform (or none is quantized); the
-    output is the same as the chain's.  Otherwise the stages run one by
-    one.
+    Consecutive merge stages with one policy make one merge of the
+    pipeline model and every OTHER, whatever their transforms.
     """
     return _MergeStage(other, policy)
 
 
 class _MergeStage:
-    """One ``merge OTHER --policy P`` stage."""
+    """One ``merge OTHER --policy P`` stage, run with its neighbours of one
+    policy by ``_merge_run``."""
 
     def __init__(self, other: str, policy: str):
         self.other = other
         self.policy = policy
 
-    def read_other(self):
-        from . import codec
-        m, _ = codec.parse(_text(Path(self.other).read_bytes()))
-        return m
-
-    def __call__(self, state: _State):
-        self.merge_into(state, self.read_other())
-
-    def merge_into(self, state: _State, other):
-        from . import ops
-        state.model = ops.merge([state.require_model("merge"), other],
-                                policy=self.policy)
-
 
 def _merge_runs_folded(processors):
-    """The pipeline's stages, with each run of two or more consecutive
-    merge stages of one policy turned into one stage."""
+    """The pipeline's stages, with each run of consecutive merge stages of
+    one policy turned into one stage."""
     def policy(processor):
         return processor[1].policy \
             if isinstance(processor[1], _MergeStage) else None
 
     for run_policy, run in itertools.groupby(processors, key=policy):
-        run = list(run)
-        if run_policy is None or len(run) == 1:
+        if run_policy is None:
             yield from run
         else:
             yield "merge", _merge_run([stage for _, stage in run])
@@ -242,87 +227,29 @@ def _merge_runs_folded(processors):
 def _merge_run(stages: list[_MergeStage]):
     """The stage for consecutive merge stages of one policy.
 
-    It reads each OTHER once, in stage order, and makes one ``ops.merge``
-    call over the pipeline model and every OTHER when that is byte for
-    byte what the stages make one by one (see ``_foldable``).  Otherwise,
-    and when the call fails, the stages run one by one from the model the
-    run started with, on the OTHERs already read, so a failure is the
-    first failing stage's, reported as that stage reports it.
+    It reads and parses each OTHER once, in stage order (the pipeline model
+    after the first, where the first stage parses it), and makes one
+    ``ops.merge`` call over the pipeline model and every OTHER.  When a
+    read or the call fails, the OTHERs already read are merged one by one
+    before the error is raised, so a failure is the first failing stage's,
+    reported as that stage reports it.
     """
     def stage(state: _State):
-        from . import ops
-        others, failure = _read_others(stages, state)
-        if failure is None and len(others) == len(stages) \
-                and _foldable([state.model, *others]):
-            try:
-                state.model = ops.merge([state.model, *others],
-                                        policy=stages[0].policy)
-                return
-            except Exception:
-                pass  # the stages below fail the way they fail alone
-        for i, s in enumerate(stages):
-            if i < len(others):
-                s.merge_into(state, others[i])
-            elif i == len(others) and failure is not None:
-                raise failure
-            else:
-                s(state)
-    return stage
-
-
-def _read_others(stages: list[_MergeStage], state: _State):
-    """The OTHERs of ``stages`` read in stage order, and the exception that
-    stopped the reading, if any.
-
-    Reading stops after the first OTHER whose transform rules out one
-    call (see ``_foldable``); the stages read the rest as they come.  The
-    pipeline model is parsed after the first OTHER, where the first stage
-    parses it.
-    """
-    others = []
-    for s in stages:
+        from . import codec, ops
+        policy = stages[0].policy
+        others = []
         try:
-            other = s.read_other()
-            model = state.require_model("merge")
-        except Exception as exc:
-            return others, exc
-        others.append(other)
-        if other.transform != model.transform \
-                or _quanta_per_unit(model.transform) is None:
-            break
-    return others, None
-
-
-def _quanta_per_unit(transform):
-    """10^d for a transform whose scale is 10^-d on every axis, 1 for no
-    transform, and None for any other."""
-    if transform is None:
-        return 1
-    return next((10 ** d for d in range(13)
-                 if transform.scale == [1 / 10 ** d] * 3), None)
-
-
-def _foldable(models) -> bool:
-    """Whether one ``ops.merge`` call over ``models`` gives the bytes that
-    merging them one at a time gives.
-
-    It does when none is quantized: merging then copies and renumbers
-    only.  It also does when all share one transform whose scale is
-    10^-d: each step's re-encoding then shifts the stored integers by
-    whole quanta and moves the translate to the running minimum, where
-    the one call puts it at once.  That needs every decoded coordinate
-    below 2^48 quanta, so that float rounding stays far from half a
-    quantum.  Under any other transforms each step rounds afresh.
-    """
-    first = models[0].transform
-    power = _quanta_per_unit(first)
-    if power is None or any(m.transform != first for m in models):
-        return False
-    if first is None:
-        return True
-    stored = max((abs(c) for m in models for v in m.vertices for c in v),
-                 default=0)
-    return max(map(abs, first.translate)) * power + stored < 2 ** 48
+            for s in stages:
+                other, _ = codec.parse(_text(Path(s.other).read_bytes()))
+                state.require_model("merge")
+                others.append(other)
+            state.model = ops.merge([state.model, *others], policy=policy)
+        except Exception:
+            model = state.model
+            for other in others:
+                model = ops.merge([model, other], policy=policy)
+            raise
+    return stage
 
 
 def partition_cmd(grid, by_type, random_k, seed, out_dir):

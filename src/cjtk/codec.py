@@ -3,8 +3,9 @@
 The reader fails fast, with a slash-separated path from the document root,
 on anything that breaks the shape of the encoding: bad JSON syntax
 (including bytes that are not UTF-8, nesting deeper than the interpreter
-can follow, and the NaN/Infinity literals RFC 8259 excludes), a wrong or
-missing type tag, missing required members, members of the wrong
+can follow, the NaN/Infinity literals RFC 8259 excludes, and string
+escapes of unpaired UTF-16 surrogates, which no UTF-8 text can hold), a
+wrong or missing type tag, missing required members, members of the wrong
 type, boundary arrays whose nesting does not match their geometry kind,
 and duplicate keys (duplicate city-object identifiers in particular).
 Vertices, ``lod`` and the transform hold finite doubles only (no ``1e999``).
@@ -23,6 +24,7 @@ infinity, which the reader refuses, is a ``SYNTAX_ERROR`` here too.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,6 +40,7 @@ from .model import (
 )
 
 _REQUIRED = ("version", "CityObjects", "vertices")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass
@@ -68,21 +71,43 @@ def _collecting_pairs_hook(duplicates: dict):
     return hook
 
 
-def _raise_duplicates(root, duplicates: dict) -> None:
-    # Resolve each offending dict back to its document path; report the
-    # first offence in path order.  The CityObjects dict gets its own code
-    # because its keys are object identifiers.
-    paths: dict[int, str] = {}
+def _nodes(root):
+    """Every value of a parsed document with its slash-separated path, each
+    container before what it holds."""
     stack = [(root, "")]
     while stack:
         node, path = stack.pop()
+        yield node, path
         if isinstance(node, dict):
-            paths[id(node)] = path
             for k, v in node.items():
                 stack.append((v, f"{path}/{k}" if path else str(k)))
         elif isinstance(node, list):
             for i, v in enumerate(node):
                 stack.append((v, f"{path}/{i}"))
+
+
+def _raise_lone_surrogates(root) -> None:
+    # An escaped surrogate that is not half of a pair decodes to a str that
+    # UTF-8 cannot encode.  The path is the string's, or for a key the
+    # object's, and so never holds the surrogate itself.
+    for node, path in _nodes(root):
+        strings = node if isinstance(node, dict) else \
+            [node] if isinstance(node, str) else ()
+        for s in strings:
+            try:
+                s.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CodecError("SYNTAX_ERROR", "unpaired surrogate escape "
+                                 "in a string (RFC 8259, section 8.2)",
+                                 path=path) from None
+
+
+def _raise_duplicates(root, duplicates: dict) -> None:
+    # Resolve each offending dict back to its document path; report the
+    # first offence in path order.  The CityObjects dict gets its own code
+    # because its keys are object identifiers.
+    paths = {id(node): path for node, path in _nodes(root)
+             if isinstance(node, dict)}
     offences = []
     for did, keys in duplicates.items():
         where = paths.get(did, "?")
@@ -139,6 +164,8 @@ def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
         # int() refuses a literal beyond the interpreter's digit limit.
         raise CodecError("SYNTAX_ERROR",
                          "an integer literal has too many digits") from None
+    if _SURROGATE_ESCAPE.search(text):
+        _raise_lone_surrogates(root)
     if not isinstance(root, dict):
         raise CodecError("NOT_CITYJSON", "document root is not an object")
     if duplicates:

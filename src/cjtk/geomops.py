@@ -105,11 +105,12 @@ def quantize(model: CityModel, digits: int = 3,
 
 
 def dequantize(model: CityModel) -> CityModel:
-    """New model with float vertices and no transform."""
+    """New model with float vertices and no transform; BAD_TRANSFORM
+    when the scale is not three positive finite numbers."""
     if model.transform is None:
         raise CjtkError("NO_TRANSFORM", "model carries no transform",
                         "transform")
-    sx, sy, sz = model.transform.scale
+    sx, sy, sz = model.transform.checked().scale
     tx, ty, tz = model.transform.translate
     return replace(model, transform=None,
                    vertices=[[v[0] * sx + tx, v[1] * sy + ty, v[2] * sz + tz]

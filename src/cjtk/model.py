@@ -8,8 +8,9 @@ to the wire format makes reading and writing cheap and keeps every
 operation honest about what actually gets stored.
 
 The shape rules that codec, validator and ops share are written here once
-(``is_finite_number``, ``is_matrix``, ``is_extent`` and
-``CityModel.placed_template``), so those modules cannot disagree.
+(``is_finite_number``, ``is_scale``, ``is_matrix``, ``is_extent``,
+``Transform.checked`` and ``CityModel.placed_template``), so those modules
+cannot disagree.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  A result may share the parts
@@ -106,6 +107,12 @@ def is_finite_number(x) -> bool:
         return False
 
 
+def is_scale(s) -> bool:
+    """A transform scale: three positive finite numbers."""
+    return isinstance(s, (list, tuple)) and len(s) == 3 \
+        and all(is_finite_number(x) and x > 0 for x in s)
+
+
 def is_matrix(m) -> bool:
     """A transformation matrix: 16 finite numbers, row-major."""
     return isinstance(m, list) and len(m) == 16 \
@@ -142,6 +149,16 @@ class Transform:
             vertex[1] * self.scale[1] + self.translate[1],
             vertex[2] * self.scale[2] + self.translate[2],
         )
+
+    def checked(self) -> "Transform":
+        """This transform; BAD_TRANSFORM unless its scale ``is_scale``
+        (a zero scale would collapse every coordinate onto the
+        translate)."""
+        if not is_scale(self.scale):
+            raise CjtkError("BAD_TRANSFORM",
+                            f"scale {self.scale!r} is not three positive "
+                            "finite numbers", "transform/scale")
+        return self
 
     def to_json(self) -> dict:
         return {"scale": list(self.scale), "translate": list(self.translate)}

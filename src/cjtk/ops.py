@@ -200,11 +200,7 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
 def _transform_digits(tr) -> int:
     """Recover the decimal-digit count of a transform scale's finest
     axis."""
-    if not all(is_finite_number(s) and s > 0 for s in tr.scale):
-        raise CjtkError("BAD_TRANSFORM",
-                        f"scale {tr.scale!r} is not three positive finite "
-                        "numbers", "transform/scale")
-    return max(0, min(12, -round(math.log10(min(tr.scale)))))
+    return max(0, min(12, -round(math.log10(min(tr.checked().scale)))))
 
 
 def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:

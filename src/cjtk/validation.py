@@ -30,7 +30,7 @@ from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
-                    is_extent, is_finite_number, is_matrix,
+                    is_extent, is_finite_number, is_matrix, is_scale,
                     iter_boundary_indices, iter_rings, nesting_depth)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
@@ -55,9 +55,8 @@ def validate_structure(model: CityModel) -> list[Finding]:
 
     if model.transform is not None:
         tr = model.transform
-        if (len(tr.scale) != 3 or len(tr.translate) != 3
-                or not all(map(is_finite_number, tr.scale + tr.translate))
-                or any(s <= 0 for s in tr.scale)):
+        if not is_scale(tr.scale) or len(tr.translate) != 3 \
+                or not all(map(is_finite_number, tr.translate)):
             err("transform", "BAD_TRANSFORM",
                 "transform needs 3 positive scales and 3 finite translations")
 

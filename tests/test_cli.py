@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -258,6 +259,18 @@ def test_hostile_input_exits_two_with_a_coded_finding(name, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_lone_surrogate_exits_two_in_every_output(tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_text(hostile_inputs()["lone-surrogate"], encoding="utf-8")
+    proc = run_cli(str(path), "validate")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.startswith("error: [SYNTAX_ERROR] CityObjects — ")
+    for output in (str(tmp_path / "out.json"), "-"):
+        proc = run_cli(str(path), "save", output)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("Error: save: [SYNTAX_ERROR] ")
+
+
 def test_validate_first_parses_the_input_once(town_path, tmp_path,
                                               monkeypatch):
     monkeypatch.delenv("CJTK_EXTENSIONS", raising=False)
@@ -442,13 +455,6 @@ def _cli_main(argv, monkeypatch, capsys):
     return exc.value.code, out.out, out.err
 
 
-def _per_stage(argv, monkeypatch, capsys):
-    """``_cli_main`` with every merge stage run on its own."""
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_merge_runs_folded", lambda processors: processors)
-        return _cli_main(argv, patch, capsys)
-
-
 def _merges(paths, policy, out):
     """The pipeline merging ``paths`` in order, saved to ``out``."""
     argv = [paths[0]]
@@ -463,6 +469,12 @@ def _chained(paths, policy):
     for path in paths[1:]:
         model = ops.merge([model, codec.load(path)], policy=policy)
     return codec.dumps(model).encode()
+
+
+def _one_call(paths, policy):
+    """The bytes one ops.merge call over every file gives."""
+    return codec.dumps(ops.merge([codec.load(path) for path in paths],
+                                 policy=policy)).encode()
 
 
 def _written(models, directory, stem):
@@ -523,9 +535,10 @@ def test_fifteen_merges_with_one_transform_make_one_call(
     assert out.read_bytes() == _chained(paths, "suffix")
 
 
-def _run_without_a_fold():
-    """Sixteen parts that one ops.merge call would encode differently
-    from the chain, by name."""
+def _runs_across_transforms():
+    """Sixteen parts that one ops.merge call encodes differently from a
+    chain of pairwise calls, by name: their transforms differ, or their
+    coordinates lie beyond 2^48 quanta."""
     rng = random.Random(2)
 
     def cube(i, x0=0.0):
@@ -558,20 +571,6 @@ def _run_without_a_fold():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_run_without_a_fold()))
-def test_a_run_that_one_call_would_change_is_merged_stage_by_stage(
-        name, tmp_path, monkeypatch, capsys, merge_calls):
-    paths = _written(_run_without_a_fold()[name], tmp_path, "part")
-    out = tmp_path / "merged.json"
-    assert _cli_main(_merges(paths, "suffix", out), monkeypatch, capsys) \
-        == (0, "", "")
-    assert merge_calls == [2] * 15
-    chained = _chained(paths, "suffix")
-    assert out.read_bytes() == chained
-    one_call = ops.merge([codec.load(path) for path in paths], "suffix")
-    assert codec.dumps(one_call).encode() != chained
-
-
 @pytest.fixture()
 def parse_calls(monkeypatch):
     """One entry per codec.parse call the CLI makes."""
@@ -582,22 +581,65 @@ def parse_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", sorted(_run_without_a_fold()))
-def test_a_run_merged_stage_by_stage_parses_each_file_once(
-        name, tmp_path, monkeypatch, capsys, parse_calls):
-    paths = _written(_run_without_a_fold()[name], tmp_path, "part")
+def _worst_errors(parts, merged):
+    """The largest distance, in quanta of ``merged``, from a decoded
+    vertex of ``parts`` to the vertex ``merged`` makes of it: exactly, as
+    stored integer times quantum plus translate, and decoded as doubles."""
+    inputs = [v for part in parts for v in (
+        geomops.dequantize(part) if part.transform else part).vertices]
+    quantum = Fraction(1, round(1 / merged.transform.scale[0]))
+    exact = [[Fraction(q) * quantum + Fraction(t) for q, t in
+              zip(row, merged.transform.translate)] for row in merged.vertices]
+    decoded = geomops.dequantize(merged).vertices
+    assert len(inputs) == len(exact) == len(decoded)
+    return tuple(max(abs(Fraction(a) - Fraction(b)) / quantum
+                     for u, v in zip(inputs, outputs) for a, b in zip(u, v))
+                 for outputs in (exact, decoded))
+
+
+@pytest.mark.parametrize("name", sorted(_runs_across_transforms()))
+def test_a_run_across_transforms_makes_one_call(
+        name, tmp_path, monkeypatch, capsys, merge_calls, parse_calls):
+    """One ops.merge call over every file, each parsed once, within half a
+    quantum of its inputs."""
+    parts = _runs_across_transforms()[name]
+    paths = _written(parts, tmp_path, "part")
     out = tmp_path / "merged.json"
     parse_calls.clear()
     assert _cli_main(_merges(paths, "suffix", out), monkeypatch, capsys) \
         == (0, "", "")
+    assert merge_calls == [16]
+    assert len(parse_calls) == len(paths)
+    assert out.read_bytes() == _one_call(paths, "suffix")
+    exact, decoded = _worst_errors(parts, codec.load(out))
+    assert exact <= Fraction(1, 2)
+    # Decoding adds the doubles' rounding (0.93 quanta on
+    # beyond-2^48-quanta); the chain of pairwise calls is no nearer.
+    chain = _worst_errors(parts, codec.loads(_chained(paths, "suffix")))
+    assert decoded <= chain[1]
+
+
+@pytest.mark.parametrize("name", sorted(_runs_across_transforms()))
+def test_a_run_merged_stage_by_stage_parses_each_file_once(
+        name, tmp_path, monkeypatch, capsys, merge_calls, parse_calls):
+    """A run whose last file is broken: the files before it are merged
+    one by one to find the first failing stage, from the models already
+    parsed."""
+    paths = _written(_runs_across_transforms()[name], tmp_path, "part")
+    paths[-1].write_text('{"type": "CityJSON"', encoding="utf-8")
+    parse_calls.clear()
+    assert _cli_main(_merges(paths, "suffix", tmp_path / "merged.json"),
+                     monkeypatch, capsys) \
+        == (2, "", "Error: merge: [SYNTAX_ERROR] Expecting ',' delimiter\n")
+    assert merge_calls == [2] * 14
     assert len(parse_calls) == len(paths)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_merge_run_reads_a_pipe_once(tmp_path):
     """An OTHER that can be read only once, as ``<(...)`` gives, in a run
-    merged stage by stage: the file that rules out one call."""
-    parts = _run_without_a_fold()["mixed-digits"][:4]
+    whose transforms differ."""
+    parts = _runs_across_transforms()["mixed-digits"][:4]
     paths = _written(parts, tmp_path, "part")
     pipe = tmp_path / "pipe.json"
     os.mkfifo(pipe)
@@ -609,12 +651,12 @@ def test_a_merge_run_reads_a_pipe_once(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "cjtk.cli", *map(str, argv)],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert out.read_bytes() == _chained(paths, "suffix")
+    assert out.read_bytes() == _one_call(paths, "suffix")
 
 
 def _failing_runs(directory):
-    """Merge pipelines that fail at some stage, by name: (argv, the
-    message the first failing stage prints)."""
+    """Merge pipelines that fail at some stage, by name: (argv, the error
+    line the first failing stage prints)."""
     def cube(oid, x, **root):
         return as_model(cube_tree(oid=oid, origin=(x, 0.0, 0.0), **root))
 
@@ -623,37 +665,37 @@ def _failing_runs(directory):
     crs = _written([cube(f"s{i}", 20.0 * i, metadata={
         "referenceSystem": f"EPSG:{code}"}) for i, code in
         enumerate([7415, 7415, 28992, 4326])], directory, "crs")
-    # Digits 3 and 1 in turn: reading stops at the second file.
+    # Digits 3 and 1 in turn.
     mixed = _written([geomops.quantize(cube(f"m{i}", 20.0 * i),
                                        digits=3 if i % 2 else 1)
                       for i in range(5)], directory, "mixed")
     broken = directory / "broken.json"
     broken.write_text('{"type": "CityJSON"', encoding="utf-8")
     out = directory / "merged.json"
+    syntax = "merge: [SYNTAX_ERROR] Expecting ',' delimiter"
     return {
         "syntax-error-in-the-pipeline-input": (
-            _merges([broken] + cubes[:3], "error", out),
-            "merge: [SYNTAX_ERROR]"),
+            _merges([broken] + cubes[:3], "error", out), syntax),
         "duplicate-id-at-stage-3-after-a-transform-change": (
             _merges(mixed[:3] + mixed[1:2] + mixed[3:], "error", out),
-            "merge: [DUPLICATE_ID]"),
+            "merge: [DUPLICATE_ID] both inputs define 'm1' at CityObjects/m1"),
         "syntax-error-in-part-3-after-a-transform-change": (
-            _merges(mixed[:3] + [broken] + mixed[3:], "error", out),
-            "merge: [SYNTAX_ERROR]"),
+            _merges(mixed[:3] + [broken] + mixed[3:], "error", out), syntax),
         "duplicate-id-at-stage-3": (
             _merges(cubes[:3] + cubes[1:2] + cubes[3:], "error", out),
-            "merge: [DUPLICATE_ID]"),
+            "merge: [DUPLICATE_ID] both inputs define 'c1' at CityObjects/c1"),
+        # One call would name all three systems.
         "crs-mismatch-across-three-systems": (
             _merges(crs, "error", out),
             "merge: [CRS_MISMATCH] inputs use different reference systems: "
             "['EPSG:28992', 'EPSG:7415'] at metadata/referenceSystem"),
+        # One call alone would report the broken part 4.
         "syntax-error-in-part-4-after-a-duplicate-id-at-stage-2": (
             _merges(cubes[:2] + cubes[1:2] + cubes[2:3] + [broken],
                     "error", out),
-            "merge: [DUPLICATE_ID]"),
+            "merge: [DUPLICATE_ID] both inputs define 'c1' at CityObjects/c1"),
         "syntax-error-in-part-3": (
-            _merges(cubes[:3] + [broken] + cubes[3:], "error", out),
-            "merge: [SYNTAX_ERROR]"),
+            _merges(cubes[:3] + [broken] + cubes[3:], "error", out), syntax),
     }
 
 
@@ -665,8 +707,5 @@ def _failing_runs(directory):
     "syntax-error-in-part-3-after-a-transform-change"])
 def test_a_failing_merge_run_reports_the_first_failing_stage(
         name, tmp_path, monkeypatch, capsys):
-    argv, message = _failing_runs(tmp_path)[name]
-    want = _per_stage(argv, monkeypatch, capsys)
-    assert _cli_main(argv, monkeypatch, capsys) == want
-    assert want[0] == 2
-    assert want[2].startswith(f"Error: {message}")
+    argv, line = _failing_runs(tmp_path)[name]
+    assert _cli_main(argv, monkeypatch, capsys) == (2, "", f"Error: {line}\n")

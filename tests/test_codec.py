@@ -203,6 +203,8 @@ def hostile_inputs():
         "integer-of-5000-digits": text.replace('"version"',
                                                f'"count": {"7" * 5000}, '
                                                '"version"', 1),
+        # An identifier escaping half a UTF-16 surrogate pair.
+        "lone-surrogate": text.replace('"b-1"', '"\\ud800x"', 1),
     }
 
 
@@ -211,6 +213,26 @@ def test_hostile_input_is_a_syntax_error(name):
     with pytest.raises(CodecError) as exc:
         codec.parse(hostile_inputs()[name])
     assert exc.value.code == "SYNTAX_ERROR"
+
+
+@pytest.mark.parametrize("escaped", ["\\ud800", "\\uDC00x",
+                                     "\\ude00\\ud83d", "x\\ud83d"])
+def test_an_unpaired_surrogate_is_refused_where_it_is(escaped):
+    tree = cube_tree()
+    tree["CityObjects"]["b-1"]["attributes"] = {"name": "@"}
+    text = as_text(tree).replace('"@"', f'"{escaped}"')
+    with pytest.raises(CodecError) as exc:
+        codec.parse(text)
+    assert (exc.value.code, exc.value.path) \
+        == ("SYNTAX_ERROR", "CityObjects/b-1/attributes/name")
+
+
+def test_escaped_surrogate_pairs_and_backslashes_parse():
+    tree = cube_tree()
+    tree["CityObjects"]["b-1"]["attributes"] = {"name": "@"}
+    text = as_text(tree).replace('"@"', '"\\ud83d\\ude00 \\\\ud800"')
+    name = codec.loads(text).city_objects["b-1"].attributes["name"]
+    assert name == "\U0001f600 \\ud800"
 
 
 def test_non_utf8_error_locates_the_bad_byte():
@@ -314,6 +336,13 @@ def hostile_models():
             _template_ring([0, 1, 2, 7]),
             {("metadata",): "VERTEX_INDEX_OUT_OF_RANGE",
              ("clean",): "VERTEX_INDEX_OUT_OF_RANGE"}),
+        # Would put every x on the translate.
+        "transform-zero-scale": (
+            as_text(cube_tree(transform={"scale": [0, 0.001, 0.001],
+                                         "translate": [0.0, 0.0, 0.0]})),
+            {("validate",): "BAD_TRANSFORM",
+             ("decompress",): "BAD_TRANSFORM",
+             ("compress", "--digits", "2"): "BAD_TRANSFORM"}),
         "bbox-not-finite": (
             as_text(cube_tree()),
             {("subset", "--bbox", "nan", "0", "1e9", "1e9"): "INVALID_EXTENT",

@@ -1,14 +1,15 @@
 """Quantization, vertex hygiene, template expansion, extents."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cjtk import (CityModel, compute_extent, dedupe_vertices, dequantize,
-                  quantize, remove_orphan_vertices)
+from cjtk import (CityModel, Transform, compute_extent, dedupe_vertices,
+                  dequantize, quantize, remove_orphan_vertices)
 from cjtk.errors import CjtkError
 from cjtk.geomops import instantiate_template
 
@@ -161,6 +162,18 @@ def test_dequantize_requires_transform():
     with pytest.raises(CjtkError) as exc:
         dequantize(as_model(cube_tree()))
     assert exc.value.code == "NO_TRANSFORM"
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.001, math.nan, math.inf])
+def test_decoding_refuses_a_scale_that_is_not_positive_and_finite(scale):
+    q = quantize(as_model(cube_tree()), digits=3)
+    bad = replace(q, transform=Transform(scale=[0.001, scale, 0.001],
+                                         translate=[0.0, 0.0, 0.0]))
+    for decode in (dequantize, lambda m: quantize(m, 2, requantize=True)):
+        with pytest.raises(CjtkError) as exc:
+            decode(bad)
+        assert (exc.value.code, exc.value.path) \
+            == ("BAD_TRANSFORM", "transform/scale")
 
 
 def test_quantize_is_a_fixed_point_on_integers():
