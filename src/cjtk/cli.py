@@ -11,6 +11,8 @@ left to right, entirely in memory::
 output.  Exit codes: 0 success (and valid), 1 validation warnings only,
 2 errors (validation errors or a failed stage, including a crash, which
 reports ``stage: [INTERNAL_ERROR] <type>: <message>``), 3 usage errors.
+Where the platform has SIGPIPE, a reader that closes standard output early
+ends the process by that signal, silently, as it ends ``cat``.
 
 The command line is parsed whole before any stage runs.  A stage's
 options come first, each followed by as many values as it takes, then
@@ -521,6 +523,11 @@ def _parse(argv: list[str]):
 def main(argv: list[str] | None = None):
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and exit
     with its code."""
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        # A reader that stops early (``| head``) ends the process as it
+        # ends ``cat``: by SIGPIPE, with nothing on stderr.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         run_pipeline(*_parse(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:

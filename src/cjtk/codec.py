@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
 
 from .errors import CodecError
 from .model import (
@@ -34,6 +33,7 @@ from .model import (
     CityModel,
     CityObject,
     Geometry,
+    Record,
     TemplateBank,
     Transform,
     is_finite_number,
@@ -43,11 +43,14 @@ _REQUIRED = ("version", "CityObjects", "vertices")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-@dataclass
-class ParseDiagnostics:
+class ParseDiagnostics(Record):
     """Non-fatal observations made while reading a document."""
 
-    unknown_members: list = field(default_factory=list)
+    __slots__ = ("unknown_members",)
+
+    def __init__(self, unknown_members: list | None = None):
+        self.unknown_members = [] if unknown_members is None \
+            else unknown_members
 
 
 # -- reading ----------------------------------------------------------------
@@ -191,6 +194,21 @@ def _require(cond: bool, code: str, message: str, path: str) -> None:
 
 
 def _check_boundary_shape(node, depth: int, path: str) -> None:
+    # Each level is checked whole, by C-level passes over the types of its
+    # nodes; the walk node by node runs only where a level holds something
+    # else, to name the first bad node (or to accept a subclass).
+    level = [node]
+    for _ in range(depth):
+        if not set(map(type, level)) <= {list}:
+            break
+        level = list(chain.from_iterable(level))
+    else:
+        if set(map(type, level)) <= {int}:
+            return
+    _walk_boundary_shape(node, depth, path)
+
+
+def _walk_boundary_shape(node, depth: int, path: str) -> None:
     if depth == 0:
         _require(isinstance(node, int) and not isinstance(node, bool),
                  "BAD_GEOMETRY_SHAPE",
@@ -199,7 +217,7 @@ def _check_boundary_shape(node, depth: int, path: str) -> None:
     _require(isinstance(node, list), "BAD_GEOMETRY_SHAPE",
              f"expected {depth} more array level(s)", path)
     for i, sub in enumerate(node):
-        _check_boundary_shape(sub, depth - 1, f"{path}/{i}")
+        _walk_boundary_shape(sub, depth - 1, f"{path}/{i}")
 
 
 def _check_geometry(obj, path: str) -> None:
@@ -321,7 +339,7 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
 
 def model_to_json(model: CityModel) -> dict:
     """Canonically ordered plain-dict form of a model."""
-    out: dict[str, Any] = {"type": "CityJSON", "version": model.version}
+    out: dict[str, object] = {"type": "CityJSON", "version": model.version}
     if model.metadata:
         out["metadata"] = model.metadata
     if model.extensions:

@@ -8,7 +8,7 @@ root.  Each validation layer adds its findings through ``reporters``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class CjtkError(Exception):
@@ -45,8 +45,8 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True, order=True)
-class Finding:
+class Finding(namedtuple("Finding", "path code severity message stage",
+                         defaults=(ERROR, "", "structure"))):
     """One validation observation.
 
     Sort order is (path, code), which is the report order; ``stage`` names
@@ -54,11 +54,7 @@ class Finding:
     extension).
     """
 
-    path: str
-    code: str
-    severity: str = ERROR
-    message: str = ""
-    stage: str = "structure"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"code": self.code, "path": self.path, "message": self.message,

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ExtensionError, Finding, reporters
-from .model import (COBJECT_TYPES, CityModel, iter_boundary_indices,
-                    nesting_depth)
+from .model import (COBJECT_TYPES, CityModel, Record, iter_boundary_indices,
+                    nesting_depth, replace)
 
 ENV_VAR = "CJTK_EXTENSIONS"
 
@@ -38,17 +37,28 @@ _FRAGMENT_KEYS = {"type", "properties", "items", "required", "enum"}
 _TYPE_NAMES = {"string", "number", "integer", "boolean", "object", "array"}
 
 
-@dataclass
-class Extension:
+class Extension(Record):
     """One loaded extension file."""
 
-    name: str
-    uri: str = ""
-    version: str = ""
-    description: str = ""
-    extra_root_properties: dict = field(default_factory=dict)
-    extra_attributes: dict = field(default_factory=dict)
-    extra_city_objects: dict = field(default_factory=dict)
+    __slots__ = ("name", "uri", "version", "description",
+                 "extra_root_properties", "extra_attributes",
+                 "extra_city_objects")
+
+    def __init__(self, name: str, uri: str = "", version: str = "",
+                 description: str = "",
+                 extra_root_properties: dict | None = None,
+                 extra_attributes: dict | None = None,
+                 extra_city_objects: dict | None = None):
+        self.name = name
+        self.uri = uri
+        self.version = version
+        self.description = description
+        self.extra_root_properties = {} if extra_root_properties is None \
+            else extra_root_properties
+        self.extra_attributes = {} if extra_attributes is None \
+            else extra_attributes
+        self.extra_city_objects = {} if extra_city_objects is None \
+            else extra_city_objects
 
 
 def _check_fragment_rules(frag, path: str) -> None:

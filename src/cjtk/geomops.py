@@ -24,12 +24,11 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
                     is_finite_number, is_matrix, iter_boundary_indices,
-                    map_boundaries)
+                    map_boundaries, replace)
 
 _MAX_QUANTUM = 2 ** 53
 _BANK = "geometry-templates/vertices-templates"
@@ -282,6 +281,7 @@ def instantiate_template(model: CityModel, object_id: str,
     if not geom.is_instance():
         raise CjtkError("UNKNOWN_GEOMETRY_KIND",
                         "geometry is not a template instance", path)
+    model.check_transform()
     verts = instance_world_vertices(model, geom, path)
     template = model.placed_template(geom)
     _, new_index = compact_pool([template.boundaries],
@@ -332,8 +332,10 @@ def compute_extent(model: CityModel) -> list[float]:
 
     The union of every ``object_extent``, so vertices no geometry
     references do not count, and an empty model (or one whose geometries
-    reference nothing) has no extent.
+    reference nothing) has no extent.  BAD_TRANSFORM where the scale is
+    not three positive finite numbers.
     """
+    model.check_transform()
     box = box_union(object_extent(model, oid) for oid in model.city_objects)
     if box is None:
         raise CjtkError("EMPTY_MODEL", "no geometry references any vertex")

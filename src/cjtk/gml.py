@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 
 from .errors import GmlImportError
-from .model import (CityModel, CityObject, Geometry, Semantics,
+from .model import (CityModel, CityObject, Geometry, Record, Semantics,
                     is_finite_number)
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
@@ -104,12 +103,14 @@ def _holder_lod(name: str, oid: str) -> int | None:
     return lod
 
 
-@dataclass
-class GmlDocument:
+class GmlDocument(Record):
     """A parsed CityGML tree plus the gml:id index used to chase XLinks."""
 
-    root: ET.Element
-    id_index: dict = field(default_factory=dict)
+    __slots__ = ("root", "id_index")
+
+    def __init__(self, root: ET.Element, id_index: dict | None = None):
+        self.root = root
+        self.id_index = {} if id_index is None else id_index
 
     @classmethod
     def from_text(cls, text: str) -> "GmlDocument":
@@ -242,15 +243,19 @@ def _group(tokens: list[str], dim: int) -> list[tuple]:
     return rows
 
 
-@dataclass
-class ImportReport:
+class ImportReport(Record):
     """What came in, what was skipped."""
 
-    features: dict = field(default_factory=dict)
-    surfaces: int = 0
-    vertices: int = 0
-    crs: str | None = None
-    skipped: list = field(default_factory=list)
+    __slots__ = ("features", "surfaces", "vertices", "crs", "skipped")
+
+    def __init__(self, features: dict | None = None, surfaces: int = 0,
+                 vertices: int = 0, crs: str | None = None,
+                 skipped: list | None = None):
+        self.features = {} if features is None else features
+        self.surfaces = surfaces
+        self.vertices = vertices
+        self.crs = crs
+        self.skipped = [] if skipped is None else skipped
 
     def skip(self, element: str, reason: str) -> None:
         self.skipped.append({"element": element, "reason": reason})

@@ -17,14 +17,14 @@ new models and never alter their argument.  A result may share the parts
 it did not change (objects, geometries, vertex rows, metadata) with its
 argument, so a caller that wants to mutate a result in place should
 ``copy.deepcopy`` it first.  ``ops.merge`` is the exception: it builds a
-fresh model, independent of its inputs.
+fresh model, independent of its inputs.  The model types are plain slotted
+classes on ``Record``; ``replace`` copies one with some members changed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import CjtkError
 
@@ -136,12 +136,51 @@ def boundary_depth(kind: str) -> int:
                         f"{kind!r} is not a geometry kind") from None
 
 
-@dataclass
-class Transform:
+class Record:
+    """Base of the model's record types: plain classes whose members are
+    their ``__slots__``, in ``__init__``'s parameter order.
+
+    Two records are equal when they are of one class and their members are
+    equal; the repr lists every member.  Records are mutable, so they are
+    not hashable.  ``replace`` copies one with some members changed.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _members(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._members() == other._members()
+
+    def __repr__(self) -> str:
+        members = ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__)
+        return f"{type(self).__qualname__}({members})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """Copy of ``record`` with ``changes`` applied; every other member is
+    shared with it.  A name that is not a member is a TypeError."""
+    unknown = changes.keys() - set(record.__slots__)
+    if unknown:
+        raise TypeError(f"{type(record).__qualname__} has no member "
+                        f"{min(unknown)!r}")
+    return type(record)(**{name: changes.get(name, getattr(record, name))
+                           for name in record.__slots__})
+
+
+class Transform(Record):
     """Quantization parameters: real = stored * scale + translate."""
 
-    scale: list[float]
-    translate: list[float]
+    __slots__ = ("scale", "translate")
+
+    def __init__(self, scale: list[float], translate: list[float]):
+        self.scale = scale
+        self.translate = translate
 
     def apply(self, vertex) -> tuple[float, float, float]:
         return (
@@ -168,8 +207,7 @@ class Transform:
         return cls(scale=list(obj["scale"]), translate=list(obj["translate"]))
 
 
-@dataclass
-class Semantics:
+class Semantics(Record):
     """Semantic surface annotations for one geometry.
 
     ``surfaces`` holds one dict per distinct surface (``type`` plus any
@@ -178,9 +216,13 @@ class Semantics:
     (or None for a surface with no semantics).
     """
 
-    surfaces: list[dict]
-    values: list
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("surfaces", "values", "extra")
+
+    def __init__(self, surfaces: list[dict], values: list,
+                 extra: dict | None = None):
+        self.surfaces = surfaces
+        self.values = values
+        self.extra = {} if extra is None else extra
 
     def to_json(self) -> dict:
         out = {"surfaces": self.surfaces, "values": self.values}
@@ -194,8 +236,7 @@ class Semantics:
                           if k not in ("surfaces", "values")})
 
 
-@dataclass
-class Geometry:
+class Geometry(Record):
     """One geometry of a city object.
 
     For ordinary geometries ``boundaries`` is the nested index array whose
@@ -205,18 +246,28 @@ class Geometry:
     to place and how.  ``material`` and ``texture`` are carried opaquely.
     """
 
-    type: str
-    lod: float | int | None = None
-    boundaries: list = field(default_factory=list)
-    semantics: Semantics | None = None
-    material: dict | None = None
-    texture: dict | None = None
-    template: int | None = None
-    transformation_matrix: list[float] | None = None
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("type", "lod", "boundaries", "semantics", "material",
+                 "texture", "template", "transformation_matrix", "extra")
 
     _KNOWN = frozenset({"type", "lod", "boundaries", "semantics", "material",
                         "texture", "template", "transformationMatrix"})
+
+    def __init__(self, type: str, lod: float | int | None = None,
+                 boundaries: list | None = None,
+                 semantics: Semantics | None = None,
+                 material: dict | None = None, texture: dict | None = None,
+                 template: int | None = None,
+                 transformation_matrix: list[float] | None = None,
+                 extra: dict | None = None):
+        self.type = type
+        self.lod = lod
+        self.boundaries = [] if boundaries is None else boundaries
+        self.semantics = semantics
+        self.material = material
+        self.texture = texture
+        self.template = template
+        self.transformation_matrix = transformation_matrix
+        self.extra = {} if extra is None else extra
 
     def is_instance(self) -> bool:
         return self.type == "GeometryInstance"
@@ -226,7 +277,7 @@ class Geometry:
         return replace(self, boundaries=map_boundaries(self.boundaries, fn))
 
     def to_json(self) -> dict:
-        out: dict[str, Any] = {"type": self.type}
+        out: dict[str, object] = {"type": self.type}
         if self.lod is not None:
             out["lod"] = self.lod
         if self.is_instance():
@@ -259,12 +310,15 @@ class Geometry:
         return g
 
 
-@dataclass
-class TemplateBank:
+class TemplateBank(Record):
     """Shared geometry templates and their own (real-valued) vertex pool."""
 
-    templates: list[Geometry] = field(default_factory=list)
-    vertices: list = field(default_factory=list)
+    __slots__ = ("templates", "vertices")
+
+    def __init__(self, templates: list[Geometry] | None = None,
+                 vertices: list | None = None):
+        self.templates = [] if templates is None else templates
+        self.vertices = [] if vertices is None else vertices
 
     def to_json(self) -> dict:
         return {
@@ -280,21 +334,29 @@ class TemplateBank:
         )
 
 
-@dataclass
-class CityObject:
+class CityObject(Record):
     """One city object: type, attributes, geometries, family links."""
 
-    type: str
-    attributes: dict = field(default_factory=dict)
-    geometry: list[Geometry] = field(default_factory=list)
-    parents: list[str] = field(default_factory=list)
-    children: list[str] = field(default_factory=list)
-    extent: list[float] | None = None
-    # Members we do not model (e.g. address) survive round-trips here.
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("type", "attributes", "geometry", "parents", "children",
+                 "extent", "extra")
+
+    def __init__(self, type: str, attributes: dict | None = None,
+                 geometry: list[Geometry] | None = None,
+                 parents: list[str] | None = None,
+                 children: list[str] | None = None,
+                 extent: list[float] | None = None,
+                 extra: dict | None = None):
+        self.type = type
+        self.attributes = {} if attributes is None else attributes
+        self.geometry = [] if geometry is None else geometry
+        self.parents = [] if parents is None else parents
+        self.children = [] if children is None else children
+        self.extent = extent
+        # Members we do not model (e.g. address) survive round-trips here.
+        self.extra = {} if extra is None else extra
 
     def to_json(self) -> dict:
-        out: dict[str, Any] = {"type": self.type}
+        out: dict[str, object] = {"type": self.type}
         if self.attributes:
             out["attributes"] = self.attributes
         if self.extent is not None:
@@ -336,21 +398,40 @@ class CityObject:
         )
 
 
-@dataclass
-class CityModel:
+class CityModel(Record):
     """A complete city model, the in-memory twin of one JSON document."""
 
-    city_objects: dict[str, CityObject] = field(default_factory=dict)
-    vertices: list = field(default_factory=list)
-    transform: Transform | None = None
-    templates: TemplateBank | None = None
-    appearance: dict | None = None
-    metadata: dict = field(default_factory=dict)
-    extensions: dict = field(default_factory=dict)
-    version: str = VERSION
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("city_objects", "vertices", "transform", "templates",
+                 "appearance", "metadata", "extensions", "version", "extra")
+
+    def __init__(self, city_objects: dict[str, CityObject] | None = None,
+                 vertices: list | None = None,
+                 transform: Transform | None = None,
+                 templates: TemplateBank | None = None,
+                 appearance: dict | None = None,
+                 metadata: dict | None = None,
+                 extensions: dict | None = None, version: str = VERSION,
+                 extra: dict | None = None):
+        self.city_objects = {} if city_objects is None else city_objects
+        self.vertices = [] if vertices is None else vertices
+        self.transform = transform
+        self.templates = templates
+        self.appearance = appearance
+        self.metadata = {} if metadata is None else metadata
+        self.extensions = {} if extensions is None else extensions
+        self.version = version
+        self.extra = {} if extra is None else extra
 
     # -- vertex access -------------------------------------------------
+
+    def check_transform(self) -> None:
+        """BAD_TRANSFORM where the transform's scale is not ``is_scale``.
+
+        An operation that decodes vertices calls this once, before its
+        first ``real_vertex``, which does not check the scale itself.
+        """
+        if self.transform is not None:
+            self.transform.checked()
 
     def real_vertex(self, i: int) -> tuple[float, float, float]:
         """Vertex i in real-world coordinates (transform applied if set)."""
@@ -363,6 +444,7 @@ class CityModel:
         return (v[0], v[1], v[2])
 
     def real_vertices(self) -> list[tuple[float, float, float]]:
+        self.check_transform()
         return [self.real_vertex(i) for i in range(len(self.vertices))]
 
     def placed_template(self, geom: Geometry) -> Geometry | None:

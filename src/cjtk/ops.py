@@ -18,14 +18,13 @@ import functools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 from . import codec
 from .errors import CjtkError
 from .geomops import (box_union, compact_pool, compute_extent, dequantize,
                       object_extent, quantize)
 from .model import (CityModel, CityObject, Geometry, Semantics, TemplateBank,
-                    is_finite_number, map_boundaries)
+                    is_finite_number, map_boundaries, replace)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -77,8 +76,10 @@ def _centroids(model: CityModel):
 
     Each object's own extent is computed once per returned function and
     combined with min/max, which is exact, so the centroids do not depend
-    on how often an object is reached.
+    on how often an object is reached.  A transform whose scale does not
+    decode raises BAD_TRANSFORM here, before any centroid.
     """
+    model.check_transform()
     own = functools.cache(functools.partial(object_extent, model))
 
     def centroid(oid: str):

@@ -1,9 +1,9 @@
 """Command-line pipeline, exercised through real subprocesses."""
 
-import dataclasses
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from cjtk import cli, codec, geomops, ops
+from cjtk import cli, codec, geomops, ops, synth
 from cjtk.errors import CjtkError
-from cjtk.model import Transform
+from cjtk.model import Transform, replace
 
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
@@ -372,6 +372,25 @@ def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
+                    reason="the platform has no SIGPIPE")
+def test_a_reader_that_stops_early_ends_the_process_by_sigpipe(tmp_path):
+    path = tmp_path / "big.city.json"
+    scene = synth.make_scene(seed=3, buildings=120, clusters=4)
+    path.write_text(codec.dumps(synth.scene_to_model(scene)),
+                    encoding="utf-8")
+    assert path.stat().st_size > 2 * 65536  # more than a pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "cjtk.cli", str(path),
+                             "save", "-"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()  # as `| head -c 100` does
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE
+    assert stderr == b""
+
+
 def test_an_unreadable_input_is_a_usage_error(tmp_path):
     proc = run_cli(str(tmp_path), "validate")
     assert proc.returncode == 3
@@ -565,8 +584,8 @@ def _runs_across_transforms():
         "raw-model-among-quantized": raw[:1] + [at(m, 3) for m in raw[1:]],
         "quantized-model-among-raw": [at(raw[0], 3)] + raw[1:],
         "scale-not-a-power-of-ten": [
-            dataclasses.replace(at(m, 3, translate=[0.0] * 3),
-                                transform=quarter) for m in raw],
+            replace(at(m, 3, translate=[0.0] * 3), transform=quarter)
+            for m in raw],
         "beyond-2^48-quanta": far,
     }
 

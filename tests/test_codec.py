@@ -131,6 +131,28 @@ def test_boundary_leaves_must_be_integers():
     assert exc.value.code == "BAD_GEOMETRY_SHAPE"
 
 
+@pytest.mark.parametrize("edits,path,message", [
+    ({(0, 0, 0, 1): True}, "0/0/0/1", "vertex reference True is not an integer"),
+    ({(0, 0, 0, 1): "1"}, "0/0/0/1", "vertex reference '1' is not an integer"),
+    ({(0, 2, 0): 7}, "0/2/0", "expected 1 more array level(s)"),
+    ({(0, 3, 0, 2): None, (0, 1, 0): 4}, "0/1/0",
+     "expected 1 more array level(s)"),
+], ids=["bool-leaf", "string-leaf", "index-for-a-ring", "first-of-two"])
+def test_the_first_bad_boundary_node_is_named(edits, path, message):
+    tree = cube_tree()
+    geometry = tree["CityObjects"]["b-1"]["geometry"][0]
+    for where, value in edits.items():
+        node = geometry["boundaries"]
+        for i in where[:-1]:
+            node = node[i]
+        node[where[-1]] = value
+    with pytest.raises(CodecError) as exc:
+        codec.parse(as_text(tree))
+    assert (exc.value.code, exc.value.path, exc.value.message) == (
+        "BAD_GEOMETRY_SHAPE",
+        f"CityObjects/b-1/geometry/0/boundaries/{path}", message)
+
+
 def test_boundary_nesting_too_shallow_fails_fast():
     tree = cube_tree()
     tree["CityObjects"]["b-1"]["geometry"][0]["boundaries"] = [[0, 1, 2, 3]]
@@ -342,7 +364,10 @@ def hostile_models():
                                          "translate": [0.0, 0.0, 0.0]})),
             {("validate",): "BAD_TRANSFORM",
              ("decompress",): "BAD_TRANSFORM",
-             ("compress", "--digits", "2"): "BAD_TRANSFORM"}),
+             ("compress", "--digits", "2"): "BAD_TRANSFORM",
+             ("metadata",): "BAD_TRANSFORM",
+             ("partition", "--grid", "2x2"): "BAD_TRANSFORM",
+             ("subset", "--bbox", "0", "0", "1e9", "1e9"): "BAD_TRANSFORM"}),
         "bbox-not-finite": (
             as_text(cube_tree()),
             {("subset", "--bbox", "nan", "0", "1e9", "1e9"): "INVALID_EXTENT",

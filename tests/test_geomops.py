@@ -1,7 +1,6 @@
 """Quantization, vertex hygiene, template expansion, extents."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from cjtk import (CityModel, Transform, compute_extent, dedupe_vertices,
                   dequantize, quantize, remove_orphan_vertices)
 from cjtk.errors import CjtkError
 from cjtk.geomops import instantiate_template
+from cjtk.model import replace
 
 from helpers import as_model, cube_tree, tree_of
 from test_validation import IDENTITY, instance_tree

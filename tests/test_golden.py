@@ -16,7 +16,6 @@ in its description::
 """
 
 import copy
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -430,7 +429,8 @@ def _extension_docs():
 
 
 def _loaded(doc) -> str:
-    return json.dumps(dataclasses.asdict(extensions.load_extension(doc)),
+    ext = extensions.load_extension(doc)
+    return json.dumps({name: getattr(ext, name) for name in ext.__slots__},
                       sort_keys=True)
 
 

@@ -1,13 +1,19 @@
-"""Data-model invariants: boundary depths, traversal helpers, JSON shape."""
+"""Data-model invariants: boundary depths, traversal helpers, JSON shape,
+and the record types' value behaviour."""
+
+import copy
+import pickle
 
 import pytest
 
-from cjtk import CityModel, CityObject, Geometry, Transform, boundary_depth
+from cjtk import (CityModel, CityObject, Geometry, Transform, boundary_depth,
+                  codec)
 from cjtk.errors import CjtkError
-from cjtk.model import (FIRST_LEVEL_TYPES, SECOND_LEVEL_TYPES, Semantics,
-                        iter_boundary_indices, iter_rings, map_boundaries,
-                        nesting_depth)
+from cjtk.model import (FIRST_LEVEL_TYPES, SECOND_LEVEL_TYPES, Record,
+                        Semantics, TemplateBank, iter_boundary_indices,
+                        iter_rings, map_boundaries, nesting_depth, replace)
 
+from conftest import committed_corpus
 from helpers import CUBE_SHELL, as_model, cube_tree, tree_of
 
 
@@ -130,3 +136,53 @@ def test_model_defaults():
     assert model.metadata == {} and model.extensions == {}
     assert tree_of(model) == {"type": "CityJSON", "version": "1.0",
                               "CityObjects": {}, "vertices": []}
+
+
+# -- records --------------------------------------------------------------
+
+
+def test_records_compare_and_print_by_their_members():
+    t = Transform([0.001] * 3, [1.0, 2.0, 3.0])
+    assert t == Transform(scale=[0.001] * 3, translate=[1.0, 2.0, 3.0])
+    assert t != Transform([0.001] * 3, [1.0, 2.0, 4.0])
+    assert t != (t.scale, t.translate)
+    assert repr(t) == ("Transform(scale=[0.001, 0.001, 0.001], "
+                       "translate=[1.0, 2.0, 3.0])")
+    assert repr(CityObject("Road")) == (
+        "CityObject(type='Road', attributes={}, geometry=[], parents=[], "
+        "children=[], extent=None, extra={})")
+    with pytest.raises(TypeError):
+        hash(t)
+    with pytest.raises(AttributeError):
+        t.offset = [0.0] * 3
+
+
+def test_record_defaults_are_fresh_containers():
+    for make in (CityModel, TemplateBank, lambda: CityObject("Road"),
+                 lambda: Geometry("MultiPoint"), lambda: Semantics([], [])):
+        a, b = make(), make()
+        assert a == b
+        for name in a.__slots__:
+            value = getattr(a, name)
+            if isinstance(value, (list, dict)):
+                assert value is not getattr(b, name), name
+
+
+def test_replace_shares_untouched_members_and_refuses_unknown_ones():
+    model = as_model(cube_tree())
+    out = replace(model, vertices=[])
+    assert isinstance(out, Record) and type(out) is CityModel
+    assert out.vertices == [] and model.vertices != []
+    for name in model.__slots__:
+        if name != "vertices":
+            assert getattr(out, name) is getattr(model, name), name
+    with pytest.raises(TypeError, match="pool"):
+        replace(model, pool=[])
+
+
+@pytest.mark.parametrize("path", committed_corpus(), ids=lambda p: p.name)
+def test_deepcopy_and_pickle_round_trips_are_equal(path):
+    model = codec.parse(path.read_bytes())[0]
+    for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert copied == model
+        assert codec.dumps(copied) == codec.dumps(model)

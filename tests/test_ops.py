@@ -1,7 +1,6 @@
 """Subset, merge, partition, and the bookkeeping helpers."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -9,6 +8,7 @@ from cjtk import (Transform, merge, partition_by_type, partition_grid,
                   partition_random, quantize, refresh_metadata, stats, subset,
                   update_texture_paths)
 from cjtk.errors import CjtkError
+from cjtk.model import replace
 from cjtk.validation import validate
 
 from helpers import (CUBE_SHELL, as_model, cube_tree, cube_vertices,

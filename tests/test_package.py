@@ -61,6 +61,25 @@ def _third_party(modules):
         - set(sys.stdlib_module_names) - set(startup)
 
 
+# What ``dataclasses`` would load, at a start-up cost every CLI process
+# would pay; the model types are plain classes instead.
+_INTROSPECTION = {"dataclasses", "inspect", "ast"}
+
+
+def test_a_pipeline_loads_no_introspection_modules(tmp_path):
+    doc = tmp_path / "cube.city.json"
+    doc.write_text(as_text(cube_tree()), encoding="utf-8")
+    gml = tmp_path / "square.gml"
+    gml.write_text(SQUARE_VARIANTS["poslist-one-line"](), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    for argv in ([str(doc), "validate", "--json"],
+                 [str(gml), "import", "compress", "save", out],
+                 [str(doc), "validate", "compress", "--digits", "3",
+                  "dedupe", "subset", "--bbox", "-1", "-1", "11", "11",
+                  "metadata", "save", out]):
+        assert not _modules_loaded_by(*argv) & _INTROSPECTION, argv
+
+
 def test_a_pipeline_loads_only_the_modules_of_its_stages(tmp_path):
     doc = tmp_path / "cube.city.json"
     doc.write_text(as_text(cube_tree()), encoding="utf-8")

@@ -7,12 +7,11 @@ change by a single byte.  ``merge`` is held to more: its result shares no
 mutable object with its inputs.
 """
 
-import dataclasses
-
 import pytest
 
 from cjtk import codec, extensions, geomops, ops
 from cjtk.errors import CjtkError
+from cjtk.model import Record
 
 from conftest import committed_corpus
 
@@ -100,8 +99,8 @@ def test_ops_on_output_leave_output_and_input_untouched(op, corpus_models):
 
 
 def _mutable_ids(node, seen: set) -> set:
-    """Identities of every list, dict and dataclass reachable from node."""
-    if isinstance(node, (list, dict)) or dataclasses.is_dataclass(node):
+    """Identities of every list, dict and record reachable from node."""
+    if isinstance(node, (list, dict, Record)):
         if id(node) in seen:
             return seen
         seen.add(id(node))
@@ -110,8 +109,7 @@ def _mutable_ids(node, seen: set) -> set:
         elif isinstance(node, dict):
             children = node.values()
         else:
-            children = [getattr(node, f.name)
-                        for f in dataclasses.fields(node)]
+            children = [getattr(node, name) for name in node.__slots__]
         for child in children:
             _mutable_ids(child, seen)
     return seen
