@@ -76,22 +76,23 @@ def _model_stage(name: str, module: str, op: str, **kwargs):
     return stage
 
 
-def _text(data: bytes) -> str | bytes:
-    """The text of a document; bytes that are not UTF-8 stay bytes, for
-    the parser to report as SYNTAX_ERROR."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        return data
-
-
 def _read_input(source: str) -> str | bytes:
+    """The input's text, decoded here so that its bytes are not kept
+    while it is parsed; bytes that are not UTF-8 stay bytes, for the
+    parser to report as SYNTAX_ERROR."""
     if source == "-":
-        return _text(sys.stdin.buffer.read())
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            data = Path(source).read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read {source}: {exc.strerror}") \
+                from None
+    from . import codec
     try:
-        return _text(Path(source).read_bytes())
-    except OSError as exc:
-        raise UsageError(f"cannot read {source}: {exc.strerror}") from None
+        return codec.decode(data)
+    except codec.CodecError:
+        return data
 
 
 def _echo(text: str, file=None):
@@ -242,7 +243,7 @@ def _merge_run(stages: list[_MergeStage]):
         others = []
         try:
             for s in stages:
-                other, _ = codec.parse(_text(Path(s.other).read_bytes()))
+                other, _ = codec.parse(Path(s.other).read_bytes())
                 state.require_model("merge")
                 others.append(other)
             state.model = ops.merge([state.model, *others], policy=policy)

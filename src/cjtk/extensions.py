@@ -28,8 +28,7 @@ import os
 from pathlib import Path
 
 from .errors import ExtensionError, Finding, reporters
-from .model import (COBJECT_TYPES, CityModel, Record, iter_boundary_indices,
-                    nesting_depth, replace)
+from .model import COBJECT_TYPES, CityModel, Record, replace
 
 ENV_VAR = "CJTK_EXTENSIONS"
 
@@ -335,18 +334,40 @@ def validate_extended(model: CityModel, exts: list[Extension]) -> list[Finding]:
 
 def _contains_geometry(value) -> bool:
     """True when a value smuggles geometry: a boundaries member anywhere,
-    or a nested index array of at least ring size."""
-    if isinstance(value, dict):
-        if "boundaries" in value:
-            return True
-        return any(_contains_geometry(v) for v in value.values())
-    if isinstance(value, list):
-        if (nesting_depth(value) >= 2
-                and sum(1 for _ in iter_boundary_indices(value)) >= 3
-                and all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in iter_boundary_indices(value))):
-            return True
-        return any(_contains_geometry(v) for v in value)
+    or a nested index array of at least ring size (two or more levels
+    deep, three or more items below it, all of them integers).
+
+    The walk keeps its own stack, so any depth of nesting is walked, and
+    judges each list once: a list whose walk ends hands its depth, item
+    count and all-integers flag on to the list holding it.
+    """
+    stack = [(iter([value]), None)]  # (children, list facts or None)
+    while stack:
+        children, facts = stack[-1]
+        for child in children:
+            if facts is not None and not isinstance(child, list):
+                facts[1] += 1
+                facts[2] = facts[2] and type(child) is int
+            if isinstance(child, dict):
+                if "boundaries" in child:
+                    return True
+                stack.append((iter(child.values()), None))
+                break
+            if isinstance(child, list):
+                stack.append((iter(child), [1, 0, True]))
+                break
+        else:
+            stack.pop()
+            if facts is None:
+                continue
+            depth, count, ints = facts
+            if depth >= 2 and count >= 3 and ints:
+                return True
+            holder = stack[-1][1]
+            if holder is not None:
+                holder[0] = max(holder[0], depth + 1)
+                holder[1] += count
+                holder[2] = holder[2] and ints
     return False
 
 

@@ -13,12 +13,11 @@ The shape rules that codec, validator and ops share are written here once
 cannot disagree.
 
 Models are treated as values: operations elsewhere in the package return
-new models and never alter their argument.  A result may share the parts
+new models and never alter their argument.  Every result shares the parts
 it did not change (objects, geometries, vertex rows, metadata) with its
-argument, so a caller that wants to mutate a result in place should
-``copy.deepcopy`` it first.  ``ops.merge`` is the exception: it builds a
-fresh model, independent of its inputs.  The model types are plain slotted
-classes on ``Record``; ``replace`` copies one with some members changed.
+arguments, so a caller that wants to mutate a result in place should
+``copy.deepcopy`` it first.  The model types are plain slotted classes on
+``Record``; ``replace`` copies one with some members changed.
 """
 
 from __future__ import annotations
@@ -475,21 +474,29 @@ def nesting_depth(boundaries) -> int:
     """Measured nesting depth of an array; bare integers count as depth 0.
 
     Reported depth is the deepest branch; an empty list counts one level.
+    It is measured level by level, so any depth of nesting is measured.
     """
-    if not isinstance(boundaries, list):
-        return 0
-    if not boundaries:
-        return 1
-    return 1 + max(nesting_depth(b) for b in boundaries)
+    depth, level = 0, [boundaries]
+    while lists := [b for b in level if isinstance(b, list)]:
+        depth += 1
+        level = [x for b in lists for x in b]
+    return depth
 
 
 def iter_boundary_indices(boundaries) -> Iterator[int]:
-    """All vertex indices in a boundaries array, in document order."""
-    if isinstance(boundaries, list):
-        for b in boundaries:
-            yield from iter_boundary_indices(b)
-    else:
-        yield boundaries
+    """All vertex indices in a boundaries array, in document order.
+
+    The walk keeps its own stack, so any depth of nesting is walked.
+    """
+    stack = [iter([boundaries])]
+    while stack:
+        for b in stack[-1]:
+            if isinstance(b, list):
+                stack.append(iter(b))
+                break
+            yield b
+        else:
+            stack.pop()
 
 
 def map_boundaries(boundaries, fn: Callable[[int], int]):

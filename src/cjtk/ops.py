@@ -7,9 +7,7 @@ the vertex pool with rebased indices, and pruning links — no geometry math
 involved.  A result shares with its argument whatever the operation did
 not change (attributes, semantics, appearance, templates, metadata
 values), so callers that mutate a result in place should deep-copy it
-first.  ``merge`` is the exception: it builds its result afresh in one
-walk over each input (links renamed, indices offset, JSON-valued members
-copied), so the result is independent of its inputs.
+first.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from . import codec
 from .errors import CjtkError
 from .geomops import (box_union, compact_pool, compute_extent, dequantize,
                       object_extent, quantize)
-from .model import (CityModel, CityObject, Geometry, Semantics, TemplateBank,
-                    is_finite_number, map_boundaries, replace)
+from .model import (CityModel, Geometry, TemplateBank, is_finite_number,
+                    map_boundaries, replace)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -155,8 +153,11 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     boundary, template and appearance reference valid.  A scale that is
     not a positive finite number is refused with BAD_TRANSFORM.
 
-    The result is built afresh, one walk over each input, and shares
-    nothing with the inputs.
+    Like every operation, merge shares with its inputs what it does not
+    change.  It builds the containers it extends (the objects dict, the
+    vertex pool, the metadata, extensions and extra dicts) and rebuilds a
+    later input's objects and geometries, whose links and indices move;
+    attributes, semantics and other values are shared.
     """
     if policy not in ("error", "suffix"):
         raise CjtkError("UNKNOWN_ID", f"unknown id policy {policy!r}")
@@ -174,24 +175,15 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     inputs = [dequantize(m) if m.transform else m for m in models]
 
     first = inputs[0]
-    out = CityModel(
-        city_objects={oid: _copied_object(co)
-                      for oid, co in first.city_objects.items()},
-        vertices=list(first.vertices),
-        templates=_copied_bank(first.templates),
-        appearance=_json_copy(first.appearance),
-        metadata=_json_copy(first.metadata),
-        extensions=_json_copy(first.extensions),
-        version=first.version,
-        extra=_json_copy(first.extra))
+    out = replace(first, city_objects=dict(first.city_objects),
+                  vertices=list(first.vertices),
+                  metadata=dict(first.metadata),
+                  extensions=dict(first.extensions), extra=dict(first.extra))
     for nxt in inputs[1:]:
         _absorb(out, nxt, policy)
 
-    # The pool still holds the inputs' rows; re-encoding replaces them.
     if digits:
         out = quantize(out, digits=max(digits))
-    else:
-        out.vertices = [list(v) for v in out.vertices]
     if out.metadata.get("geographicalExtent") is not None \
             or out.metadata.get("presentLoDs") is not None:
         out = refresh_metadata(out)
@@ -205,10 +197,10 @@ def _transform_digits(tr) -> int:
 
 
 def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
-    """Add fresh copies of nxt's objects and members to out, in place.
+    """Add nxt's objects and members to out, in place.
 
-    ``out`` belongs to ``merge``; nothing of ``nxt`` is shared with it
-    except the vertex rows, which ``merge`` replaces at the end.
+    Only ``merge``'s own containers in ``out`` grow; of ``nxt``, only the
+    objects and geometries whose links or indices move are rebuilt.
     """
     voffset = len(out.vertices)
     out.vertices.extend(nxt.vertices)
@@ -216,13 +208,14 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
     toffset = len(out.templates.templates) if out.templates else 0
     if nxt.templates is not None and nxt.templates.templates:
         if out.templates is None:
-            out.templates = _copied_bank(nxt.templates)
+            out.templates = nxt.templates
         else:
-            bank = out.templates
-            shift = len(bank.vertices)
-            bank.vertices.extend(_json_copy(nxt.templates.vertices))
-            bank.templates.extend(_copied_geometry(t, vertex_offset=shift)
-                                  for t in nxt.templates.templates)
+            bank_offset = len(out.templates.vertices)
+            out.templates = TemplateBank(
+                templates=out.templates.templates
+                + [t.remapped(lambda i: i + bank_offset)
+                   for t in nxt.templates.templates],
+                vertices=out.templates.vertices + nxt.templates.vertices)
 
     moffset = len((out.appearance or {}).get("materials", []))
     txoffset = len((out.appearance or {}).get("textures", []))
@@ -243,148 +236,106 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
                 n += 1
             rename[oid] = f"{oid}-{n}"
 
-    moves = dict(
-        vertex_offset=voffset, template_offset=toffset,
-        material=functools.partial(_shift_material, offset=moffset)
-        if moffset else _json_copy,
-        texture=functools.partial(_shift_texture, tex_offset=txoffset,
-                                  uv_offset=uvoffset))
+    def relink(ids):
+        return [rename.get(i, i) for i in ids]
+
+    def shift(i):
+        return i + voffset
+
+    def moved(g: Geometry) -> Geometry:
+        # A material moves only when there is an offset; a texture always
+        # goes through the walk, which writes a true index as 1.
+        return replace(
+            g, boundaries=map_boundaries(g.boundaries, shift),
+            template=g.template + toffset
+            if toffset and g.is_instance() else g.template,
+            material=_shift_material(g.material, moffset)
+            if moffset and g.material is not None else g.material,
+            texture=None if g.texture is None
+            else _shift_texture(g.texture, txoffset, uvoffset))
+
     for oid, co in nxt.city_objects.items():
-        out.city_objects[rename.get(oid, oid)] = _copied_object(
-            co, lambda ids: [rename.get(i, i) for i in ids], **moves)
+        extra = co.extra
+        if "members" in extra:
+            extra = {**extra, "members": relink(extra["members"])}
+        out.city_objects[rename.get(oid, oid)] = replace(
+            co, geometry=[moved(g) for g in co.geometry],
+            parents=relink(co.parents), children=relink(co.children),
+            extra=extra)
 
     for mine, theirs in ((out.extensions, nxt.extensions),
                          (out.metadata, nxt.metadata),
                          (out.extra, nxt.extra)):
         for key, value in (theirs or {}).items():
-            if key not in mine:
-                mine[key] = _json_copy(value)
-
-
-_CONTAINERS = (list, dict)
-
-
-def _json_copy(value):
-    """Copy of a JSON-shaped value: fresh lists and dicts, shared scalars."""
-    if type(value) is list:
-        return [_json_copy(x) if type(x) in _CONTAINERS else x
-                for x in value]
-    if type(value) is dict:
-        return {k: _json_copy(x) if type(x) in _CONTAINERS else x
-                for k, x in value.items()}
-    return value
-
-
-def _copied_object(co: CityObject, relink=_json_copy, **moves) -> CityObject:
-    """Fresh copy of co sharing nothing with it.
-
-    ``relink`` copies (and may rename) its parents, children and group
-    members; ``moves`` are passed on to ``_copied_geometry``.
-    """
-    return CityObject(
-        type=co.type, attributes=_json_copy(co.attributes),
-        geometry=[_copied_geometry(g, **moves) for g in co.geometry],
-        parents=relink(co.parents), children=relink(co.children),
-        extent=_json_copy(co.extent),
-        extra={key: relink(value) if key == "members" else _json_copy(value)
-               for key, value in co.extra.items()})
-
-
-def _copied_geometry(g: Geometry, vertex_offset: int | None = None,
-                     template_offset: int = 0, material=_json_copy,
-                     texture=_json_copy) -> Geometry:
-    """Fresh copy of g sharing nothing with it.
-
-    With ``vertex_offset`` every boundary index moves by that much (and is
-    otherwise copied as it is), and an instance's template index moves by
-    ``template_offset``; ``material`` and ``texture`` copy (and may shift)
-    those members.
-    """
-    if vertex_offset is None:
-        boundaries = _json_copy(g.boundaries)
-    else:
-        boundaries = map_boundaries(g.boundaries,
-                                    lambda i: i + vertex_offset)
-    sem = g.semantics
-    if sem is not None:
-        sem = Semantics(_json_copy(sem.surfaces), _json_copy(sem.values),
-                        _json_copy(sem.extra))
-    template = g.template
-    if template_offset and g.is_instance():
-        template += template_offset
-    return Geometry(
-        type=g.type, lod=g.lod, boundaries=boundaries, semantics=sem,
-        material=None if g.material is None else material(g.material),
-        texture=None if g.texture is None else texture(g.texture),
-        template=template,
-        transformation_matrix=_json_copy(g.transformation_matrix),
-        extra=_json_copy(g.extra))
-
-
-def _copied_bank(bank: TemplateBank | None) -> TemplateBank | None:
-    if bank is None:
-        return None
-    return TemplateBank(templates=[_copied_geometry(t)
-                                   for t in bank.templates],
-                        vertices=_json_copy(bank.vertices))
+            mine.setdefault(key, value)
 
 
 def _merge_appearance(a: dict, b: dict) -> dict:
     out = dict(a) if a else {}
     for key in ("materials", "textures", "vertices-texture"):
         if b.get(key):
-            out[key] = list(out.get(key, [])) + [_json_copy(x)
-                                                 for x in b[key]]
+            out[key] = [*out.get(key, []), *b[key]]
     for key in ("default-theme-material", "default-theme-texture"):
         if key in b:
-            out.setdefault(key, _json_copy(b[key]))
+            out.setdefault(key, b[key])
     return out
 
 
-def _shift_themes(member: dict, values) -> dict:
-    """Copy of a material or texture member, each theme's "values"
-    rebuilt by ``values``."""
-    out = {}
-    for theme, themed in member.items():
-        if type(themed) is dict:
-            out[theme] = {key: values(x) if key == "values" else _json_copy(x)
-                          for key, x in themed.items()}
+def _shift_themes(member: dict, fn, is_leaf) -> dict:
+    """Copy of a material or texture member, each theme's "values" mapped
+    by ``_mapped(values, fn, is_leaf)``; the rest is shared."""
+    return {theme: {**themed, "values": _mapped(themed["values"], fn, is_leaf)}
+            if type(themed) is dict and "values" in themed else themed
+            for theme, themed in member.items()}
+
+
+def _mapped(node, fn, is_leaf):
+    """Copy of the nested lists ``node`` with ``fn`` applied to each item
+    ``is_leaf`` accepts, ``node`` itself included; every other item is a
+    list, copied the same way.  The walk keeps its own stack, so no depth
+    of nesting runs into the recursion limit."""
+    if is_leaf(node):
+        return fn(node)
+    root: list = []
+    stack = [(iter(node), root)]
+    while stack:
+        items, built = stack[-1]
+        for x in items:
+            if is_leaf(x):
+                built.append(fn(x))
+            else:
+                built.append([])
+                stack.append((iter(x), built[-1]))
+                break
         else:
-            out[theme] = _json_copy(themed)
-    return out
+            stack.pop()
+    return root
 
 
 def _shift_material(member: dict, offset: int) -> dict:
-    def shift(node):
-        if isinstance(node, list):
-            return [shift(x) for x in node]
-        if isinstance(node, int):
-            return node + offset
-        return _json_copy(node)
+    def shift(x):
+        return x + offset if isinstance(x, int) else x
 
-    out = _shift_themes(member, shift)
-    for themed in out.values():
-        if isinstance(themed, dict) and isinstance(themed.get("value"), int):
-            themed["value"] += offset
-    return out
+    return {theme: {**themed, "value": shift(themed["value"])}
+            if type(themed) is dict and "value" in themed else themed
+            for theme, themed in _shift_themes(
+                member, shift, lambda x: not isinstance(x, list)).items()}
 
 
 def _shift_texture(member: dict, tex_offset: int, uv_offset: int) -> dict:
-    def shift_ring(ring):
+    def is_leaf(node):
         # A texture ring reads [texture index, uv index, uv index, ...].
+        return not isinstance(node, list) or bool(node) and all(
+            x is None or isinstance(x, int) for x in node)
+
+    def shift_ring(ring):
+        if not isinstance(ring, list):
+            return ring
         head = ring[0] + tex_offset if isinstance(ring[0], int) else ring[0]
         return [head] + [x + uv_offset if isinstance(x, int) else x
                          for x in ring[1:]]
 
-    def walk(node):
-        if isinstance(node, list) and node \
-                and all(x is None or isinstance(x, int) for x in node):
-            return shift_ring(node)
-        if isinstance(node, list):
-            return [walk(x) for x in node]
-        return _json_copy(node)
-
-    return _shift_themes(member, walk)
+    return _shift_themes(member, shift_ring, is_leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,42 @@ def base_inputs():
                                  part_every=4)
         out.append((f"synth-{seed}", synth.scene_to_model(scene)))
     return out
+
+
+def deep_list(depth):
+    """``[[...[1]...]]``, ``depth`` lists deep."""
+    value = [1]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def deep_documents(depth=900):
+    """Valid documents (JSON trees), each holding one value ``depth``
+    lists deep: an attribute, an unknown object member, the values of a
+    material theme and those of a texture theme."""
+    corpus = {path.name.split(".")[0]: path for path in committed_corpus()}
+
+    def load(name):
+        return json.loads(corpus[name].read_text(encoding="utf-8"))
+
+    def first_geometry_with(tree, member):
+        return next(g for co in tree["CityObjects"].values()
+                    for g in co["geometry"] if member in g)
+
+    out = {}
+    for name in ("attribute", "member"):
+        tree = load("02-building-with-parts")
+        co = next(iter(tree["CityObjects"].values()))
+        if name == "attribute":
+            co.setdefault("attributes", {})["deep"] = deep_list(depth)
+        else:
+            co["+deep"] = deep_list(depth)
+        out[name] = tree
+    for name, corpus_name in (("material", "16-appearance-materials"),
+                              ("texture", "15-appearance-textures")):
+        tree = load(corpus_name)
+        themes = first_geometry_with(tree, name)[name]
+        next(iter(themes.values()))["values"] = deep_list(depth)
+        out[name] = tree
+    return out

@@ -17,7 +17,8 @@ from cjtk.model import Transform, replace
 
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
-from helpers import as_model, as_text, base_inputs, cube_tree
+from helpers import (as_model, as_text, base_inputs, cube_tree,
+                     deep_documents)
 from test_codec import hostile_inputs, hostile_models
 from test_extensions import hostile_extension_files, noise_building_tree
 from test_gml_import import hostile_documents
@@ -370,6 +371,19 @@ def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path):
         assert f"{stage[0]}: [{stages[stage]}]" in proc.stderr
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(deep_documents()))
+def test_deep_values_pass_every_stage(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(as_text(deep_documents()[name]), encoding="utf-8")
+    for stage in (["validate"], ["compress"], ["subset", "--type", "Building"],
+                  ["merge", "--policy", "suffix", str(path)], ["metadata"]):
+        proc = run_cli(str(path), *stage, "save", "-")
+        assert proc.returncode == 0, (stage, proc.stderr)
+    proc = run_cli(str(path), "partition", "--grid", "2x2", "--out-dir",
+                   str(tmp_path / "parts"))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),

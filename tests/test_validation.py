@@ -7,7 +7,8 @@ from cjtk.validation import (errors_of, parse_and_validate,
                              validate_consistency, validate_structure,
                              warnings_of)
 
-from helpers import as_model, as_text, codes_of, cube_tree, tree_of
+from helpers import (as_model, as_text, codes_of, cube_tree,
+                     deep_documents, tree_of)
 from test_codec import hostile_inputs, hostile_models
 
 IDENTITY = [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0]
@@ -304,3 +305,11 @@ def test_parse_and_validate_returns_the_model_it_checked():
 def test_validate_text_reports_hostile_models_without_raising(name):
     text, stages = hostile_models()[name]
     assert stages[("validate",)] in codes_of(errors_of(validate_text(text)))
+
+
+@pytest.mark.parametrize("name", sorted(deep_documents()))
+def test_validate_text_walks_deep_values_without_raising(name,
+                                                         noise_extension):
+    text = as_text(deep_documents()[name])
+    for exts in (None, [], [noise_extension]):
+        assert validate_text(text, exts) == []
