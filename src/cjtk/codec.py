@@ -5,10 +5,11 @@ on anything that breaks the shape of the encoding: bad JSON syntax
 (including bytes that are not UTF-8, nesting deeper than the interpreter
 can follow, the NaN/Infinity literals RFC 8259 excludes, and string
 escapes of unpaired UTF-16 surrogates, which no UTF-8 text can hold), a
-wrong or missing type tag, missing required members, members of the wrong
-type, boundary arrays whose nesting does not match their geometry kind,
-and duplicate keys (duplicate city-object identifiers in particular).
-Vertices, ``lod`` and the transform hold finite doubles only (no ``1e999``).
+wrong or missing type tag, duplicate keys (duplicate city-object
+identifiers in particular), missing required members, members that must
+be objects or arrays to build a record, and a transform of finite
+doubles.  It then raises the first problem of ``model.shape_problems``
+(vertex rows, links, ``lod``, boundary nesting, semantics, appearance).
 Checks that need whole-model reasoning (index ranges, family links,
 semantics coherence) belong to the validator, which reports findings
 instead of raising.
@@ -25,18 +26,16 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 
 from .errors import CodecError
 from .model import (
-    GEOMETRY_DEPTH,
     CityModel,
     CityObject,
-    Geometry,
     Record,
     TemplateBank,
     Transform,
     is_finite_number,
+    shape_problems,
 )
 
 _REQUIRED = ("version", "CityObjects", "vertices")
@@ -193,70 +192,18 @@ def _require(cond: bool, code: str, message: str, path: str) -> None:
         raise CodecError(code, message, path=path)
 
 
-def _check_boundary_shape(node, depth: int, path: str) -> None:
-    # Each level is checked whole, by C-level passes over the types of its
-    # nodes; the walk node by node runs only where a level holds something
-    # else, to name the first bad node (or to accept a subclass).
-    level = [node]
-    for _ in range(depth):
-        if not set(map(type, level)) <= {list}:
-            break
-        level = list(chain.from_iterable(level))
-    else:
-        if set(map(type, level)) <= {int}:
-            return
-    _walk_boundary_shape(node, depth, path)
-
-
-def _walk_boundary_shape(node, depth: int, path: str) -> None:
-    if depth == 0:
-        _require(isinstance(node, int) and not isinstance(node, bool),
-                 "BAD_GEOMETRY_SHAPE",
-                 f"vertex reference {node!r} is not an integer", path)
-        return
-    _require(isinstance(node, list), "BAD_GEOMETRY_SHAPE",
-             f"expected {depth} more array level(s)", path)
-    for i, sub in enumerate(node):
-        _walk_boundary_shape(sub, depth - 1, f"{path}/{i}")
-
-
-def _check_geometry(obj, path: str) -> None:
+def _check_geometry_members(obj, path: str) -> None:
     _require(isinstance(obj, dict), "WRONG_MEMBER_TYPE",
              "geometry must be an object", path)
     _require("type" in obj, "MISSING_REQUIRED_MEMBER", "geometry has no type",
              f"{path}/type")
-    kind = obj["type"]
-    lod = obj.get("lod")
-    _require(lod is None or is_finite_number(lod), "WRONG_MEMBER_TYPE",
-             "lod must be a number", f"{path}/lod")
-    if kind == "GeometryInstance":
+    if obj["type"] == "GeometryInstance":
         for member in ("template", "boundaries", "transformationMatrix"):
             _require(member in obj, "MISSING_REQUIRED_MEMBER",
                      f"geometry instance needs {member!r}", f"{path}/{member}")
-        _check_boundary_shape(obj["boundaries"], 1, f"{path}/boundaries")
-        _require(len(obj["boundaries"]) == 1, "BAD_GEOMETRY_SHAPE",
-                 "instance boundaries hold exactly one reference point",
-                 f"{path}/boundaries")
-        return
-    _require("boundaries" in obj, "MISSING_REQUIRED_MEMBER",
-             "geometry has no boundaries", f"{path}/boundaries")
-    if kind in GEOMETRY_DEPTH:
-        _check_boundary_shape(obj["boundaries"], GEOMETRY_DEPTH[kind],
-                              f"{path}/boundaries")
-    sem = obj.get("semantics")
-    if sem is not None:
-        _require(isinstance(sem, dict) and isinstance(sem.get("surfaces"), list)
-                 and isinstance(sem.get("values"), list), "WRONG_MEMBER_TYPE",
-                 "semantics needs surfaces and values arrays",
-                 f"{path}/semantics")
-
-
-def _check_vertices(vertices, path: str) -> None:
-    for i, v in enumerate(vertices):
-        _require(isinstance(v, list) and len(v) == 3
-                 and all(map(is_finite_number, v)), "BAD_GEOMETRY_SHAPE",
-                 "vertex must hold exactly three finite numbers",
-                 f"{path}/{i}")
+    else:
+        _require("boundaries" in obj, "MISSING_REQUIRED_MEMBER",
+                 "geometry has no boundaries", f"{path}/boundaries")
 
 
 def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
@@ -275,7 +222,6 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
              "CityObjects must be an object", "CityObjects")
     _require(isinstance(root["vertices"], list), "WRONG_MEMBER_TYPE",
              "vertices must be an array", "vertices")
-    _check_vertices(root["vertices"], "vertices")
 
     model = CityModel(version=version, vertices=root["vertices"])
     for oid, obj in root["CityObjects"].items():
@@ -286,17 +232,11 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
                  "city object has no type", f"{path}/type")
         _require(isinstance(obj.get("attributes", {}), dict), "WRONG_MEMBER_TYPE",
                  "attributes must be an object", f"{path}/attributes")
-        for member in ("parents", "children"):
-            links = obj.get(member, [])
-            _require(isinstance(links, list)
-                     and all(isinstance(x, str) for x in links),
-                     "WRONG_MEMBER_TYPE", f"{member} must be an array of ids",
-                     f"{path}/{member}")
         geoms = obj.get("geometry", [])
         _require(isinstance(geoms, list), "WRONG_MEMBER_TYPE",
                  "geometry must be an array", f"{path}/geometry")
         for g_i, g in enumerate(geoms):
-            _check_geometry(g, f"{path}/geometry/{g_i}")
+            _check_geometry_members(g, f"{path}/geometry/{g_i}")
         co = CityObject.from_json(obj)
         for g in co.geometry:
             diag.unknown_members.extend(f"{path}/…/{k}" for k in g.extra)
@@ -317,15 +257,15 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         _require(isinstance(bank, dict), "WRONG_MEMBER_TYPE",
                  "geometry-templates must be an object", "geometry-templates")
         for g_i, g in enumerate(bank.get("templates", [])):
-            _check_geometry(g, f"geometry-templates/templates/{g_i}")
-        _check_vertices(bank.get("vertices-templates", []),
-                        "geometry-templates/vertices-templates")
+            _check_geometry_members(g, f"geometry-templates/templates/{g_i}")
         model.templates = TemplateBank.from_json(bank)
     for member in ("appearance", "metadata", "extensions"):
         if member in root:
             _require(isinstance(root[member], dict), "WRONG_MEMBER_TYPE",
                      f"{member} must be an object", member)
             setattr(model, member, root[member])
+    for path, code, message in shape_problems(model):
+        raise CodecError(code, message, path=path)
 
     known = {"type", "version", "CityObjects", "vertices", "transform",
              "geometry-templates", "appearance", "metadata", "extensions"}

@@ -9,8 +9,11 @@ operation honest about what actually gets stored.
 
 The shape rules that codec, validator and ops share are written here once
 (``is_finite_number``, ``is_scale``, ``is_matrix``, ``is_extent``,
-``Transform.checked`` and ``CityModel.placed_template``), so those modules
-cannot disagree.
+``Transform.checked``, ``CityModel.placed_template`` and
+``shape_problems``: vertex rows; a city object's ``parents``,
+``children`` and ``members``; a geometry's ``lod``, instance reference
+point, boundary nesting, ``semantics``, ``material`` and ``texture``), so
+those modules cannot disagree.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
+from itertools import chain, islice
 
 from .errors import CjtkError
 
@@ -299,8 +303,11 @@ class Geometry(Record):
     def from_json(cls, obj: dict) -> "Geometry":
         g = cls(type=obj["type"], lod=obj.get("lod"),
                 boundaries=obj.get("boundaries", []))
-        if obj.get("semantics") is not None:
-            g.semantics = Semantics.from_json(obj["semantics"])
+        # Semantics that are not an object stay as written, for
+        # ``shape_problems`` to refuse.
+        g.semantics = obj.get("semantics")
+        if isinstance(g.semantics, dict):
+            g.semantics = Semantics.from_json(g.semantics)
         g.material = obj.get("material")
         g.texture = obj.get("texture")
         g.template = obj.get("template")
@@ -386,15 +393,17 @@ class CityObject(Record):
     def from_json(cls, obj: dict) -> "CityObject":
         known = {"type", "attributes", "geographicalExtent", "children",
                  "parents", "geometry"}
-        return cls(
+        co = cls(
             type=obj["type"],
             attributes=dict(obj.get("attributes") or {}),
             geometry=[Geometry.from_json(g) for g in obj.get("geometry") or []],
-            parents=list(obj.get("parents") or []),
-            children=list(obj.get("children") or []),
             extent=obj.get("geographicalExtent"),
             extra={k: v for k, v in obj.items() if k not in known},
         )
+        # The links as written, null included, for ``shape_problems``.
+        co.parents = obj.get("parents", [])
+        co.children = obj.get("children", [])
+        return co
 
 
 class CityModel(Record):
@@ -470,19 +479,6 @@ class CityModel(Record):
 # -- boundary array helpers ---------------------------------------------
 
 
-def nesting_depth(boundaries) -> int:
-    """Measured nesting depth of an array; bare integers count as depth 0.
-
-    Reported depth is the deepest branch; an empty list counts one level.
-    It is measured level by level, so any depth of nesting is measured.
-    """
-    depth, level = 0, [boundaries]
-    while lists := [b for b in level if isinstance(b, list)]:
-        depth += 1
-        level = [x for b in lists for x in b]
-    return depth
-
-
 def iter_boundary_indices(boundaries) -> Iterator[int]:
     """All vertex indices in a boundaries array, in document order.
 
@@ -507,25 +503,145 @@ def map_boundaries(boundaries, fn: Callable[[int], int]):
 
 
 def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
-    """Every (path, ring) of a surface-bearing geometry.
+    """Every (path, ring) of a surface-bearing geometry whose boundaries
+    ``shape_problems`` accepts.
 
     A ring is an innermost index list; the path is the slash-joined list of
     positions leading to it inside the boundaries array.
     """
     if kind not in SURFACE_KINDS:
         return
-    # Depth of a ring is 1; peel levels until the children are rings.
-    level = GEOMETRY_DEPTH[kind]
+    level = [("", boundaries)]
+    # Rings lie one level above the indices.
+    for _ in range(GEOMETRY_DEPTH[kind] - 1):
+        level = [(f"{where}/{i}" if where else str(i), child)
+                 for where, node in level for i, child in enumerate(node)]
+    yield from level
 
-    def walk(node, depth, where):
-        if depth == 2:
-            for i, r in enumerate(node):
-                if isinstance(r, list):
-                    yield (f"{where}/{i}" if where else str(i)), r
+
+# -- shape rules ----------------------------------------------------------
+
+
+def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
+    """Every (path, code, message) problem of the shape rules in ``model``,
+    in document order: the codec raises the first, the validator reports
+    them all.
+
+    Vertex pools hold rows of three finite numbers.  A city object's
+    ``parents``, ``children`` and ``members`` are arrays of ids.  A
+    geometry's ``lod`` is absent or a finite number; an instance's
+    boundaries hold exactly one integer reference point; a known kind's
+    nest ``GEOMETRY_DEPTH[kind]`` deep over integers (a type that is not a
+    string is no kind); ``semantics`` has an array of objects,
+    ``surfaces``, and an array, ``values``; ``material`` and ``texture``
+    are objects.
+    """
+    yield from _pool_problems("vertices", model.vertices)
+    for oid, co in model.city_objects.items():
+        path = f"CityObjects/{oid}"
+        for member, ids in (("parents", co.parents), ("children", co.children),
+                            ("members", co.extra.get("members", []))):
+            if not isinstance(ids, list) \
+                    or not all(isinstance(x, str) for x in ids):
+                yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
+                       f"{member} must be an array of ids")
+        for gi, geom in enumerate(co.geometry):
+            yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
+    if model.templates is not None:
+        for ti, geom in enumerate(model.templates.templates):
+            yield from _geometry_problems(
+                f"geometry-templates/templates/{ti}", geom)
+        yield from _pool_problems("geometry-templates/vertices-templates",
+                                  model.templates.vertices)
+
+
+def _geometry_problems(path: str, geom: Geometry):
+    if geom.lod is not None and not is_finite_number(geom.lod):
+        yield f"{path}/lod", "WRONG_MEMBER_TYPE", "lod must be a number"
+    b, where = geom.boundaries, f"{path}/boundaries"
+    if geom.is_instance():
+        bad = list(_boundary_problems(b, 1, where))
+        if not bad and len(b) != 1:
+            bad = [(where, "BAD_GEOMETRY_SHAPE",
+                    "instance boundaries hold exactly one reference point")]
+        yield from bad
+    elif isinstance(geom.type, str) and geom.type in GEOMETRY_DEPTH:
+        yield from _boundary_problems(b, GEOMETRY_DEPTH[geom.type], where)
+    sem = geom.semantics
+    if sem is not None and not geom.is_instance():
+        if not (isinstance(sem, Semantics) and isinstance(sem.surfaces, list)
+                and isinstance(sem.values, list)):
+            yield (f"{path}/semantics", "WRONG_MEMBER_TYPE",
+                   "semantics needs surfaces and values arrays")
         else:
-            for i, child in enumerate(node):
-                if isinstance(child, list):
-                    yield from walk(child, depth - 1,
-                                    f"{where}/{i}" if where else str(i))
+            for i, surface in enumerate(sem.surfaces):
+                if not isinstance(surface, dict):
+                    yield (f"{path}/semantics/surfaces/{i}",
+                           "WRONG_MEMBER_TYPE",
+                           "semantic surface must be an object")
+    for member, value in (("material", geom.material),
+                          ("texture", geom.texture)):
+        if value is not None and not isinstance(value, dict):
+            yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
+                   f"{member} must be an object")
 
-    yield from walk(boundaries, level, "")
+
+def _boundary_problems(boundaries, depth: int, path: str):
+    return _first_bad(boundaries, depth, _all_ints,
+                      lambda: _walk_boundary_shape(boundaries, depth, path))
+
+
+def _pool_problems(path: str, pool):
+    return _first_bad(pool, 1, _finite_rows, lambda: (
+        (f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
+         "vertex must hold exactly three finite numbers")
+        for i, v in enumerate(pool) if not isinstance(v, list)
+        or len(v) != 3 or not all(map(is_finite_number, v))))
+
+
+def _first_bad(node, depth: int, leaves_ok, walk):
+    """Nothing where ``node`` nests ``depth`` list levels over leaves that
+    ``leaves_ok`` accepts; else the first problem ``walk()`` yields.
+
+    Each level is checked whole, by C-level passes over the types of its
+    nodes; the walk node by node runs only where that fails, to name the
+    first bad node (or to accept a subclass).
+    """
+    level = [node]
+    for _ in range(depth):
+        if not set(map(type, level)) <= {list}:
+            break
+        level = list(chain.from_iterable(level))
+    else:
+        if leaves_ok(level):
+            return
+    yield from islice(walk(), 1)
+
+
+def _all_ints(level) -> bool:
+    return set(map(type, level)) <= {int}
+
+
+def _finite_rows(rows) -> bool:
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {3}:
+        return False
+    coords = list(chain.from_iterable(rows))
+    if not set(map(type, coords)) <= {int, float}:  # a bool is no number
+        return False
+    try:
+        return all(map(math.isfinite, coords))
+    except OverflowError:  # an int beyond a double's range
+        return False
+
+
+def _walk_boundary_shape(node, depth: int, path: str):
+    if depth == 0:
+        if not isinstance(node, int) or isinstance(node, bool):
+            yield (path, "BAD_GEOMETRY_SHAPE",
+                   f"vertex reference {node!r} is not an integer")
+    elif not isinstance(node, list):
+        yield (path, "BAD_GEOMETRY_SHAPE",
+               f"expected {depth} more array level(s)")
+    else:
+        for i, sub in enumerate(node):
+            yield from _walk_boundary_shape(sub, depth - 1, f"{path}/{i}")

@@ -1,11 +1,13 @@
 """Two-layer validation: structural rules and referential consistency.
 
-Structure answers "is each piece well-formed on its own": known object
-types, boundary arrays of the right nesting depth for their geometry kind,
-rings with at least three distinct corners, a numeric lod on every
-geometry, 16-number transformation matrices, template indices that exist,
-an EPSG reference system, a well-shaped transform and extent, the last
-few judged by the model's own predicates (``model.is_finite_number``...).
+Structure answers "is each piece well-formed on its own".  It reports the
+problems of ``model.shape_problems``, the rules the codec raises at the
+syntax stage for documents; only a model built in memory can show them
+here.  On a model without them it adds its own rules: known object and
+geometry types, a lod on every geometry, rings with at least three
+distinct corners, 16-number transformation matrices, template indices
+that exist, an EPSG reference system, a well-shaped transform and extent,
+and standard semantic surface types (warnings).
 
 Consistency answers "do the pieces agree with each other": parents and
 children listing one another, semantic values mirroring the shape of the
@@ -31,7 +33,7 @@ from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
                     is_extent, is_finite_number, is_matrix, is_scale,
-                    iter_boundary_indices, iter_rings, nesting_depth)
+                    iter_boundary_indices, iter_rings, shape_problems)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 
@@ -45,11 +47,19 @@ def validate_structure(model: CityModel) -> list[Finding]:
     out: list[Finding] = []
     err, warn = reporters(out, "structure")
 
+    for problem in shape_problems(model):
+        err(*problem)
+    if out:  # the rules below read what the shape rules accept
+        return sorted(out)
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
-        if co.type not in COBJECT_TYPES and not co.type.startswith("+"):
+        if not isinstance(co.type, str) or (co.type not in COBJECT_TYPES
+                                            and not co.type.startswith("+")):
             err(f"{base}/type", "UNKNOWN_COTYPE",
                 f"{co.type!r} is not a known city object type")
+        if co.extent is not None and not is_extent(co.extent):
+            err(f"{base}/geographicalExtent", "INVALID_EXTENT",
+                "extent must be six finite numbers with min <= max per axis")
         for gi, geom in enumerate(co.geometry):
             _check_geometry(model, geom, f"{base}/geometry/{gi}", err, warn)
 
@@ -70,11 +80,6 @@ def validate_structure(model: CityModel) -> list[Finding]:
         err("metadata/geographicalExtent", "INVALID_EXTENT",
             "extent must be [minx,miny,minz,maxx,maxy,maxz] with "
             "min <= max per axis")
-
-    for oid, co in model.city_objects.items():
-        if co.extent is not None and not is_extent(co.extent):
-            err(f"CityObjects/{oid}/geographicalExtent", "INVALID_EXTENT",
-                "extent must be six finite numbers with min <= max per axis")
     out.sort()
     return out
 
@@ -89,26 +94,15 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
             err(f"{base}/transformationMatrix", "BAD_MATRIX",
                 "transformationMatrix must hold 16 finite numbers in "
                 "row-major order")
-        if (not isinstance(geom.boundaries, list) or len(geom.boundaries) != 1
-                or not isinstance(geom.boundaries[0], int)):
-            err(f"{base}/boundaries", "BAD_GEOMETRY_SHAPE",
-                "an instance points at exactly one reference vertex")
         return
 
-    if geom.type not in GEOMETRY_DEPTH:
+    if not isinstance(geom.type, str) or geom.type not in GEOMETRY_DEPTH:
         err(f"{base}/type", "UNKNOWN_COTYPE",
             f"{geom.type!r} is not a geometry kind")
         return
-    if not is_finite_number(geom.lod):
+    if geom.lod is None:
         err(f"{base}/lod", "MISSING_REQUIRED_MEMBER",
             "every geometry carries a numeric lod")
-
-    want = GEOMETRY_DEPTH[geom.type]
-    got = nesting_depth(geom.boundaries)
-    if got != want:
-        err(f"{base}/boundaries", "BAD_GEOMETRY_SHAPE",
-            f"{geom.type} boundaries nest {want} deep, found {got}")
-        return
     if geom.type in SURFACE_KINDS:
         for where, ring in iter_rings(geom.type, geom.boundaries):
             if len(ring) < 3:
@@ -118,7 +112,7 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
                 err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
                     "rings are implicitly closed; the first vertex must "
                     "not be repeated at the end")
-    if geom.semantics is not None and geom.semantics.surfaces:
+    if geom.semantics is not None:
         for si, surf in enumerate(geom.semantics.surfaces):
             stype = surf.get("type")
             if (isinstance(stype, str) and stype not in SEMANTIC_SURFACE_TYPES

@@ -6,8 +6,10 @@ the public codec, so the tests exercise the same entry points users do.
 
 import copy
 import json
+from collections import namedtuple
 
 from cjtk import codec, synth
+from cjtk.model import CityModel, CityObject, TemplateBank, Transform
 
 from conftest import committed_corpus
 
@@ -71,6 +73,13 @@ def codes_of(findings):
     return sorted({f.code for f in findings})
 
 
+def corpus_tree(name):
+    """The document tree of the committed corpus file ``name`` (its stem,
+    such as "02-building-with-parts")."""
+    path = next(p for p in committed_corpus() if p.name.split(".")[0] == name)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def base_inputs():
     """(name, model) of the committed corpus files and three ``synth``
     scenes, in a fixed order."""
@@ -96,18 +105,13 @@ def deep_documents(depth=900):
     """Valid documents (JSON trees), each holding one value ``depth``
     lists deep: an attribute, an unknown object member, the values of a
     material theme and those of a texture theme."""
-    corpus = {path.name.split(".")[0]: path for path in committed_corpus()}
-
-    def load(name):
-        return json.loads(corpus[name].read_text(encoding="utf-8"))
-
     def first_geometry_with(tree, member):
         return next(g for co in tree["CityObjects"].values()
                     for g in co["geometry"] if member in g)
 
     out = {}
     for name in ("attribute", "member"):
-        tree = load("02-building-with-parts")
+        tree = corpus_tree("02-building-with-parts")
         co = next(iter(tree["CityObjects"].values()))
         if name == "attribute":
             co.setdefault("attributes", {})["deep"] = deep_list(depth)
@@ -116,8 +120,182 @@ def deep_documents(depth=900):
         out[name] = tree
     for name, corpus_name in (("material", "16-appearance-materials"),
                               ("texture", "15-appearance-textures")):
-        tree = load(corpus_name)
+        tree = corpus_tree(corpus_name)
         themes = first_geometry_with(tree, name)[name]
         next(iter(themes.values()))["values"] = deep_list(depth)
         out[name] = tree
+    return out
+
+
+# -- shape mutants ---------------------------------------------------------
+
+# One document with one shape defect, and the first error finding
+# ``validate_text`` reports for it: (code, path, stage), or None where the
+# document is valid.
+ShapeMutant = namedtuple("ShapeMutant", "tree expect")
+
+
+def mutant_text(tree):
+    """Document text of a mutant tree; an infinite float is written as the
+    literal 1e999, which overflows a double when read."""
+    return json.dumps(tree).replace("Infinity", "1e999")
+
+
+def record_model(tree):
+    """The model of a document tree built from the model's records, without
+    the codec's checks, so that a shape defect the codec would refuse
+    reaches the validator."""
+    bank = tree.get("geometry-templates")
+    return CityModel(
+        city_objects={oid: CityObject.from_json(co)
+                      for oid, co in tree["CityObjects"].items()},
+        vertices=tree["vertices"],
+        transform=Transform.from_json(tree["transform"])
+        if "transform" in tree else None,
+        templates=TemplateBank.from_json(bank) if bank else None,
+        appearance=tree.get("appearance"), metadata=tree.get("metadata"))
+
+
+def shape_mutants():
+    """Documents breaking one shape rule each (or near misses that are
+    valid), by name.  They include a list or integer type and a semantic
+    surface that is not an object, which the validator must report rather
+    than crash on, and ``members``, ``material`` or ``texture`` of the
+    wrong type, which the ops cannot handle."""
+    out = {}
+
+    def mutant(name, tree, change, code=None, path=None, stage="syntax"):
+        change(tree)
+        out[name] = ShapeMutant(tree, code and (code, path, stage))
+
+    def geom(tree):
+        return tree["CityObjects"]["b-1"]["geometry"][0]
+
+    def setter(get, key, value):
+        return lambda tree: get(tree).__setitem__(key, value)
+
+    g0 = "CityObjects/b-1/geometry/0"
+
+    # Types: not a string is no known type.
+    mutant("geometry-type-list", cube_tree(), setter(geom, "type", ["Solid"]),
+           "UNKNOWN_COTYPE", f"{g0}/type", "structure")
+    mutant("geometry-type-int", cube_tree(), setter(geom, "type", 5),
+           "UNKNOWN_COTYPE", f"{g0}/type", "structure")
+    mutant("object-type-int", cube_tree(),
+           setter(lambda t: t["CityObjects"]["b-1"], "type", 5),
+           "UNKNOWN_COTYPE", "CityObjects/b-1/type", "structure")
+
+    # lod.
+    for name, lod in (("string", "2"), ("bool", True)):
+        mutant(f"lod-{name}", cube_tree(), setter(geom, "lod", lod),
+               "WRONG_MEMBER_TYPE", f"{g0}/lod")
+    mutant("lod-refined", cube_tree(), setter(geom, "lod", 2.5))
+
+    # Boundaries of a Solid, four levels deep.
+    def ring(tree):
+        return geom(tree)["boundaries"][0][0][0]
+
+    mutant("boundaries-too-shallow", cube_tree(),
+           setter(geom, "boundaries", [[0, 1, 2, 3]]),
+           "BAD_GEOMETRY_SHAPE", f"{g0}/boundaries/0/0")
+    mutant("boundaries-not-an-array", cube_tree(),
+           setter(geom, "boundaries", 5),
+           "BAD_GEOMETRY_SHAPE", f"{g0}/boundaries")
+    mutant("boundaries-too-deep", cube_tree(), setter(ring, 0, [0]),
+           "BAD_GEOMETRY_SHAPE", f"{g0}/boundaries/0/0/0/0")
+    mutant("boundaries-bool-index", cube_tree(), setter(ring, 1, True),
+           "BAD_GEOMETRY_SHAPE", f"{g0}/boundaries/0/0/0/1")
+    mutant("boundaries-float-index", cube_tree(), setter(ring, 2, 2.0),
+           "BAD_GEOMETRY_SHAPE", f"{g0}/boundaries/0/0/0/2")
+
+    # Instances: exactly one integer reference point.
+    def instance(tree):
+        return tree["CityObjects"]["lamp-row"]["geometry"][0]
+
+    i0 = "CityObjects/lamp-row/geometry/0"
+    for name, points, path in (("two-points", [0, 1], ""),
+                               ("no-point", [], ""),
+                               ("string-point", ["0"], "/0"),
+                               ("nested-point", [[0]], "/0"),
+                               ("not-an-array", 0, "")):
+        mutant(f"instance-{name}", corpus_tree("22-two-instances"),
+               setter(instance, "boundaries", points),
+               "BAD_GEOMETRY_SHAPE", f"{i0}/boundaries{path}")
+    mutant("instance-lod-string", corpus_tree("22-two-instances"),
+           setter(instance, "lod", "1"), "WRONG_MEMBER_TYPE", f"{i0}/lod")
+
+    # Semantics.
+    def semantics(tree):
+        return geom(tree)["semantics"]
+
+    mutant("semantics-not-an-object", cube_tree(semantics=True),
+           setter(geom, "semantics", 5), "WRONG_MEMBER_TYPE",
+           f"{g0}/semantics")
+    mutant("semantic-surfaces-an-object", cube_tree(semantics=True),
+           setter(semantics, "surfaces", {}), "WRONG_MEMBER_TYPE",
+           f"{g0}/semantics")
+    mutant("semantic-values-an-integer", cube_tree(semantics=True),
+           setter(semantics, "values", 5), "WRONG_MEMBER_TYPE",
+           f"{g0}/semantics")
+    mutant("semantic-surface-a-string", cube_tree(semantics=True),
+           setter(lambda t: semantics(t)["surfaces"], 1, "RoofSurface"),
+           "WRONG_MEMBER_TYPE", f"{g0}/semantics/surfaces/1")
+    mutant("semantic-surface-unknown-type", cube_tree(semantics=True),
+           setter(lambda t: semantics(t)["surfaces"], 1, {"type": "Atrium"}))
+
+    # Links: arrays of ids, as written.
+    def family(oid):
+        return lambda tree: tree["CityObjects"][oid]
+
+    for member, oid, value in (("parents", "id-2", "id-1"),
+                               ("children", "id-1", ["id-2", 3])):
+        mutant(f"{member}-not-ids", corpus_tree("02-building-with-parts"),
+               setter(family(oid), member, value), "WRONG_MEMBER_TYPE",
+               f"CityObjects/{oid}/{member}")
+    for name, members in (("int", 5), ("object", {}), ("ints", [1]),
+                          ("arrays", [[1]]), ("objects", [{}])):
+        mutant(f"members-{name}", corpus_tree("18-cityobjectgroup"),
+               setter(family("block-north"), "members", members),
+               "WRONG_MEMBER_TYPE", "CityObjects/block-north/members")
+    mutant("members-one", corpus_tree("18-cityobjectgroup"),
+           setter(family("block-north"), "members", ["house-b"]))
+
+    # Appearance members of a geometry: objects.
+    wrong = {"int": 5, "array": [1], "string": "x"}
+    for member, corpus, oid in (
+            ("material", "16-appearance-materials", "tank-4"),
+            ("texture", "15-appearance-textures", "kiosk-1")):
+        def appearance_geom(tree, oid=oid):
+            return tree["CityObjects"][oid]["geometry"][0]
+
+        for name, value in wrong.items():
+            mutant(f"{member}-{name}", corpus_tree(corpus),
+                   setter(appearance_geom, member, value), "WRONG_MEMBER_TYPE",
+                   f"CityObjects/{oid}/geometry/0/{member}")
+        mutant(f"{member}-no-themes", corpus_tree(corpus),
+               setter(appearance_geom, member, {}))
+
+    # Vertex pools: rows of three finite numbers.
+    def row(tree):
+        return tree["vertices"][2]
+
+    for name, change in (
+            ("bool", setter(row, 0, True)),
+            ("string", setter(row, 1, "1")),
+            ("null", setter(row, 2, None)),
+            ("huge-int", setter(row, 2, 10 ** 400)),
+            ("overflow", setter(row, 0, float("inf"))),
+            ("short", setter(lambda t: t["vertices"], 2, [0.0, 0.0])),
+            ("long", setter(lambda t: t["vertices"], 2, [0.0] * 4)),
+            ("not-an-array", setter(lambda t: t["vertices"], 2, 5))):
+        mutant(f"vertex-{name}", cube_tree(), change, "BAD_GEOMETRY_SHAPE",
+               "vertices/2")
+    mutant("template-vertex-short", corpus_tree("22-two-instances"),
+           setter(lambda t: t["geometry-templates"]["vertices-templates"], 1,
+                  [0.0, 0.0]),
+           "BAD_GEOMETRY_SHAPE", "geometry-templates/vertices-templates/1")
+    mutant("template-boundaries-too-shallow", corpus_tree("22-two-instances"),
+           setter(lambda t: t["geometry-templates"]["templates"][0],
+                  "boundaries", [0]),
+           "BAD_GEOMETRY_SHAPE", "geometry-templates/templates/0/boundaries/0")
     return out

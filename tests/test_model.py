@@ -11,7 +11,7 @@ from cjtk import (CityModel, CityObject, Geometry, Transform, boundary_depth,
 from cjtk.errors import CjtkError
 from cjtk.model import (FIRST_LEVEL_TYPES, SECOND_LEVEL_TYPES, Record,
                         Semantics, TemplateBank, iter_boundary_indices,
-                        iter_rings, map_boundaries, nesting_depth, replace)
+                        iter_rings, map_boundaries, replace)
 
 from conftest import committed_corpus
 from helpers import CUBE_SHELL, as_model, cube_tree, tree_of
@@ -34,15 +34,6 @@ def test_boundary_depth_rejects_unknown_kind():
     with pytest.raises(CjtkError) as exc:
         boundary_depth("Hypercube")
     assert exc.value.code == "UNKNOWN_GEOMETRY_KIND"
-
-
-def test_nesting_depth_measures_deepest_branch():
-    assert nesting_depth(7) == 0
-    assert nesting_depth([]) == 1
-    assert nesting_depth([1, 2, 3]) == 1
-    assert nesting_depth(CUBE_SHELL) == 3
-    assert nesting_depth([CUBE_SHELL]) == 4
-    assert nesting_depth([[0], [[1]]]) == 3
 
 
 def test_iter_boundary_indices_document_order():

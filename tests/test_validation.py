@@ -2,13 +2,15 @@
 
 import pytest
 
-from cjtk import is_valid, validate, validate_text
+from cjtk import codec, is_valid, ops, validate, validate_text
+from cjtk.errors import CjtkError, CodecError
 from cjtk.validation import (errors_of, parse_and_validate,
                              validate_consistency, validate_structure,
                              warnings_of)
 
 from helpers import (as_model, as_text, codes_of, cube_tree,
-                     deep_documents, tree_of)
+                     deep_documents, mutant_text, record_model,
+                     shape_mutants, tree_of)
 from test_codec import hostile_inputs, hostile_models
 
 IDENTITY = [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0]
@@ -61,7 +63,10 @@ def test_wrong_boundary_nesting_depth():
     model.city_objects["b-1"].geometry[0].boundaries = [[0, 1, 2, 3]]
     findings = validate_structure(model)
     assert codes_of(findings) == ["BAD_GEOMETRY_SHAPE"]
-    assert "nest 4 deep, found 2" in findings[0].message
+    found = findings[0]
+    assert (found.code, found.path, found.message) == (
+        "BAD_GEOMETRY_SHAPE", "CityObjects/b-1/geometry/0/boundaries/0/0",
+        "expected 2 more array level(s)")
 
 
 def test_short_ring_and_explicitly_closed_ring():
@@ -313,3 +318,43 @@ def test_validate_text_walks_deep_values_without_raising(name,
     text = as_text(deep_documents()[name])
     for exts in (None, [], [noise_extension]):
         assert validate_text(text, exts) == []
+
+
+# ---------------------------------------------------------------------------
+# shape rules, shared by the codec and the validator
+# ---------------------------------------------------------------------------
+
+
+def _ops_succeed_or_refuse(model):
+    first = next(iter(model.city_objects))
+    for op in (lambda: ops.subset(model, ids=[first]),
+               lambda: ops.partition_grid(model, 2, 2),
+               lambda: ops.partition_by_type(model),
+               lambda: ops.merge([model, model], policy="suffix")):
+        try:
+            op()
+        except CjtkError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(shape_mutants()))
+def test_validate_text_names_each_shape_mutant(name):
+    mutant = shape_mutants()[name]
+    text = mutant_text(mutant.tree)
+    errors = errors_of(validate_text(text))
+    if not errors:
+        _ops_succeed_or_refuse(codec.loads(text))
+    first = errors[0] if errors else None
+    assert mutant.expect == (first and (first.code, first.path, first.stage))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, mutant in shape_mutants().items()
+    if mutant.expect and mutant.expect[2] == "syntax"))
+def test_codec_and_validator_agree_on_each_shape_mutant(name):
+    mutant = shape_mutants()[name]
+    with pytest.raises(CodecError) as exc:
+        codec.parse(mutant_text(mutant.tree))
+    first = errors_of(validate(record_model(mutant.tree)))[0]
+    assert (exc.value.code, exc.value.path) == (first.code, first.path) \
+        == mutant.expect[:2]
