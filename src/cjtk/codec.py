@@ -256,8 +256,11 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         bank = root["geometry-templates"]
         _require(isinstance(bank, dict), "WRONG_MEMBER_TYPE",
                  "geometry-templates must be an object", "geometry-templates")
-        for g_i, g in enumerate(bank.get("templates", [])):
-            _check_geometry_members(g, f"geometry-templates/templates/{g_i}")
+        templates = bank.get("templates", [])
+        if isinstance(templates, list):  # else a shape problem, raised below
+            for g_i, g in enumerate(templates):
+                _check_geometry_members(
+                    g, f"geometry-templates/templates/{g_i}")
         model.templates = TemplateBank.from_json(bank)
     for member in ("appearance", "metadata", "extensions"):
         if member in root:

@@ -7,7 +7,9 @@ pointing at them through XLink, or live inside the semantic surfaces with
 the shell holding the links; features nest instead of being listed flat.
 This importer canonicalizes all of that into the flat, pooled, indexed
 representation, so every supported spelling of the same city yields a
-deep-equal model.
+deep-equal model.  Elements are matched by local name, whatever their
+namespace URI or prefix: one pass right after parsing rewrites each tag to
+its local name, indexes the gml:ids that XLinks point at and reads the CRS.
 
 Scope (fixed at build time): Building with BuildingPart and the semantic
 boundary surfaces, SolitaryVegetationObject, and a generic fallback for
@@ -23,6 +25,7 @@ number, or an XLink that leads back to where it came from, among others.
 
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -65,8 +68,12 @@ _EPSG_SUFFIX = re.compile(r"EPSG:+(\d+)$")
 _LOD_HOLDER = re.compile(r"lod(\d)")
 
 
-def _local(tag) -> str:
-    return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+class _LocalNames(dict):
+    """Clark name to local name, each sliced once and then shared."""
+
+    def __missing__(self, clark: str) -> str:
+        name = self[clark] = clark.rpartition("}")[2]
+        return name
 
 
 def _cast(elem: ET.Element, cast):
@@ -103,44 +110,18 @@ def _holder_lod(name: str, oid: str) -> int | None:
     return lod
 
 
-class GmlDocument(Record):
-    """A parsed CityGML tree plus the gml:id index used to chase XLinks."""
-
-    __slots__ = ("root", "id_index")
-
-    def __init__(self, root: ET.Element, id_index: dict | None = None):
-        self.root = root
-        self.id_index = {} if id_index is None else id_index
-
-    @classmethod
-    def from_text(cls, text: str) -> "GmlDocument":
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            line, column = exc.position
-            raise GmlImportError(
-                "XML_SYNTAX_ERROR",
-                f"not well-formed XML at line {line}, column {column}: "
-                f"{exc.msg.split(':')[0] if hasattr(exc, 'msg') else exc}")
-        index = {}
-        for elem in root.iter():
-            for key, value in elem.attrib.items():
-                if _local(key) == "id":
-                    index.setdefault(value, elem)
-        return cls(root, index)
-
-
-def resolve_xlink(doc: GmlDocument, href: str) -> ET.Element:
-    """Element for an in-document reference of the form "#<gml-id>"."""
-    if not href.startswith("#"):
-        raise GmlImportError("EXTERNAL_XLINK",
-                             f"only in-document references are supported, "
-                             f"got {href!r}")
-    target = doc.id_index.get(href[1:])
-    if target is None:
-        raise GmlImportError("UNRESOLVED_XLINK",
-                             f"no element carries gml:id {href[1:]!r}")
-    return target
+def _epsg_code(srs: str) -> int:
+    """The EPSG code at the end of an srsName."""
+    m = _EPSG_SUFFIX.search(srs)
+    if not m:
+        raise GmlImportError("NON_EPSG_CRS",
+                             f"cannot read an EPSG code out of {srs!r}")
+    try:
+        return int(m.group(1))
+    except ValueError:  # beyond the interpreter's digit limit
+        raise GmlImportError("NON_EPSG_CRS",
+                             f"the EPSG code in srsName has "
+                             f"{len(m.group(1))} digits") from None
 
 
 class VertexPool:
@@ -176,7 +157,7 @@ def _ring_points(ring_elem: ET.Element) -> list[tuple]:
     dim = _dimension(ring_elem, 0)
     pos_children = []
     for child in ring_elem:
-        name = _local(child.tag)
+        name = child.tag
         if name == "posList":
             return _pos_points(child, dim)
         if name == "pos":
@@ -223,14 +204,13 @@ def _group(tokens: list[str], dim: int) -> list[tuple]:
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"unsupported coordinate dimension {dim}")
     try:
-        values = [float(t) for t in tokens]
+        values = list(map(float, tokens))
     except ValueError as exc:
         bad = str(exc).rsplit(":", 1)[-1].strip()
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"cannot read coordinate token {bad}")
-    if not all(map(is_finite_number, values)):
-        bad = next(t for t, v in zip(tokens, values)
-                   if not is_finite_number(v))
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
         raise GmlImportError("BAD_COORDINATE_TOKEN",
                              f"coordinate token {bad!r} is not finite")
     if not values or len(values) % dim:
@@ -272,31 +252,39 @@ class ImportReport(Record):
 
 def import_citygml(text: str) -> tuple[CityModel, ImportReport]:
     """CityModel plus report from one CityGML 2.0 document."""
-    doc = GmlDocument.from_text(text)
-    if _local(doc.root.tag) != "CityModel":
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise GmlImportError(
+            "XML_SYNTAX_ERROR",
+            f"not well-formed XML at line {line}, column {column}: "
+            f"{exc.msg.split(':')[0] if hasattr(exc, 'msg') else exc}")
+    name = root.tag.rpartition("}")[2]
+    if name != "CityModel":
         raise GmlImportError("NOT_CITYGML",
-                             f"root element is {_local(doc.root.tag)!r}, "
-                             "expected CityModel")
-    importer = _Importer(doc)
-    return importer.run()
+                             f"root element is {name!r}, expected CityModel")
+    return _Importer(root).run()
 
 
 class _Importer:
-    def __init__(self, doc: GmlDocument):
-        self.doc = doc
+    def __init__(self, root: ET.Element):
+        self.root = root
         self.pool = VertexPool()
         self.objects: dict[str, CityObject] = {}
         self.report = ImportReport()
         self.counters: dict[str, int] = {}
         # polygon element identity -> (semantic type, attributes, owner key)
         self.claims: dict[int, tuple] = {}
+        self.names = _LocalNames()
+        self.ids: dict[str, ET.Element] = {}  # gml:id -> element
 
     # -- driver ---------------------------------------------------------
 
     def run(self) -> tuple[CityModel, ImportReport]:
-        crs = self._single_crs()
-        for member in self.doc.root:
-            name = _local(member.tag)
+        crs = self._read_tree()
+        for member in self.root:
+            name = member.tag
             if name in ("cityObjectMember", "featureMember"):
                 for feature in member:
                     self._feature(feature)
@@ -304,42 +292,51 @@ class _Importer:
                 continue  # the document envelope; its srsName is read above
             else:
                 self.report.skip(name, "unsupported document member")
-        metadata = {"referenceSystem": f"EPSG:{crs}"} if crs else {}
+        metadata = {"referenceSystem": crs} if crs else {}
         model = CityModel(city_objects=self.objects,
                           vertices=self.pool.rows, metadata=metadata)
         self.report.vertices = len(self.pool.rows)
-        if crs:
-            self.report.crs = f"EPSG:{crs}"
+        self.report.crs = crs
         return model, self.report
 
-    def _single_crs(self):
+    def _read_tree(self) -> str | None:
+        """The one pass over the whole tree: rewrite each tag to its local
+        name, index the gml:ids (the first element to carry an id keeps
+        it), and return the one CRS that the srsNames give as "EPSG:n", or
+        None where none is given."""
+        names = self.names
         codes = set()
-        for elem in self.doc.root.iter():
-            srs = elem.get("srsName")
-            if not srs:
-                continue
-            m = _EPSG_SUFFIX.search(srs)
-            if not m:
-                raise GmlImportError("NON_EPSG_CRS",
-                                     f"cannot read an EPSG code out of "
-                                     f"{srs!r}")
-            try:
-                codes.add(int(m.group(1)))
-            except ValueError:  # beyond the interpreter's digit limit
-                raise GmlImportError("NON_EPSG_CRS",
-                                     f"the EPSG code in srsName has "
-                                     f"{len(m.group(1))} digits") from None
+        for elem in self.root.iter():
+            elem.tag = names[elem.tag]
+            for key, value in elem.items():
+                if key == "srsName":
+                    if value:
+                        codes.add(_epsg_code(value))
+                elif names[key] == "id":
+                    self.ids.setdefault(value, elem)
         if len(codes) > 1:
             raise GmlImportError("MIXED_CRS",
                                  f"document mixes reference systems "
                                  f"{sorted(codes)}; all geometries must "
                                  "share one")
-        return codes.pop() if codes else None
+        return f"EPSG:{codes.pop()}" if codes else None
+
+    def _resolve(self, href: str) -> ET.Element:
+        """Element for an in-document reference of the form "#<gml-id>"."""
+        if not href.startswith("#"):
+            raise GmlImportError("EXTERNAL_XLINK",
+                                 f"only in-document references are "
+                                 f"supported, got {href!r}")
+        target = self.ids.get(href[1:])
+        if target is None:
+            raise GmlImportError("UNRESOLVED_XLINK",
+                                 f"no element carries gml:id {href[1:]!r}")
+        return target
 
     # -- features ---------------------------------------------------------
 
     def _feature(self, elem: ET.Element, parent: str | None = None):
-        name = _local(elem.tag)
+        name = elem.tag
         if name == "Building" or name == "BuildingPart":
             self._building(elem, name, parent)
             return
@@ -352,16 +349,15 @@ class _Importer:
             name, attr_casts = "GenericCityObject", {}
         oid, co = self._city_object(elem, name, parent)
         for child in elem:
-            member = _local(child.tag)
-            if not self._common_member(co, oid, child, member, attr_casts):
-                self.report.skip(member, f"unsupported {name} member")
+            if not self._common_member(co, oid, child, attr_casts):
+                self.report.skip(child.tag, f"unsupported {name} member")
 
     def _city_object(self, elem: ET.Element, cotype: str,
                      parent: str | None) -> tuple[str, CityObject]:
         """A new, counted object for a feature, linked to its parent; its
         id is the feature's gml:id, else a per-type counter."""
-        oid = next((value for key, value in elem.attrib.items()
-                    if _local(key) == "id"), None)
+        oid = next((value for key, value in elem.items()
+                    if self.names[key] == "id"), None)
         if oid is None:
             self.counters[cotype] = self.counters.get(cotype, 0) + 1
             oid = f"{cotype}_{self.counters[cotype]}"
@@ -374,10 +370,11 @@ class _Importer:
         return oid, co
 
     def _common_member(self, co: CityObject, oid: str, child: ET.Element,
-                       name: str, attr_casts: dict) -> bool:
+                       attr_casts: dict) -> bool:
         """Read a member any feature can carry: a typed attribute of
         ``attr_casts``, a generic attribute or an lod* geometry holder.
         False for any other member."""
+        name = child.tag
         if name in attr_casts:
             co.attributes[name] = _scalar(child, attr_casts[name])
         elif name in _GENERIC_ATTR_CASTS:
@@ -395,12 +392,12 @@ class _Importer:
         surfaces = self._register_boundaries(elem)
         direct_parts = []
         for child in elem:
-            name = _local(child.tag)
-            if self._common_member(co, oid, child, name, _BUILDING_ATTRS):
+            if self._common_member(co, oid, child, _BUILDING_ATTRS):
                 continue
+            name = child.tag
             if name == "consistsOfBuildingPart":
                 for part in child:
-                    if _local(part.tag) == "BuildingPart":
+                    if part.tag == "BuildingPart":
                         direct_parts.append(part)
             elif name == "boundedBy":
                 pass  # consumed by _register_boundaries
@@ -421,7 +418,7 @@ class _Importer:
             return
         cast = _GENERIC_ATTR_CASTS[kind]
         for child in elem:
-            if _local(child.tag) == "value":
+            if child.tag == "value":
                 co.attributes[name] = _scalar(child, cast) \
                     if kind == "measureAttribute" else _cast(child, cast)
                 return
@@ -437,11 +434,11 @@ class _Importer:
         MultiSurface out of them.
         """
         surfaces = []
-        for bounded in feature.findall("./*"):
-            if _local(bounded.tag) != "boundedBy":
+        for bounded in feature:
+            if bounded.tag != "boundedBy":
                 continue
             for surf in bounded:
-                stype = _local(surf.tag)
+                stype = surf.tag
                 if stype == "Envelope":
                     continue  # a feature bbox, not a boundary surface
                 if stype not in _SEMANTIC_SURFACES:
@@ -457,35 +454,32 @@ class _Importer:
         """Polygons of one semantic surface: inline and href'd alike."""
         out = []
         for elem in surf.iter():
-            if _local(elem.tag) == "Polygon":
+            if elem.tag == "Polygon":
                 out.append(elem)
             href = elem.get(XLINK_HREF)
             if href is not None:
-                target = resolve_xlink(self.doc, href)
-                if _local(target.tag) == "Polygon":
+                target = self._resolve(href)
+                if target.tag == "Polygon":
                     out.append(target)
         return out
 
     # -- geometries ---------------------------------------------------------
 
     def _lod_geometry(self, holder: ET.Element, oid: str):
-        name = _local(holder.tag)
+        name = holder.tag
         lod = _holder_lod(name, oid)
         if lod is None:
             self.report.skip(name, "unrecognized geometry holder")
             return None
-        body = None
-        for child in holder:
-            body = child
-            break
+        body = next(iter(holder), None)
         if body is None:
             href = holder.get(XLINK_HREF)
             if href is not None:
-                body = resolve_xlink(self.doc, href)
+                body = self._resolve(href)
         if body is None:
             self.report.skip(name, "empty geometry holder")
             return None
-        kind = _local(body.tag)
+        kind = body.tag
         if kind == "Solid":
             return self._solid(body, lod, oid)
         if kind in ("MultiSurface", "CompositeSurface"):
@@ -499,7 +493,7 @@ class _Importer:
         shells = []
         tracker = _SemanticsTracker()
         for child in solid:
-            name = _local(child.tag)
+            name = child.tag
             if name not in ("exterior", "interior"):
                 self.report.skip(name, f"unsupported solid member of {oid}")
                 continue
@@ -518,7 +512,7 @@ class _Importer:
         lod = None
         for surf in surfaces:
             for child in surf:
-                child_lod = _holder_lod(_local(child.tag), oid)
+                child_lod = _holder_lod(child.tag, oid)
                 if child_lod is None:
                     continue
                 lod = child_lod if lod is None else lod
@@ -552,15 +546,15 @@ class _Importer:
                 stack.pop()
                 on_path.discard(entered)
                 continue
-            name = _local(child.tag)
+            name = child.tag
             if name == "Polygon":
                 out.append(child)
             elif name in ("surfaceMember", "surfaceMembers", "exterior",
                           "interior", "CompositeSurface", "MultiSurface"):
                 href = child.get(XLINK_HREF)
                 if href is not None and len(child) == 0:
-                    target = resolve_xlink(self.doc, href)
-                    if _local(target.tag) == "Polygon":
+                    target = self._resolve(href)
+                    if target.tag == "Polygon":
                         out.append(target)
                     elif target in on_path:
                         raise GmlImportError(
@@ -578,14 +572,13 @@ class _Importer:
     def _polygon(self, polygon: ET.Element, tracker) -> list[list[int]]:
         rings = []
         for child in polygon:
-            name = _local(child.tag)
+            name = child.tag
             if name in ("exterior", "interior"):
                 for ring in child:
-                    if _local(ring.tag) == "LinearRing":
+                    if ring.tag == "LinearRing":
                         rings.append(normalize_ring(ring, self.pool))
                     else:
-                        self.report.skip(_local(ring.tag),
-                                         "unsupported ring type")
+                        self.report.skip(ring.tag, "unsupported ring type")
             else:
                 self.report.skip(name, "unsupported polygon member")
         self.report.surfaces += 1

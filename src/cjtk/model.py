@@ -334,8 +334,10 @@ class TemplateBank(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "TemplateBank":
+        templates = obj.get("templates", [])
         return cls(
-            templates=[Geometry.from_json(g) for g in obj.get("templates", [])],
+            templates=[Geometry.from_json(g) for g in templates]
+            if isinstance(templates, list) else templates,  # a shape problem
             vertices=obj.get("vertices-templates", []),
         )
 
@@ -527,14 +529,14 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     in document order: the codec raises the first, the validator reports
     them all.
 
-    Vertex pools hold rows of three finite numbers.  A city object's
-    ``parents``, ``children`` and ``members`` are arrays of ids.  A
-    geometry's ``lod`` is absent or a finite number; an instance's
-    boundaries hold exactly one integer reference point; a known kind's
-    nest ``GEOMETRY_DEPTH[kind]`` deep over integers (a type that is not a
-    string is no kind); ``semantics`` has an array of objects,
-    ``surfaces``, and an array, ``values``; ``material`` and ``texture``
-    are objects.
+    Vertex pools and ``templates`` are arrays; pools hold rows of three
+    finite numbers.  A city object's ``parents``, ``children`` and
+    ``members`` are arrays of ids.  A geometry's ``lod`` is absent or a
+    finite number; an instance's boundaries hold exactly one integer
+    reference point; a known kind's nest ``GEOMETRY_DEPTH[kind]`` deep over
+    integers (a type that is not a string is no kind); ``semantics`` has an
+    array of objects, ``surfaces``, and an array, ``values``; ``material``
+    and ``texture`` are objects.
     """
     yield from _pool_problems("vertices", model.vertices)
     for oid, co in model.city_objects.items():
@@ -548,9 +550,14 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
         for gi, geom in enumerate(co.geometry):
             yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
     if model.templates is not None:
-        for ti, geom in enumerate(model.templates.templates):
-            yield from _geometry_problems(
-                f"geometry-templates/templates/{ti}", geom)
+        templates = model.templates.templates
+        if not isinstance(templates, list):
+            yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
+                   "templates must be an array")
+        else:
+            for ti, geom in enumerate(templates):
+                yield from _geometry_problems(
+                    f"geometry-templates/templates/{ti}", geom)
         yield from _pool_problems("geometry-templates/vertices-templates",
                                   model.templates.vertices)
 
@@ -592,6 +599,9 @@ def _boundary_problems(boundaries, depth: int, path: str):
 
 
 def _pool_problems(path: str, pool):
+    if not isinstance(pool, list):
+        return [(path, "WRONG_MEMBER_TYPE",
+                 f"{path.rpartition('/')[2]} must be an array")]
     return _first_bad(pool, 1, _finite_rows, lambda: (
         (f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
          "vertex must hold exactly three finite numbers")

@@ -5,8 +5,12 @@ collapse them all onto one deep-equal model.  The square group varies the
 coordinate encodings, ring closure, and polygon ids; the cube group varies
 where the polygons live (inline in the solid shell with the semantic
 surfaces XLinking to them, or inside the semantic surfaces with the shell
-XLinking back) and the boundedBy ordering.
+XLinking back) and the boundedBy ordering.  Both groups also hold
+documents respelled under other namespaces (``RESPELLED``): the CityGML
+1.0 URIs, or other prefixes with the core module as default namespace.
 """
+
+import re
 
 _NS = (' xmlns:core="http://www.opengis.net/citygml/2.0"'
        ' xmlns:bldg="http://www.opengis.net/citygml/building/2.0"'
@@ -32,6 +36,22 @@ CUBE_CLASSES = {"GroundSurface": [0], "RoofSurface": [1],
 def _document(body: str) -> str:
     return (f'<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<core:CityModel{_NS}>\n{body}\n</core:CityModel>\n')
+
+
+def _citygml_1(text: str) -> str:
+    """``text`` under the CityGML 1.0 namespace URIs."""
+    return text.replace('/2.0"', '/1.0"')
+
+
+def _other_prefixes(text: str) -> str:
+    """``text`` with the core module as default namespace and one-letter
+    prefixes for the others."""
+    for old, new in (("core", ""), ("bldg", "b"), ("gml", "g"),
+                     ("xlink", "x")):
+        text = re.sub(rf"\b{old}:", f"{new}:" if new else "", text)
+        text = text.replace(f"xmlns:{old}=",
+                            f"xmlns:{new}=" if new else "xmlns=")
+    return text
 
 
 def _ring_xml(points, spelling="poslist", closed=True) -> str:
@@ -128,6 +148,10 @@ SQUARE_VARIANTS = {
     "poslist-polygon-id": _square_polygon_id,
     "poslist-2d": _square_poslist_2d,
     "ring-carries-dimension": _square_ring_dimension,
+    "poslist-one-line-citygml-1.0":
+        lambda: _citygml_1(_square_poslist_one_line()),
+    "poslist-one-line-other-prefixes":
+        lambda: _other_prefixes(_square_poslist_one_line()),
 }
 
 
@@ -216,4 +240,12 @@ CUBE_VARIANTS = {
     "inline-shell-pos-spelling": lambda: _cube_inline(spelling="pos"),
     "inline-shell-coordinates-spelling":
         lambda: _cube_inline(spelling="coordinates"),
+    "inline-shell-xlinked-surfaces-citygml-1.0":
+        lambda: _citygml_1(_cube_inline()),
+    "xlinked-shell-inline-surfaces-other-prefixes":
+        lambda: _other_prefixes(_cube_xlinked()),
 }
+
+# The variants that only respell another one's namespaces.
+RESPELLED = {name for name in (*SQUARE_VARIANTS, *CUBE_VARIANTS)
+             if name.endswith(("-citygml-1.0", "-other-prefixes"))}

@@ -298,4 +298,16 @@ def shape_mutants():
            setter(lambda t: t["geometry-templates"]["templates"][0],
                   "boundaries", [0]),
            "BAD_GEOMETRY_SHAPE", "geometry-templates/templates/0/boundaries/0")
+
+    # The template bank's members: arrays.
+    def bank(tree):
+        return tree["geometry-templates"]
+
+    for member, name, value in (("templates", "int", 5),
+                                ("templates", "string", "x"),
+                                ("templates", "object", {}),
+                                ("vertices-templates", "int", 5)):
+        mutant(f"{member}-{name}", corpus_tree("22-two-instances"),
+               setter(bank, member, value), "WRONG_MEMBER_TYPE",
+               f"geometry-templates/{member}")
     return out

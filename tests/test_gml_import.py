@@ -401,6 +401,17 @@ def hostile_documents():
                 '<gml:MultiSurface gml:id="ms2">'
                 '<gml:surfaceMember xlink:href="#ms1"/></gml:MultiSurface>'),
             "UNRESOLVED_XLINK", "reference cycle through #ms"),
+        "bad-srs-on-a-root-that-is-not-citygml": (
+            '<Garage srsName="urn:ogc:def:crs:OGC:1.3:CRS84"/>',
+            "NOT_CITYGML", "root element is 'Garage'"),
+        "bad-srs-after-an-unresolved-xlink": (
+            _multisurface_building(
+                '<gml:MultiSurface><gml:surfaceMember xlink:href="#ghost"/>'
+                '</gml:MultiSurface>',
+                '<gml:MultiSurface srsName="urn:ogc:def:crs:OGC:1.3:CRS84">'
+                f'<gml:surfaceMember>{square}</gml:surfaceMember>'
+                '</gml:MultiSurface>'),
+            "NON_EPSG_CRS", "cannot read an EPSG code"),
     }
 
 

@@ -24,8 +24,8 @@ from cjtk import codec, extensions, geomops, gml, ops, synth
 from cjtk.errors import CjtkError
 
 from conftest import NOISE_EXTENSION_PATH, committed_corpus
-from gmlvariants import (CUBE_FACES, CUBE_VARIANTS, SQUARE_POINTS,
-                         SQUARE_VARIANTS)
+from gmlvariants import (CUBE_FACES, CUBE_VARIANTS, RESPELLED,
+                         SQUARE_POINTS, SQUARE_VARIANTS)
 from helpers import base_inputs
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
@@ -297,11 +297,13 @@ def _ring_polygon(inner: str, ring_attrs="") -> str:
 
 
 def _gml_inputs():
-    """(name, CityGML text) of every import input, in a fixed order."""
+    """(name, CityGML text) of every import input, in a fixed order.  The
+    namespace respellings are left out: the variant tests hold each equal
+    to a variant pinned here."""
     out = [(f"square-{name}", make()) for name, make
-           in sorted(SQUARE_VARIANTS.items())]
+           in sorted(SQUARE_VARIANTS.items()) if name not in RESPELLED]
     out += [(f"cube-{name}", make()) for name, make
-            in sorted(CUBE_VARIANTS.items())]
+            in sorted(CUBE_VARIANTS.items()) if name not in RESPELLED]
     for seed in (1, 2, 3):
         for part_every in (0, 3):
             scene = synth.make_scene(seed=seed, buildings=8, clusters=2,
