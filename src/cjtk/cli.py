@@ -53,6 +53,12 @@ class _State:
         self.finished = False
         self.extension_paths = extension_paths
 
+    def take_text(self) -> str | bytes:
+        """The input text, which the state then lets go of, so that the
+        reader that takes it can free it as it goes."""
+        text, self.text = self.text, None
+        return text
+
     def require_model(self, stage: str):
         if self.finished:
             raise UsageError(
@@ -78,8 +84,9 @@ def _model_stage(name: str, module: str, op: str, **kwargs):
 
 def _read_input(source: str) -> str | bytes:
     """The input's text, decoded here so that its bytes are not kept
-    while it is parsed; bytes that are not UTF-8 stay bytes, for the
-    parser to report as SYNTAX_ERROR."""
+    while it is parsed; bytes that are not UTF-8 stay bytes, for the JSON
+    parser to report as SYNTAX_ERROR and for ``import`` to decode as
+    their XML declaration says."""
     if source == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -315,12 +322,11 @@ def info_cmd():
 def import_cmd():
     """Read the input as CityGML 2.0 (must be the first stage)."""
     def stage(state: _State):
-        from . import codec, gml
+        from . import gml
         if state.model is not None or state.text is None:
             raise UsageError("import must be the first stage")
-        model, report = gml.import_citygml(codec.decode(state.text))
+        model, report = gml.import_citygml(state.take_text())
         state.model = model
-        state.text = None
         for line in report.to_json_lines():
             _echo(json.dumps(line), sys.stderr)
     return stage

@@ -8,8 +8,17 @@ the shell holding the links; features nest instead of being listed flat.
 This importer canonicalizes all of that into the flat, pooled, indexed
 representation, so every supported spelling of the same city yields a
 deep-equal model.  Elements are matched by local name, whatever their
-namespace URI or prefix: one pass right after parsing rewrites each tag to
-its local name, indexes the gml:ids that XLinks point at and reads the CRS.
+namespace URI or prefix.
+
+The document is parsed in chunks of 65,536 characters, or bytes where it
+comes as bytes in the encoding its XML declaration names.  As each element
+ends, one pass rewrites its tag to its local name, drops its tail and any
+text that is only whitespace (no reader needs them), indexes the gml:ids
+that XLinks point at and reads the srsNames.  So the tree never holds the
+whitespace of an indented document, and the caller can let go of the input
+text once it is fed.  Elements end in post-order, but the rules follow
+document order: of elements sharing a gml:id, the first keeps it, and the
+first srsName that is not an EPSG code is the one reported.
 
 Scope (fixed at build time): Building with BuildingPart and the semantic
 boundary surfaces, SolitaryVegetationObject, and a generic fallback for
@@ -64,8 +73,10 @@ _GENERIC_ATTR_CASTS = {
 _SIMPLE_FEATURES = {"SolitaryVegetationObject": _VEGETATION_ATTRS,
                     "GenericCityObject": {}}
 
-_EPSG_SUFFIX = re.compile(r"EPSG:+(\d+)$")
+_EPSG_CODE = re.compile(r"EPSG(?::+|/0/)(\d+)")
 _LOD_HOLDER = re.compile(r"lod(\d)")
+
+_CHUNK = 1 << 16  # characters (or bytes) handed to the XML parser at once
 
 
 class _LocalNames(dict):
@@ -111,9 +122,19 @@ def _holder_lod(name: str, oid: str) -> int | None:
 
 
 def _epsg_code(srs: str) -> int:
-    """The EPSG code at the end of an srsName."""
-    m = _EPSG_SUFFIX.search(srs)
-    if not m:
+    """The EPSG code an srsName ends in: "EPSG:n", the OGC URN
+    "urn:ogc:def:crs:EPSG::n" or the OGC URI
+    "http://www.opengis.net/def/crs/EPSG/0/n".  A compound of two codes
+    is refused, since CityJSON 1.0 takes one."""
+    found = list(_EPSG_CODE.finditer(srs))
+    if len(found) > 1:
+        named = " and ".join(f"EPSG:{m.group(1)}" for m in found)
+        raise GmlImportError(
+            "NON_EPSG_CRS",
+            f"{srs!r} compounds {named}; CityJSON 1.0 takes one code, that "
+            "of the compound system (e.g. EPSG:7415 for RD New + NAP)")
+    m = found[0] if found else None
+    if m is None or m.end() != len(srs):
         raise GmlImportError("NON_EPSG_CRS",
                              f"cannot read an EPSG code out of {srs!r}")
     try:
@@ -250,46 +271,139 @@ class ImportReport(Record):
                          for entry in self.skipped]
 
 
-def import_citygml(text: str) -> tuple[CityModel, ImportReport]:
-    """CityModel plus report from one CityGML 2.0 document."""
+def import_citygml(text: str | bytes) -> tuple[CityModel, ImportReport]:
+    """CityModel plus report from one CityGML 2.0 document: a str, or
+    bytes in the encoding its XML declaration names (UTF-8 where it names
+    none)."""
+    importer = _Importer()
+    parser = ET.XMLPullParser(events=("end",))
     try:
-        root = ET.fromstring(text)
+        for start in range(0, len(text), _CHUNK):
+            try:
+                parser.feed(text[start:start + _CHUNK])
+            except (LookupError, ValueError) as exc:
+                # a declared encoding that the parser cannot decode
+                raise GmlImportError("XML_SYNTAX_ERROR",
+                                     f"cannot decode the document: {exc}") \
+                    from None
+            importer.take(parser.read_events())
+        del text  # the tree holds all the importer reads from here on
+        parser.close()
+        importer.take(parser.read_events())
     except ET.ParseError as exc:
         line, column = exc.position
         raise GmlImportError(
             "XML_SYNTAX_ERROR",
             f"not well-formed XML at line {line}, column {column}: "
             f"{exc.msg.split(':')[0] if hasattr(exc, 'msg') else exc}")
-    name = root.tag.rpartition("}")[2]
-    if name != "CityModel":
-        raise GmlImportError("NOT_CITYGML",
-                             f"root element is {name!r}, expected CityModel")
-    return _Importer(root).run()
+    return importer.run()
 
 
 class _Importer:
-    def __init__(self, root: ET.Element):
-        self.root = root
+    def __init__(self):
+        self.root: ET.Element | None = None
         self.pool = VertexPool()
         self.objects: dict[str, CityObject] = {}
         self.report = ImportReport()
         self.counters: dict[str, int] = {}
-        # polygon element identity -> (semantic type, attributes, owner key)
-        self.claims: dict[int, tuple] = {}
+        # polygon element -> the semantic surface element that claims it
+        self.claims: dict[ET.Element, ET.Element] = {}
         self.names = _LocalNames()
         self.ids: dict[str, ET.Element] = {}  # gml:id -> element
+        # The parse reads elements as they end, in post-order; an
+        # element's place in that order settles which of two comes first
+        # in document order (see _encloses).
+        self.ended = 0
+        self.id_ends: dict[str, int] = {}  # gml:id -> its element's place
+        self.codes: set[int] = set()  # EPSG codes of the srsNames
+        self.bad_srs: tuple | None = None  # (place, NON_EPSG_CRS error)
+        self.sizes: dict[ET.Element, int] = {}
+
+    # -- parse ------------------------------------------------------------
+
+    def take(self, events) -> None:
+        """Take in elements as the parser ends them: rewrite each tag to
+        its local name, drop the tails and whitespace-only texts that no
+        reader needs (they strip or split the text anyway), index the
+        gml:ids and read the srsNames.  For an id that several elements
+        carry, the first in document order keeps it; of the srsNames that
+        are not EPSG codes, the first in document order is the error, and
+        ``run`` raises it once the parse has succeeded."""
+        names, ids, id_ends = self.names, self.ids, self.id_ends
+        place = self.ended
+        for _, elem in events:
+            elem.tag = names[elem.tag]
+            elem.tail = None
+            text = elem.text
+            if text is not None and text.isspace():
+                elem.text = None
+            for key, value in elem.items():
+                if key == "srsName":
+                    if value:
+                        self._read_srs(value, elem, place)
+                elif names[key] == "id":
+                    held = ids.setdefault(value, elem)
+                    if held is elem \
+                            or self._encloses(elem, place, id_ends[value]):
+                        ids[value] = elem
+                        id_ends[value] = place
+            place += 1
+        if place > self.ended:
+            self.root = elem  # the root, once the parse is done
+            self.ended = place
+
+    def _read_srs(self, value: str, elem: ET.Element, place: int) -> None:
+        try:
+            self.codes.add(_epsg_code(value))
+        except GmlImportError as exc:
+            if self.bad_srs is None \
+                    or self._encloses(elem, place, self.bad_srs[0]):
+                self.bad_srs = (place, exc)
+
+    def _encloses(self, elem: ET.Element, place: int, earlier: int) -> bool:
+        """Whether ``elem``, which ended at ``place``, encloses the element
+        that ended at ``earlier``: an element ends right after its
+        subtree, so the subtree fills the places just before its own.
+        Of two elements, the one that ended later comes first in document
+        order exactly where it encloses the other."""
+        return earlier > place - self._size(elem)
+
+    def _size(self, elem: ET.Element) -> int:
+        """How many elements the subtree under ``elem`` holds, itself
+        included.  Sizes are kept, so each subtree is counted once however
+        often its size is asked for, and the count keeps its own stack."""
+        sizes = self.sizes
+        stack = [elem]
+        while elem not in sizes:
+            top = stack[-1]
+            uncounted = [child for child in top if child not in sizes]
+            if uncounted:
+                stack.extend(uncounted)
+            else:
+                sizes[top] = 1 + sum(map(sizes.__getitem__, top))
+                stack.pop()
+        return sizes[elem]
 
     # -- driver ---------------------------------------------------------
 
     def run(self) -> tuple[CityModel, ImportReport]:
-        crs = self._read_tree()
-        for member in self.root:
+        root = self.root
+        name = root.tag
+        if name != "CityModel":
+            raise GmlImportError("NOT_CITYGML",
+                                 f"root element is {name!r}, "
+                                 "expected CityModel")
+        crs = self._crs()
+        # Free the parse's bookkeeping before the model is built, when the
+        # tree and the model together make the import's peak memory.
+        self.id_ends = self.sizes = None
+        for member in root:
             name = member.tag
             if name in ("cityObjectMember", "featureMember"):
                 for feature in member:
                     self._feature(feature)
             elif name == "boundedBy":
-                continue  # the document envelope; its srsName is read above
+                continue  # the document envelope; the parse read its CRS
             else:
                 self.report.skip(name, "unsupported document member")
         metadata = {"referenceSystem": crs} if crs else {}
@@ -299,21 +413,12 @@ class _Importer:
         self.report.crs = crs
         return model, self.report
 
-    def _read_tree(self) -> str | None:
-        """The one pass over the whole tree: rewrite each tag to its local
-        name, index the gml:ids (the first element to carry an id keeps
-        it), and return the one CRS that the srsNames give as "EPSG:n", or
-        None where none is given."""
-        names = self.names
-        codes = set()
-        for elem in self.root.iter():
-            elem.tag = names[elem.tag]
-            for key, value in elem.items():
-                if key == "srsName":
-                    if value:
-                        codes.add(_epsg_code(value))
-                elif names[key] == "id":
-                    self.ids.setdefault(value, elem)
+    def _crs(self) -> str | None:
+        """The one CRS that the srsNames give, as "EPSG:n", or None where
+        none is given."""
+        if self.bad_srs is not None:
+            raise self.bad_srs[1]
+        codes = self.codes
         if len(codes) > 1:
             raise GmlImportError("MIXED_CRS",
                                  f"document mixes reference systems "
@@ -446,8 +551,7 @@ class _Importer:
                     continue
                 surfaces.append(surf)
                 for poly in self._surface_polygons(surf):
-                    self.claims.setdefault(
-                        id(poly), (stype, {}, id(surf)))
+                    self.claims.setdefault(poly, surf)
         return surfaces
 
     def _surface_polygons(self, surf: ET.Element) -> list[ET.Element]:
@@ -582,7 +686,7 @@ class _Importer:
             else:
                 self.report.skip(name, "unsupported polygon member")
         self.report.surfaces += 1
-        tracker.note(self.claims.get(id(polygon)))
+        tracker.note(self.claims.get(polygon))
         return rings
 
 
@@ -597,19 +701,20 @@ class _SemanticsTracker:
 
     def __init__(self):
         self.surfaces: list[dict] = []
-        self.by_owner: dict[int, int] = {}
+        self.by_surface: dict[ET.Element, int] = {}
         self.values: list = []
 
-    def note(self, claim) -> None:
-        if claim is None:
+    def note(self, surface: ET.Element | None) -> None:
+        """Count one polygon, claimed by the semantic surface element
+        ``surface`` or by none."""
+        if surface is None:
             self.values.append(None)
             return
-        stype, attrs, owner = claim
-        idx = self.by_owner.get(owner)
+        idx = self.by_surface.get(surface)
         if idx is None:
             idx = len(self.surfaces)
-            self.by_owner[owner] = idx
-            self.surfaces.append({"type": stype, **attrs})
+            self.by_surface[surface] = idx
+            self.surfaces.append({"type": surface.tag})
         self.values.append(idx)
 
     def attach(self, geom: Geometry,

@@ -158,6 +158,42 @@ def test_import_stage(tmp_path):
     assert report_lines[0]["features"] == {"Building": 1}
 
 
+def _street_square(encoding: str) -> bytes:
+    """The square document with a non-ASCII building function, in
+    ``encoding`` and declaring it."""
+    text = SQUARE_VARIANTS["poslist-one-line"]().replace(
+        '<bldg:Building gml:id="sq-1">',
+        '<bldg:Building gml:id="sq-1">'
+        '<bldg:function>Straße Schön</bldg:function>')
+    return text.replace('encoding="UTF-8"',
+                        f'encoding="{encoding}"').encode(encoding)
+
+
+@pytest.mark.parametrize("encoding", ["ISO-8859-1", "UTF-16"])
+def test_import_follows_the_xml_declaration(encoding, tmp_path):
+    """CityGML that is not UTF-8 imports as its UTF-8 twin does."""
+    runs = []
+    for name in ("UTF-8", encoding):
+        src = tmp_path / f"{name}.gml"
+        src.write_bytes(_street_square(name))
+        runs.append(run_cli(str(src), "import", "save", "-"))
+    twin, proc = runs
+    assert twin.returncode == 0, twin.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (twin.returncode, twin.stdout, twin.stderr)
+    assert json.loads(proc.stdout)["CityObjects"]["sq-1"]["attributes"] \
+        == {"function": "Straße Schön"}
+
+
+def test_undecodable_citygml_is_an_xml_syntax_error(tmp_path):
+    src = tmp_path / "latin.gml"
+    src.write_bytes(_street_square("ISO-8859-1").replace(
+        b' encoding="ISO-8859-1"', b""))
+    proc = run_cli(str(src), "import", "save", "-")
+    assert proc.returncode == 2
+    assert "import: [XML_SYNTAX_ERROR] not well-formed XML" in proc.stderr
+
+
 def test_import_must_come_first(town_path):
     proc = run_cli(str(town_path), "compress", "import")
     assert proc.returncode == 3

@@ -1,8 +1,14 @@
 """CityGML importer: spelling variants, scoped features, error codes."""
 
-import pytest
+import itertools
+import re
+import tracemalloc
 
-from cjtk import codec, import_citygml
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cjtk import codec, gml, import_citygml, synth
 from cjtk.errors import GmlImportError
 from cjtk.validation import validate
 
@@ -197,7 +203,9 @@ def test_address_and_envelope_are_quietly_handled():
     assert validate(model) == []
 
 
-@pytest.mark.parametrize("srs", ["EPSG:7415", "urn:ogc:def:crs:EPSG::7415"])
+@pytest.mark.parametrize("srs", [
+    "EPSG:7415", "urn:ogc:def:crs:EPSG::7415",
+    "http://www.opengis.net/def/crs/EPSG/0/7415"])
 def test_epsg_spellings(srs):
     text = SQUARE_VARIANTS["poslist-one-line"]().replace(
         "<gml:MultiSurface>", f'<gml:MultiSurface srsName="{srs}">')
@@ -237,6 +245,16 @@ def test_xml_syntax_error():
     expect_code("<core:CityModel>", "XML_SYNTAX_ERROR")
 
 
+@pytest.mark.parametrize("encoding", ["Shift_JIS", "no-such-encoding"])
+def test_an_encoding_the_parser_cannot_decode(encoding):
+    text = SQUARE_VARIANTS["poslist-one-line"]().replace(
+        'encoding="UTF-8"', f'encoding="{encoding}"')
+    with pytest.raises(GmlImportError) as exc:
+        import_citygml(text.encode("ascii"))
+    assert exc.value.code == "XML_SYNTAX_ERROR"
+    assert exc.value.message.startswith("cannot decode the document")
+
+
 def test_not_citygml():
     expect_code("<Garage/>", "NOT_CITYGML")
 
@@ -267,6 +285,23 @@ def test_non_epsg_crs():
         "<gml:MultiSurface>",
         '<gml:MultiSurface srsName="urn:ogc:def:crs:OGC:1.3:CRS84">')
     expect_code(text, "NON_EPSG_CRS")
+
+
+@pytest.mark.parametrize("srs", [
+    "urn:ogc:def:crs,crs:EPSG::28992,crs:EPSG::5709",
+    "http://www.opengis.net/def/crs-compound?"
+    "1=http://www.opengis.net/def/crs/EPSG/0/28992&amp;"
+    "2=http://www.opengis.net/def/crs/EPSG/0/5709"])
+def test_compound_crs_is_refused_naming_both_codes(srs):
+    """A compound of RD New and NAP heights would otherwise read as its
+    last code, the height datum alone."""
+    text = SQUARE_VARIANTS["poslist-one-line"]().replace(
+        "<gml:MultiSurface>", f'<gml:MultiSurface srsName="{srs}">')
+    with pytest.raises(GmlImportError) as exc:
+        import_citygml(text)
+    assert exc.value.code == "NON_EPSG_CRS"
+    assert "EPSG:28992 and EPSG:5709" in exc.value.message
+    assert "CityJSON 1.0 takes one code" in exc.value.message
 
 
 def test_ring_too_short():
@@ -412,6 +447,20 @@ def hostile_documents():
                 f'<gml:surfaceMember>{square}</gml:surfaceMember>'
                 '</gml:MultiSurface>'),
             "NON_EPSG_CRS", "cannot read an EPSG code"),
+        "nested-bad-srs-names-name-the-outer-one": (
+            _multisurface_building(
+                '<gml:MultiSurface srsName="urn:ogc:def:crs:OGC:1.3:CRS84">'
+                '<gml:surfaceMember>'
+                + square.replace("<gml:Polygon>",
+                                 '<gml:Polygon srsName="urn:inner:crs">')
+                + '</gml:surfaceMember></gml:MultiSurface>'),
+            "NON_EPSG_CRS", "'urn:ogc:def:crs:OGC:1.3:CRS84'"),
+        "bad-srs-early-in-a-document-cut-short": (
+            _multisurface_building(
+                '<gml:MultiSurface srsName="urn:ogc:def:crs:OGC:1.3:CRS84">'
+                f'<gml:surfaceMember>{square}</gml:surfaceMember>'
+                '</gml:MultiSurface>')[:-40],
+            "XML_SYNTAX_ERROR", "not well-formed XML"),
     }
 
 
@@ -436,6 +485,33 @@ def test_a_shared_link_target_is_not_a_cycle():
         == [[[[0, 1, 2]], [[0, 1, 2]]], [[[0, 1, 2]]]]
 
 
+@pytest.mark.parametrize("earlier_holder", [False, True])
+def test_a_duplicated_id_belongs_to_the_first_element_in_document_order(
+        earlier_holder):
+    """An ancestor comes before its descendants in document order, so a
+    MultiSurface keeps the id it shares with one nested inside it; an
+    element earlier still keeps it from both."""
+    low = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    high = _polygon_xml([(0, 0, 1), (1, 0, 1), (1, 1, 1)])
+    holders = [
+        '<gml:MultiSurface><gml:surfaceMember xlink:href="#ms"/>'
+        '</gml:MultiSurface>',
+        f'<gml:MultiSurface gml:id="ms"><gml:surfaceMember>{low}'
+        '</gml:surfaceMember><gml:surfaceMember><gml:MultiSurface gml:id="ms">'
+        f'<gml:surfaceMember>{high}</gml:surfaceMember></gml:MultiSurface>'
+        '</gml:surfaceMember></gml:MultiSurface>']
+    if earlier_holder:
+        holders.insert(0, f'<gml:MultiSurface gml:id="ms"><gml:surfaceMember>'
+                          f'{high}</gml:surfaceMember></gml:MultiSurface>')
+    model, _ = import_citygml(_multisurface_building(*holders))
+    linked = model.city_objects["b"].geometry[int(earlier_holder)]
+    rings = [[model.vertices[i] for i in ring] for poly in linked.boundaries
+             for ring in poly]
+    low_ring = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+    high_ring = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    assert rings == ([high_ring] if earlier_holder else [low_ring, high_ring])
+
+
 def test_deep_nesting_imports():
     square = _polygon_xml([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
     model, report = import_citygml(
@@ -443,3 +519,84 @@ def test_deep_nesting_imports():
     assert [g.boundaries for g in model.city_objects["b"].geometry] \
         == [[[[0, 1, 2]]]]
     assert report.skipped == []
+
+
+# ---------------------------------------------------------------------------
+# the incremental parse: whitespace, chunks and memory
+# ---------------------------------------------------------------------------
+
+_VARIANTS = {**SQUARE_VARIANTS, **CUBE_VARIANTS}
+_GAP = re.compile(r">\s*<")
+
+
+def _outcome(text):
+    model, report = import_citygml(text)
+    return tree_of(model), report.to_json_lines()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_VARIANTS)),
+       gaps=st.lists(st.sampled_from(["", " ", "\n", "\t", "\n        "]),
+                     min_size=1, max_size=6),
+       crlf=st.booleans())
+def test_whitespace_between_tags_changes_nothing(name, gaps, crlf):
+    """Re-indented documents (whitespace between tags taken out or put in,
+    CRLF line ends) import to the same model and report."""
+    text = _VARIANTS[name]()
+    spacing = itertools.cycle(gaps)
+    respaced = _GAP.sub(lambda _: f">{next(spacing)}<", text)
+    if crlf:
+        respaced = respaced.replace("\n", "\r\n")
+    assert _outcome(respaced) == _outcome(text)
+
+
+@pytest.mark.parametrize("shift", range(4))
+def test_a_non_ascii_name_across_a_chunk_boundary(shift):
+    """A generic attribute whose name and value straddle a boundary
+    between the parser's chunks, in characters and in UTF-8 and UTF-16
+    bytes alike, reads the same in every encoding; the shifts split a
+    multibyte character at the boundary in some of them."""
+    street = "Straße Schön " + "ßö🏠" * 150
+    member = ('  <core:cityObjectMember><bldg:Building gml:id="b{}">'
+              '<bldg:lod2Solid>{}</bldg:lod2Solid></bldg:Building>'
+              '</core:cityObjectMember>\n')
+    before = "".join(member.format(i, solid_xml(2 * i)) for i in range(70))
+    after = "".join(member.format(i, solid_xml(2 * i))
+                    for i in range(70, 80))
+    named = ('  <core:cityObjectMember><bldg:Building gml:id="named">'
+             f'<gen:stringAttribute name="{street}"><gen:value>{street}'
+             '</gen:value></gen:stringAttribute></bldg:Building>'
+             '</core:cityObjectMember>\n')
+    head = gen_document(before)[:-len("\n</core:CityModel>\n")]
+    boundary = 2 * gml._CHUNK
+    pad = boundary - len(head) - named.index("name=") - len(street) // 2
+    assert pad >= 0
+    text = gen_document(before + " " * (pad + shift) + named + after)
+    utf16 = text.replace('encoding="UTF-8"', 'encoding="UTF-16"') \
+        .encode("utf-16")
+    for data, part in ((text, street),
+                       (text.encode("utf-8"), street.encode("utf-8")),
+                       (utf16, street.encode("utf-16-le"))):
+        first = data.index(part)
+        assert first // gml._CHUNK < (first + len(part)) // gml._CHUNK
+    utf8 = _outcome(text.encode("utf-8"))
+    assert _outcome(text) == utf8
+    assert _outcome(utf16) == utf8
+    assert utf8[0]["CityObjects"]["named"]["attributes"] == {street: street}
+
+
+def test_import_peak_memory_is_bounded_by_the_input():
+    """Whitespace-only texts and tails never reach the tree, and the
+    input is parsed in chunks rather than encoded whole, so the import,
+    tree and model together, peaks below 4.5 times the text's length.
+    A tree that keeps the whitespace, parsed from the whole text at once,
+    peaks at 6 times."""
+    text = synth.scene_to_citygml(
+        synth.make_scene(seed=7, buildings=120, part_every=5))
+    tracemalloc.start()
+    try:
+        import_citygml(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * len(text)
