@@ -82,11 +82,10 @@ def _model_stage(name: str, module: str, op: str, **kwargs):
     return stage
 
 
-def _read_input(source: str) -> str | bytes:
-    """The input's text, decoded here so that its bytes are not kept
-    while it is parsed; bytes that are not UTF-8 stay bytes, for the JSON
-    parser to report as SYNTAX_ERROR and for ``import`` to decode as
-    their XML declaration says."""
+def _read_input(source: str, decode: bool) -> str | bytes:
+    """The input's bytes, or with ``decode`` its text, decoded here so
+    that its bytes are not kept while it is parsed; bytes that are not
+    UTF-8 stay bytes, for the JSON parser to report as SYNTAX_ERROR."""
     if source == "-":
         data = sys.stdin.buffer.read()
     else:
@@ -95,6 +94,8 @@ def _read_input(source: str) -> str | bytes:
         except OSError as exc:
             raise UsageError(f"cannot read {source}: {exc.strerror}") \
                 from None
+    if not decode:
+        return data
     from . import codec
     try:
         return codec.decode(data)
@@ -111,7 +112,11 @@ def _echo(text: str, file=None):
 def run_pipeline(processors, input, extension_paths):
     from .errors import CjtkError
 
-    state = _State(input, _read_input(input), extension_paths)
+    # CityGML is read as bytes, in the encoding its XML declaration names:
+    # decoded, a single character beyond U+FFFF would make every
+    # character of the text take four bytes.
+    state = _State(input, _read_input(input, processors[0][0] != "import"),
+                   extension_paths)
     for name, processor in _merge_runs_folded(processors):
         try:
             processor(state)
@@ -291,7 +296,7 @@ def partition_cmd(grid, by_type, random_k, seed, out_dir):
         directory.mkdir(parents=True, exist_ok=True)
         for pid, part in parts:
             target = directory / f"{stem}_{pid}.json"
-            target.write_text(codec.dumps(part), encoding="utf-8")
+            codec.dump(part, target)
             _echo(str(target))
         state.finished = True
     return stage
@@ -340,11 +345,10 @@ def save_cmd(output, pretty):
         if output == "-":
             if pretty:
                 raise UsageError("save -: standard output is minified only")
-            sys.stdout.write(codec.dumps(model))
+            codec.dump(model, sys.stdout)
             sys.stdout.write("\n")
         else:
-            Path(output).write_text(codec.dumps(model, pretty=pretty),
-                                    encoding="utf-8")
+            codec.dump(model, output, pretty=pretty)
     return stage
 
 

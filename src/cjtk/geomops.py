@@ -24,11 +24,12 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import CjtkError
-from .model import (CityModel, Geometry, TemplateBank, Transform,
-                    is_finite_number, is_matrix, iter_boundary_indices,
-                    map_boundaries, replace)
+from .model import (GEOMETRY_DEPTH, CityModel, Geometry, TemplateBank,
+                    Transform, is_finite_number, is_matrix,
+                    iter_boundary_indices, map_boundaries, replace)
 
 _MAX_QUANTUM = 2 ** 53
 _BANK = "geometry-templates/vertices-templates"
@@ -171,7 +172,35 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
             else:
                 new_index[vi] = new_index[target]
 
+    if len(survivors) == len(verts) and _indices_in_range(
+            (g for _, _, g in model.iter_geometries()), len(verts)):
+        return replace(model)  # nothing merged: every index maps to itself
     return _rebase(model, survivors, new_index.__getitem__)
+
+
+def _indices_in_range(geometries, size: int) -> bool:
+    """Whether each geometry's boundaries nest as deep as its kind says
+    over ints in 0..size-1.
+
+    The geometries are grouped by depth and each level is checked whole,
+    by C-level passes; anything else is False, for a walk to name.
+    """
+    by_depth: dict[int, list] = {}
+    for g in geometries:
+        depth = 1 if g.is_instance() else GEOMETRY_DEPTH.get(g.type) \
+            if type(g.type) is str else None
+        if depth is None:
+            return False
+        by_depth.setdefault(depth, []).append(g.boundaries)
+    for depth, level in by_depth.items():
+        for _ in range(depth):
+            if not set(map(type, level)) <= {list}:
+                return False
+            level = list(chain.from_iterable(level))
+        if level and not (set(map(type, level)) <= {int}
+                          and min(level) >= 0 and max(level) < size):
+            return False
+    return True
 
 
 def remove_orphan_vertices(model: CityModel) -> CityModel:

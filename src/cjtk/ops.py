@@ -16,13 +16,15 @@ import functools
 import math
 import random
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 from . import codec
 from .errors import CjtkError
 from .geomops import (box_union, compact_pool, compute_extent, dequantize,
                       object_extent, quantize)
-from .model import (CityModel, Geometry, TemplateBank, is_finite_number,
-                    map_boundaries, replace)
+from .model import (CityModel, Geometry, TemplateBank, Transform,
+                    is_finite_number, map_boundaries, replace)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -151,7 +153,12 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     decoded and the result is re-encoded at the finest input scale with
     fresh minimum-corner offsets; per-model index offsets keep every
     boundary, template and appearance reference valid.  A scale that is
-    not a positive finite number is refused with BAD_TRANSFORM.
+    not a positive finite number is refused with BAD_TRANSFORM.  Where
+    every input carries one transform and re-encoding would give back the
+    stored integers and that transform (``_keeps_pool``; all the tiles of
+    one ``partition`` of a model quantized at its minimum corner, for
+    one), the stored pools are concatenated as they are, without decoding
+    and re-encoding them: the result is the same.
 
     Like every operation, merge shares with its inputs what it does not
     change.  It builds the containers it extends (the objects dict, the
@@ -172,7 +179,12 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
                         "metadata/referenceSystem")
 
     digits = [_transform_digits(m.transform) for m in models if m.transform]
-    inputs = [dequantize(m) if m.transform else m for m in models]
+    shared = models[0].transform
+    if shared is not None and all(m.transform == shared for m in models):
+        inputs = models  # their stored pools concatenate as they are
+    else:
+        shared = None
+        inputs = [dequantize(m) if m.transform else m for m in models]
 
     first = inputs[0]
     out = replace(first, city_objects=dict(first.city_objects),
@@ -182,12 +194,38 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     for nxt in inputs[1:]:
         _absorb(out, nxt, policy)
 
-    if digits:
-        out = quantize(out, digits=max(digits))
+    if digits and not (shared is not None
+                       and _keeps_pool(out.vertices, shared, max(digits))):
+        out = quantize(out, digits=max(digits), requantize=True)
     if out.metadata.get("geographicalExtent") is not None \
             or out.metadata.get("presentLoDs") is not None:
         out = refresh_metadata(out)
     return out
+
+
+def _keeps_pool(pool: list, tr: Transform, digits: int) -> bool:
+    """Whether re-encoding the ``pool`` that ``tr`` decodes, at 10^-digits
+    with fresh minimum-corner offsets, gives back ``pool`` and ``tr``
+    unchanged, so that merge can skip decoding and re-encoding it.
+
+    It does when ``tr`` is what ``quantize`` writes (a scale of 10^-digits
+    on every axis and float offsets; the reprs compare the text the writer
+    gives, so an int is not a float and -0.0 is not 0.0) and the pool holds
+    integer rows whose least value is 0 on every axis: the fresh offset is
+    then ``tr``'s own.  Each row then re-encodes to itself while
+    3 * v + |translate| * 10^digits < 2^51 on its axis, because decoding
+    errs by less than a quarter quantum there.
+    """
+    if repr(tr.scale) != repr([1 / 10 ** digits] * 3) \
+            or repr(tr.translate) != repr([0.0 + t for t in tr.translate]) \
+            or not pool or not set(map(type, pool)) <= {list} \
+            or not set(map(len, pool)) <= {3} \
+            or not set(map(type, chain.from_iterable(pool))) <= {int}:
+        return False
+    return all(min(map(itemgetter(axis), pool)) == 0
+               and 3 * max(map(itemgetter(axis), pool))
+               + abs(offset) * 10 ** digits < 2 ** 51
+               for axis, offset in enumerate(tr.translate))
 
 
 def _transform_digits(tr) -> int:
@@ -500,10 +538,22 @@ def _lod_key(lod) -> str:
     return str(lod)
 
 
+class _Utf8Size:
+    """A text sink that keeps only the UTF-8 size of what it is given."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, piece: str) -> None:
+        self.size += len(piece.encode("utf-8"))
+
+
 def stats(model: CityModel) -> dict:
     """Counts and sizes for reporting."""
     per_type = Counter(co.type for co in model.city_objects.values())
     per_kind = Counter(g.type for _, _, g in model.iter_geometries())
+    minified = _Utf8Size()
+    codec.dump(model, minified)
     return {
         "cityObjects": len(model.city_objects),
         "byType": dict(sorted(per_type.items())),
@@ -511,5 +561,5 @@ def stats(model: CityModel) -> dict:
         "vertices": len(model.vertices),
         "templates": len(model.templates.templates) if model.templates else 0,
         "quantized": model.transform is not None,
-        "minifiedBytes": len(codec.dumps(model).encode("utf-8")),
+        "minifiedBytes": minified.size,
     }

@@ -19,7 +19,8 @@ from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
 from helpers import (as_model, as_text, base_inputs, cube_tree,
                      deep_documents)
-from test_codec import hostile_inputs, hostile_models
+from test_codec import (hostile_inputs, hostile_models, reference_text,
+                        writer_models)
 from test_extensions import hostile_extension_files, noise_building_tree
 from test_gml_import import hostile_documents
 from test_ops import town_tree
@@ -158,15 +159,16 @@ def test_import_stage(tmp_path):
     assert report_lines[0]["features"] == {"Building": 1}
 
 
-def _street_square(encoding: str) -> bytes:
-    """The square document with a non-ASCII building function, in
-    ``encoding`` and declaring it."""
+def _street_square(encoding: str, declared: str | None = None,
+                   function: str = "Straße Schön") -> bytes:
+    """The square document with a non-ASCII building ``function``, in
+    ``encoding`` and declaring ``declared`` (default: ``encoding``)."""
     text = SQUARE_VARIANTS["poslist-one-line"]().replace(
         '<bldg:Building gml:id="sq-1">',
         '<bldg:Building gml:id="sq-1">'
-        '<bldg:function>Straße Schön</bldg:function>')
+        f'<bldg:function>{function}</bldg:function>')
     return text.replace('encoding="UTF-8"',
-                        f'encoding="{encoding}"').encode(encoding)
+                        f'encoding="{declared or encoding}"').encode(encoding)
 
 
 @pytest.mark.parametrize("encoding", ["ISO-8859-1", "UTF-16"])
@@ -183,6 +185,29 @@ def test_import_follows_the_xml_declaration(encoding, tmp_path):
         == (twin.returncode, twin.stdout, twin.stderr)
     assert json.loads(proc.stdout)["CityObjects"]["sq-1"]["attributes"] \
         == {"function": "Straße Schön"}
+
+
+def test_a_character_beyond_the_bmp_round_trips_through_import(tmp_path):
+    src = tmp_path / "house.gml"
+    src.write_bytes(_street_square("UTF-8", function="🏠 Straße"))
+    out = tmp_path / "house.json"
+    proc = run_cli(str(src), "import", "save", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert codec.load(out).city_objects["sq-1"].attributes \
+        == {"function": "🏠 Straße"}
+    proc = run_cli(str(out), "save", "-")
+    assert proc.stdout == out.read_text(encoding="utf-8") + "\n"
+
+
+def test_utf8_citygml_reads_by_the_encoding_it_declares(tmp_path):
+    """The import stage hands the XML parser the file's bytes, so a UTF-8
+    file that declares ISO-8859-1 reads as ISO-8859-1."""
+    src = tmp_path / "mislabelled.gml"
+    src.write_bytes(_street_square("UTF-8", declared="ISO-8859-1"))
+    proc = run_cli(str(src), "import", "save", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["CityObjects"]["sq-1"]["attributes"] \
+        == {"function": "Straße Schön".encode().decode("latin-1")}
 
 
 def test_undecodable_citygml_is_an_xml_syntax_error(tmp_path):
@@ -778,3 +803,67 @@ def test_a_failing_merge_run_reports_the_first_failing_stage(
         name, tmp_path, monkeypatch, capsys):
     argv, line = _failing_runs(tmp_path)[name]
     assert _cli_main(argv, monkeypatch, capsys) == (2, "", f"Error: {line}\n")
+
+
+# -- the streaming writer -------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [pytest.param(model, id=name)
+                                   for name, model in writer_models()])
+def test_save_and_partition_write_the_reference_bytes(model, tmp_path,
+                                                      monkeypatch, capsys):
+    src = tmp_path / "in.json"
+    codec.dump(model, src)
+    model = codec.load(src)
+    assert _cli_main([src, "save", "-"], monkeypatch, capsys) \
+        == (0, reference_text(model) + "\n", "")
+    for flags, pretty in (([], False), (["--pretty"], True)):
+        out = tmp_path / "out.json"
+        code, _, err = _cli_main([src, "save", *flags, out], monkeypatch,
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == reference_text(model, pretty).encode()
+    try:
+        parts = ops.partition_grid(model, 2, 2)
+    except CjtkError as exc:
+        parts, failure = [], exc.code
+    directory = tmp_path / "parts"
+    code, stdout, err = _cli_main(
+        [src, "partition", "--grid", "2x2", "--out-dir", directory],
+        monkeypatch, capsys)
+    if not parts:
+        assert code == 2 and f"[{failure}]" in err
+        return
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [str(directory / f"in_{pid}.json")
+                                   for pid, _ in parts]
+    for pid, part in parts:
+        assert (directory / f"in_{pid}.json").read_bytes() \
+            == reference_text(part).encode()
+    assert len(list(directory.iterdir())) == len(parts)
+
+
+def test_a_failed_save_keeps_the_old_output(tmp_path):
+    tree = cube_tree()
+    tree["vertices"][-1] = [10 ** 308, 0, 0]
+    tree["transform"] = {"scale": [10.0, 1.0, 1.0],
+                         "translate": [0.0, 0.0, 0.0]}
+    src = tmp_path / "overflows.json"
+    src.write_text(as_text(tree), encoding="utf-8")
+    out = tmp_path / "out.json"
+    out.write_text("old bytes", encoding="utf-8")
+    for flags in ([], ["--pretty"]):
+        proc = run_cli(str(src), "decompress", "save", *flags, str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("Error: save: [SYNTAX_ERROR] ")
+        assert out.read_text(encoding="utf-8") == "old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["out.json", "overflows.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout on this platform")
+def test_save_writes_a_device_in_place(town_path):
+    proc = run_cli(str(town_path), "save", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == codec.dumps(codec.load(town_path))

@@ -1,12 +1,15 @@
 """Reader/writer behavior: round-trips, duplicate keys, shape rejections."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from cjtk import codec
+from cjtk import codec, geomops, synth
 from cjtk.errors import CodecError
+from cjtk.model import CityObject, replace
 
+from conftest import committed_corpus
 from helpers import as_text, cube_tree, tree_of
 
 
@@ -391,3 +394,98 @@ def test_dumps_refuses_what_the_reader_refuses():
         codec.dumps(model)
     assert exc.value.code == "SYNTAX_ERROR"
     assert "RFC 8259" in exc.value.message
+
+
+# -- the streaming writer -----------------------------------------------------
+
+
+def writer_models():
+    """(name, model) for the writer's byte checks: the corpus, and synth
+    scenes with no objects, objects but no vertex, unknown top-level
+    members, and more objects and vertex rows than one batch holds."""
+    out = [(path.name.split(".")[0], codec.parse(path.read_bytes())[0])
+           for path in committed_corpus()]
+    empty = synth.scene_to_model(synth.make_scene(seed=1, buildings=0))
+    out.append(("synth-empty", empty))
+    out.append(("synth-no-vertex", replace(
+        empty, city_objects={"tree": CityObject(type="PlantCover")})))
+    big = synth.scene_to_model(synth.make_scene(seed=4, buildings=150,
+                                                part_every=3))
+    assert len(big.city_objects) > codec._OBJECT_BATCH
+    assert len(big.vertices) > codec._VERTEX_BATCH
+    out.append(("synth-150", big))
+    out.append(("synth-150-quantized", geomops.quantize(big, 3)))
+    out.append(("synth-unknown-members", replace(
+        big, extra={"+note": "ŝtato 🏠", "+list": [1, 2.5, None]})))
+    return out
+
+
+def reference_text(model, pretty=False):
+    """What every writer must give: the stdlib encoder's text of
+    ``model_to_json``."""
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    return json.dumps(codec.model_to_json(model), ensure_ascii=False,
+                      allow_nan=False, **layout)
+
+
+@pytest.mark.parametrize("model", [pytest.param(model, id=name)
+                                   for name, model in writer_models()])
+def test_every_writer_gives_the_reference_bytes(model, tmp_path):
+    for pretty in (False, True):
+        expected = reference_text(model, pretty)
+        assert codec.dumps(model, pretty=pretty) == expected
+        path = tmp_path / f"{pretty}.json"
+        codec.dump(model, path, pretty=pretty)
+        assert path.read_bytes() == expected.encode("utf-8")
+        with open(tmp_path / "open.json", "w", encoding="utf-8") as fp:
+            codec.dump(model, fp, pretty=pretty)
+        assert (tmp_path / "open.json").read_text(encoding="utf-8") \
+            == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["False.json", "True.json", "open.json"]
+
+
+def test_dump_holds_far_less_than_its_output(tmp_path):
+    model = geomops.quantize(synth.scene_to_model(
+        synth.make_scene(seed=1, buildings=400, part_every=5)), 3)
+    size = len(codec.dumps(model).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        codec.dump(model, tmp_path / "out.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out.json").stat().st_size == size
+    assert peak < size / 3, (peak, size)
+
+
+def test_a_failed_dump_leaves_an_existing_file_as_it_was(tmp_path):
+    model = synth.scene_to_model(synth.make_scene(seed=4, buildings=150))
+    last = list(model.city_objects)[-1]
+    model.city_objects[last].attributes["height"] = float("nan")
+    target = tmp_path / "out.json"
+    target.write_text("old bytes", encoding="utf-8")
+    target.chmod(0o640)
+    for pretty in (False, True):
+        with pytest.raises(CodecError) as exc:
+            codec.dump(model, target, pretty=pretty)
+        assert exc.value.code == "SYNTAX_ERROR"
+        assert target.read_text(encoding="utf-8") == "old bytes"
+        with pytest.raises(CodecError):
+            codec.dump(model, tmp_path / "new.json", pretty=pretty)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    del model.city_objects[last].attributes["height"]
+    codec.dump(model, target)
+    assert target.read_bytes() == reference_text(model).encode("utf-8")
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_dump_writes_through_a_symbolic_link(tmp_path):
+    model = codec.loads(as_text(cube_tree()))
+    (tmp_path / "real.json").write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "real.json")
+    codec.dump(model, link)
+    assert link.is_symlink()
+    assert (tmp_path / "real.json").read_text(encoding="utf-8") \
+        == codec.dumps(model)

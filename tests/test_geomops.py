@@ -229,6 +229,28 @@ def test_dedupe_with_a_tiny_tolerance_matches_tolerance_zero(tolerance):
         == tree_of(dedupe_vertices(model))
 
 
+@pytest.mark.parametrize("tolerance", [0, 0.5])
+def test_dedupe_that_merges_nothing_shares_the_pool_and_geometries(tolerance):
+    model = as_model(cube_tree(semantics=True))
+    out = dedupe_vertices(model, tolerance=tolerance)
+    assert out is not model
+    assert out.vertices is model.vertices
+    assert out.city_objects is model.city_objects
+    assert tree_of(out) == tree_of(model)
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.5])
+@pytest.mark.parametrize("bad", [[8, -1], [-1, 8], [9, 8]])
+def test_dedupe_names_the_first_index_outside_the_pool(bad, tolerance):
+    tree = cube_tree()
+    shell = tree["CityObjects"]["b-1"]["geometry"][0]["boundaries"][0]
+    shell[1][0][1], shell[4][0][2] = bad
+    with pytest.raises(CjtkError) as exc:
+        dedupe_vertices(as_model(tree), tolerance=tolerance)
+    assert exc.value.code == "VERTEX_INDEX_OUT_OF_RANGE"
+    assert exc.value.message == f"index {bad[0]} outside pool of 8"
+
+
 def test_dedupe_rejects_negative_tolerance():
     with pytest.raises(CjtkError):
         dedupe_vertices(CityModel(), tolerance=-0.1)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from cjtk import (Transform, merge, partition_by_type, partition_grid,
-                  partition_random, quantize, refresh_metadata, stats, subset,
+from cjtk import (Transform, codec, dequantize, merge, partition_by_type,
+                  partition_grid, partition_random, quantize,
+                  refresh_metadata, stats, subset, synth,
                   update_texture_paths)
 from cjtk.errors import CjtkError
 from cjtk.model import replace
@@ -216,6 +217,45 @@ def test_merge_requantizes_at_the_finest_axis_of_a_scale():
     for got, real in zip(out.real_vertices(), want):
         assert all(abs(g - r) <= 0.0005 for g, r in zip(got, real)), \
             (got, real)
+
+def _tiles(buildings=40):
+    """The 3x3 grid tiles of a quantized synth scene."""
+    scene = synth.make_scene(seed=7, buildings=buildings, part_every=4)
+    model = quantize(synth.scene_to_model(scene), digits=3)
+    return [tile for _, tile in partition_grid(model, 3, 3)]
+
+
+def _decoded_and_reencoded(models):
+    """What merge gave before it could keep a shared pool: every input
+    decoded, merged, and re-encoded at the finest input scale."""
+    return codec.dumps(quantize(merge([dequantize(m) for m in models]),
+                                digits=3))
+
+
+def test_merging_the_tiles_of_one_partition_keeps_their_pool():
+    tiles = _tiles()
+    out = merge(tiles)
+    assert out.transform == tiles[0].transform
+    rows = {id(v) for tile in tiles for v in tile.vertices}
+    assert all(id(v) in rows for v in out.vertices)
+    assert codec.dumps(out) == _decoded_and_reencoded(tiles)
+
+
+@pytest.mark.parametrize("translate", [None, [1e15, 2e15, 3.0]])
+def test_merging_tiles_off_the_minimum_corner_re_encodes(translate):
+    """The pool is decoded and re-encoded where its least stored value is
+    not 0 on every axis, or where decoding errs by a quarter quantum."""
+    tiles = _tiles()[-2:]
+    if translate is not None:
+        tiles = [replace(t, transform=Transform(scale=t.transform.scale,
+                                                translate=translate))
+                 for t in _tiles()[:2]]
+    out = merge(tiles)
+    assert out.transform != tiles[0].transform
+    assert not {id(v) for v in out.vertices} \
+        & {id(v) for tile in tiles for v in tile.vertices}
+    assert codec.dumps(out) == _decoded_and_reencoded(tiles)
+
 
 def test_merge_offsets_templates():
     a = as_model(instance_tree())
