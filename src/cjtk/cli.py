@@ -31,6 +31,7 @@ and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import sys
@@ -45,17 +46,17 @@ class _State:
     """What flows between stages: the input text until something needs a
     model."""
 
-    def __init__(self, source: str, text: str | bytes, extension_paths):
+    def __init__(self, source: str, text, extension_paths):
         self.source = source
-        self.text: str | bytes | None = text
+        self.text: str | bytes | io.BufferedIOBase | None = text
         self.model = None
         self.exit = 0
         self.finished = False
         self.extension_paths = extension_paths
 
-    def take_text(self) -> str | bytes:
-        """The input text, which the state then lets go of, so that the
-        reader that takes it can free it as it goes."""
+    def take_text(self) -> str | bytes | io.BufferedIOBase:
+        """The input text (or file), which the state then lets go of, so
+        that the reader that takes it can free it as it goes."""
         text, self.text = self.text, None
         return text
 
@@ -82,20 +83,24 @@ def _model_stage(name: str, module: str, op: str, **kwargs):
     return stage
 
 
-def _read_input(source: str, decode: bool) -> str | bytes:
-    """The input's bytes, or with ``decode`` its text, decoded here so
-    that its bytes are not kept while it is parsed; bytes that are not
-    UTF-8 stay bytes, for the JSON parser to report as SYNTAX_ERROR."""
+def _read_input(source: str,
+                citygml: bool) -> str | bytes | io.BufferedIOBase:
+    """The input.  CityGML comes as the open binary file, standard input
+    included, for the importer to read in chunks.  Other input comes as
+    its text, decoded here so that its bytes are not kept while it is
+    parsed; bytes that are not UTF-8 stay bytes, for the JSON parser to
+    report as SYNTAX_ERROR."""
     if source == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            data = Path(source).read_bytes()
-        except OSError as exc:
-            raise UsageError(f"cannot read {source}: {exc.strerror}") \
-                from None
-    if not decode:
-        return data
+        return sys.stdin.buffer if citygml \
+            else _decoded(sys.stdin.buffer.read())
+    try:
+        return open(source, "rb") if citygml \
+            else _decoded(Path(source).read_bytes())
+    except OSError as exc:
+        raise UsageError(f"cannot read {source}: {exc.strerror}") from None
+
+
+def _decoded(data: bytes) -> str | bytes:
     from . import codec
     try:
         return codec.decode(data)
@@ -114,8 +119,9 @@ def run_pipeline(processors, input, extension_paths):
 
     # CityGML is read as bytes, in the encoding its XML declaration names:
     # decoded, a single character beyond U+FFFF would make every
-    # character of the text take four bytes.
-    state = _State(input, _read_input(input, processors[0][0] != "import"),
+    # character of the text take four bytes.  A file is opened here, so
+    # that a path that cannot be read is a usage error before any stage.
+    state = _State(input, _read_input(input, processors[0][0] == "import"),
                    extension_paths)
     for name, processor in _merge_runs_folded(processors):
         try:
@@ -325,13 +331,24 @@ def info_cmd():
 
 
 def import_cmd():
-    """Read the input as CityGML 2.0 (must be the first stage)."""
+    """Read the input as CityGML 2.0 (must be the first stage).
+
+    A file is read in chunks and converted one member at a time, each
+    freed once converted; a document whose links cross members is parsed
+    a second time, whole.  Standard input is read the same way where it
+    can seek (a redirected file); a pipe is read whole first.  The import
+    report goes to standard error as JSON lines.
+    """
     def stage(state: _State):
         from . import gml
         if state.model is not None or state.text is None:
             raise UsageError("import must be the first stage")
-        model, report = gml.import_citygml(state.take_text())
-        state.model = model
+        source = state.take_text()  # the open file, or standard input
+        try:
+            state.model, report = gml.import_citygml(source)
+        finally:
+            if source is not sys.stdin.buffer:
+                source.close()
         for line in report.to_json_lines():
             _echo(json.dumps(line), sys.stderr)
     return stage

@@ -249,8 +249,9 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         for g_i, g in enumerate(geoms):
             _check_geometry_members(g, f"{path}/geometry/{g_i}")
         co = CityObject.from_json(obj)
-        for g in co.geometry:
-            diag.unknown_members.extend(f"{path}/…/{k}" for k in g.extra)
+        for g_i, g in enumerate(co.geometry):
+            diag.unknown_members.extend(f"{path}/geometry/{g_i}/{k}"
+                                        for k in g.extra)
         diag.unknown_members.extend(f"{path}/{k}" for k in co.extra)
         model.city_objects[oid] = co
 

@@ -11,14 +11,25 @@ deep-equal model.  Elements are matched by local name, whatever their
 namespace URI or prefix.
 
 The document is parsed in chunks of 65,536 characters, or bytes where it
-comes as bytes in the encoding its XML declaration names.  As each element
-ends, one pass rewrites its tag to its local name, drops its tail and any
-text that is only whitespace (no reader needs them), indexes the gml:ids
-that XLinks point at and reads the srsNames.  So the tree never holds the
-whitespace of an indented document, and the caller can let go of the input
-text once it is fed.  Elements end in post-order, but the rules follow
-document order: of elements sharing a gml:id, the first keeps it, and the
-first srsName that is not an EPSG code is the one reported.
+comes as bytes, or as a binary file, in the encoding its XML declaration
+names.  As each element ends, one pass rewrites its tag to its local name,
+drops its tail and any text that is only whitespace (no reader needs them),
+indexes the gml:ids that XLinks point at and reads the srsNames.  Elements
+end in post-order, but the rules follow document order: of elements sharing
+a gml:id, the first keeps it, and the first srsName that is not an EPSG
+code is the one reported.
+
+The document is converted one member at a time: as each child of the root
+ends (a ``cityObjectMember`` or ``featureMember``, or any other), it is
+converted and then freed with its gml:ids, so the tree never holds more
+than one of them.  Where one member cannot settle its conversion alone,
+the importer reads the document a second time, keeps the whole tree and
+converts the members once the parse is done, as a whole-tree reading
+does.  That happens on a link to an element outside its member, on a
+gml:id carried again after its first holder was freed, and on a member
+whose conversion fails, so that errors keep the precedence of the
+whole-tree reading: a syntax error anywhere, then the root, then the
+srsNames, then the first failing member in document order.
 
 Scope (fixed at build time): Building with BuildingPart and the semantic
 boundary surfaces, SolitaryVegetationObject, and a generic fallback for
@@ -34,6 +45,7 @@ number, or an XLink that leads back to where it came from, among others.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -271,23 +283,46 @@ class ImportReport(Record):
                          for entry in self.skipped]
 
 
-def import_citygml(text: str | bytes) -> tuple[CityModel, ImportReport]:
-    """CityModel plus report from one CityGML 2.0 document: a str, or
-    bytes in the encoding its XML declaration names (UTF-8 where it names
-    none)."""
-    importer = _Importer()
-    parser = ET.XMLPullParser(events=("end",))
+def import_citygml(source: str | bytes | io.BufferedIOBase
+                   ) -> tuple[CityModel, ImportReport]:
+    """CityModel plus report from one CityGML 2.0 document: a str, bytes
+    in the encoding its XML declaration names (UTF-8 where it names none),
+    or a binary file of such bytes, read in chunks from where it stands
+    (read whole first where it cannot seek back there)."""
+    if not isinstance(source, (str, bytes)) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, (str, bytes)) else source.tell()
     try:
-        for start in range(0, len(text), _CHUNK):
+        return _import(source, free=True)
+    except _Reread:
+        # Leave the handler first: its traceback holds the first read's
+        # frames, and with them its tree and the model built so far.
+        pass
+    if start is not None:
+        source.seek(start)
+    return _import(source, free=False)
+
+
+class _Reread(Exception):
+    """A member cannot settle its conversion alone: the document is to be
+    read again, its tree kept whole."""
+
+
+def _import(source, free: bool) -> tuple[CityModel, ImportReport]:
+    """One read of the document; ``free`` converts and frees each child of
+    the root as it ends."""
+    importer = _Importer(free)
+    parser = ET.XMLPullParser(events=("start", "end"))
+    try:
+        for chunk in _chunks(source):
             try:
-                parser.feed(text[start:start + _CHUNK])
+                parser.feed(chunk)
             except (LookupError, ValueError) as exc:
                 # a declared encoding that the parser cannot decode
                 raise GmlImportError("XML_SYNTAX_ERROR",
                                      f"cannot decode the document: {exc}") \
                     from None
             importer.take(parser.read_events())
-        del text  # the tree holds all the importer reads from here on
         parser.close()
         importer.take(parser.read_events())
     except ET.ParseError as exc:
@@ -299,9 +334,23 @@ def import_citygml(text: str | bytes) -> tuple[CityModel, ImportReport]:
     return importer.run()
 
 
+def _chunks(source):
+    """The document in pieces of ``_CHUNK`` characters or bytes."""
+    if isinstance(source, (str, bytes)):
+        for at in range(0, len(source), _CHUNK):
+            yield source[at:at + _CHUNK]
+    else:
+        while chunk := source.read(_CHUNK):
+            yield chunk
+
+
 class _Importer:
-    def __init__(self):
+    def __init__(self, free: bool):
+        # Convert and free each child of the root as it ends, where the
+        # root is a CityModel.
+        self.free = free
         self.root: ET.Element | None = None
+        self.depth = 0  # elements started and not yet ended
         self.pool = VertexPool()
         self.objects: dict[str, CityObject] = {}
         self.report = ImportReport()
@@ -309,7 +358,9 @@ class _Importer:
         # polygon element -> the semantic surface element that claims it
         self.claims: dict[ET.Element, ET.Element] = {}
         self.names = _LocalNames()
-        self.ids: dict[str, ET.Element] = {}  # gml:id -> element
+        # gml:id -> element, or None once the element has been freed
+        self.ids: dict[str, ET.Element | None] = {}
+        self.held: list[str] = []  # the ids held in the open root child
         # The parse reads elements as they end, in post-order; an
         # element's place in that order settles which of two comes first
         # in document order (see _encloses).
@@ -322,16 +373,26 @@ class _Importer:
     # -- parse ------------------------------------------------------------
 
     def take(self, events) -> None:
-        """Take in elements as the parser ends them: rewrite each tag to
-        its local name, drop the tails and whitespace-only texts that no
-        reader needs (they strip or split the text anyway), index the
-        gml:ids and read the srsNames.  For an id that several elements
-        carry, the first in document order keeps it; of the srsNames that
-        are not EPSG codes, the first in document order is the error, and
-        ``run`` raises it once the parse has succeeded."""
+        """Take in elements as the parser starts and ends them: rewrite
+        each tag to its local name, drop the tails and whitespace-only
+        texts that no reader needs (they strip or split the text anyway),
+        index the gml:ids and read the srsNames.  For an id that several
+        elements carry, the first in document order keeps it; of the
+        srsNames that are not EPSG codes, the first in document order is
+        the error, and ``run`` raises it once the parse has succeeded.
+        With ``free``, each child of a CityModel root is converted and
+        freed as it ends."""
         names, ids, id_ends = self.names, self.ids, self.id_ends
-        place = self.ended
-        for _, elem in events:
+        held = self.held
+        place, depth = self.ended, self.depth
+        for event, elem in events:
+            if event == "start":
+                if depth == 0:
+                    self.root = elem
+                    self.free = self.free and names[elem.tag] == "CityModel"
+                depth += 1
+                continue
+            depth -= 1
             elem.tag = names[elem.tag]
             elem.tail = None
             text = elem.text
@@ -342,15 +403,35 @@ class _Importer:
                     if value:
                         self._read_srs(value, elem, place)
                 elif names[key] == "id":
-                    held = ids.setdefault(value, elem)
-                    if held is elem \
+                    holder = ids.setdefault(value, elem)
+                    if holder is None:  # its first holder has been freed
+                        raise _Reread
+                    if holder is elem \
                             or self._encloses(elem, place, id_ends[value]):
                         ids[value] = elem
                         id_ends[value] = place
+                        held.append(value)
             place += 1
-        if place > self.ended:
-            self.root = elem  # the root, once the parse is done
-            self.ended = place
+            if depth == 1:
+                if self.free:
+                    self._free(elem)
+                held.clear()
+        self.ended, self.depth = place, depth
+
+    def _free(self, child: ET.Element) -> None:
+        """Convert a child of the root, then free it and mark its gml:ids
+        as freed.  A link out of it finds no target; that, like any other
+        coded error, reads the document again."""
+        try:
+            self._root_child(child)
+        except GmlImportError:
+            raise _Reread from None
+        self.root.remove(child)
+        for value in self.held:
+            self.ids[value] = None
+            self.id_ends.pop(value, None)
+        self.claims.clear()
+        self.sizes.clear()
 
     def _read_srs(self, value: str, elem: ET.Element, place: int) -> None:
         try:
@@ -365,8 +446,9 @@ class _Importer:
         that ended at ``earlier``: an element ends right after its
         subtree, so the subtree fills the places just before its own.
         Of two elements, the one that ended later comes first in document
-        order exactly where it encloses the other."""
-        return earlier > place - self._size(elem)
+        order exactly where it encloses the other.  The root encloses
+        every element, the freed ones too."""
+        return elem is self.root or earlier > place - self._size(elem)
 
     def _size(self, elem: ET.Element) -> int:
         """How many elements the subtree under ``elem`` holds, itself
@@ -394,24 +476,26 @@ class _Importer:
                                  f"root element is {name!r}, "
                                  "expected CityModel")
         crs = self._crs()
-        # Free the parse's bookkeeping before the model is built, when the
-        # tree and the model together make the import's peak memory.
+        # Free the parse's bookkeeping before the members left in the tree
+        # are converted (all of them, unless each was freed as it ended),
+        # when the tree and the model together make the peak memory.
         self.id_ends = self.sizes = None
-        for member in root:
-            name = member.tag
-            if name in ("cityObjectMember", "featureMember"):
-                for feature in member:
-                    self._feature(feature)
-            elif name == "boundedBy":
-                continue  # the document envelope; the parse read its CRS
-            else:
-                self.report.skip(name, "unsupported document member")
+        for child in root:
+            self._root_child(child)
         metadata = {"referenceSystem": crs} if crs else {}
         model = CityModel(city_objects=self.objects,
                           vertices=self.pool.rows, metadata=metadata)
         self.report.vertices = len(self.pool.rows)
         self.report.crs = crs
         return model, self.report
+
+    def _root_child(self, child: ET.Element) -> None:
+        name = child.tag
+        if name in ("cityObjectMember", "featureMember"):
+            for feature in child:
+                self._feature(feature)
+        elif name != "boundedBy":  # the envelope; the parse read its CRS
+            self.report.skip(name, "unsupported document member")
 
     def _crs(self) -> str | None:
         """The one CRS that the srsNames give, as "EPSG:n", or None where
@@ -443,7 +527,13 @@ class _Importer:
     def _feature(self, elem: ET.Element, parent: str | None = None):
         name = elem.tag
         if name == "Building" or name == "BuildingPart":
-            self._building(elem, name, parent)
+            # Parts depth first in document order, on a stack of their own,
+            # so that no nesting depth runs into the recursion limit.
+            stack = [(elem, parent)]
+            while stack:
+                elem, parent = stack.pop()
+                oid, parts = self._building(elem, elem.tag, parent)
+                stack.extend((part, oid) for part in reversed(parts))
             return
         attr_casts = _SIMPLE_FEATURES.get(name)
         if attr_casts is None:
@@ -492,7 +582,10 @@ class _Importer:
             return False
         return True
 
-    def _building(self, elem: ET.Element, cotype: str, parent: str | None):
+    def _building(self, elem: ET.Element, cotype: str,
+                  parent: str | None) -> tuple[str, list[ET.Element]]:
+        """The building's object id and its direct BuildingParts, which
+        the caller converts next."""
         oid, co = self._city_object(elem, cotype, parent)
         surfaces = self._register_boundaries(elem)
         direct_parts = []
@@ -513,8 +606,7 @@ class _Importer:
 
         if not co.geometry and surfaces:
             co.geometry.append(self._surfaces_geometry(surfaces, oid))
-        for part in direct_parts:
-            self._feature(part, parent=oid)
+        return oid, direct_parts
 
     def _generic_attribute(self, co: CityObject, elem: ET.Element, kind: str):
         name = elem.get("name")

@@ -26,12 +26,12 @@ from test_gml_import import hostile_documents
 from test_ops import town_tree
 
 
-def run_cli(*args, stdin_text=None, cwd=None):
+def run_cli(*args, stdin_text=None, stdin=None, cwd=None):
     env = os.environ.copy()
     env.pop("CJTK_EXTENSIONS", None)
     return subprocess.run([sys.executable, "-m", "cjtk.cli", *args],
-                          input=stdin_text, capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          input=stdin_text, stdin=stdin, capture_output=True,
+                          text=True, env=env, cwd=cwd)
 
 
 @pytest.fixture()
@@ -157,6 +157,43 @@ def test_import_stage(tmp_path):
     report_lines = [json.loads(line) for line in proc.stderr.splitlines()]
     assert report_lines[0]["record"] == "summary"
     assert report_lines[0]["features"] == {"Building": 1}
+
+
+@pytest.mark.parametrize("crossing", [False, True])
+def test_import_from_stdin_matches_the_file_import(crossing, tmp_path):
+    """A file and standard input that can seek (a redirected file) are
+    read in chunks, a pipe whole; all import alike, a document read twice
+    for a link across members included."""
+    if crossing:
+        linking = ('<core:cityObjectMember><bldg:Building gml:id="sq-2">'
+                   '<bldg:lod2MultiSurface xlink:href="#sq-ms"/>'
+                   '</bldg:Building></core:cityObjectMember>')
+        text = SQUARE_VARIANTS["poslist-one-line"]().replace(
+            "</core:cityObjectMember>", "</core:cityObjectMember>" + linking
+        ).replace("<gml:MultiSurface>", '<gml:MultiSurface gml:id="sq-ms">')
+    else:
+        text = synth.scene_to_citygml(synth.make_scene(seed=5, buildings=12,
+                                                       part_every=3))
+    src = tmp_path / "city.gml"
+    src.write_bytes(text.encode("utf-8"))
+    stages = ["import", "compress", "--digits", "3", "save", "-"]
+    from_file = run_cli(str(src), *stages)
+    from_pipe = run_cli("-", *stages, stdin_text=text)
+    with src.open("rb") as redirected:  # standard input that can seek
+        from_redirect = run_cli("-", *stages, stdin=redirected)
+    assert from_file.returncode == 0, from_file.stderr
+    for from_stdin in (from_pipe, from_redirect):
+        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) \
+            == (from_file.returncode, from_file.stdout, from_file.stderr)
+    if crossing:
+        assert json.loads(from_file.stdout)["CityObjects"]["sq-2"]["geometry"]
+
+
+def test_an_unreadable_citygml_path_is_a_usage_error(tmp_path):
+    for path in (tmp_path / "missing.gml", tmp_path):
+        proc = run_cli(str(path), "import", "save", "-")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"usage error: cannot read {path}")
 
 
 def _street_square(encoding: str, declared: str | None = None,

@@ -198,6 +198,20 @@ def test_unknown_root_members_survive_and_are_reported():
     assert tree_of(model)["generator"] == "hand-rolled"
 
 
+def test_unknown_geometry_members_are_reported_by_full_path():
+    tree = cube_tree()
+    geoms = tree["CityObjects"]["b-1"]["geometry"]
+    geoms.append(dict(geoms[0], lod=1, note="second", tag=7))
+    geoms[0]["note"] = "first"
+    tree["CityObjects"]["b-1"]["status"] = "draft"
+    model, diag = codec.parse(as_text(tree))
+    assert diag.unknown_members == [
+        "CityObjects/b-1/geometry/0/note",
+        "CityObjects/b-1/geometry/1/note", "CityObjects/b-1/geometry/1/tag",
+        "CityObjects/b-1/status"]
+    assert tree_of(model)["CityObjects"]["b-1"]["geometry"][1]["tag"] == 7
+
+
 def test_empty_appearance_round_trips_but_empty_metadata_is_dropped():
     tree = cube_tree(appearance={})
     model, _ = codec.parse(as_text(tree))

@@ -1,6 +1,8 @@
 """CityGML importer: spelling variants, scoped features, error codes."""
 
+import io
 import itertools
+import random
 import re
 import tracemalloc
 
@@ -521,6 +523,19 @@ def test_deep_nesting_imports():
     assert report.skipped == []
 
 
+def test_deeply_nested_building_parts_import():
+    depth = 2000
+    body = ('  <core:cityObjectMember><bldg:Building gml:id="b">'
+            + "<bldg:consistsOfBuildingPart><bldg:BuildingPart>" * depth
+            + "</bldg:BuildingPart></bldg:consistsOfBuildingPart>" * depth
+            + "</bldg:Building></core:cityObjectMember>")
+    model, report = import_citygml(gen_document(body))
+    assert report.features == {"Building": 1, "BuildingPart": depth}
+    assert model.city_objects["BuildingPart_1"].parents == ["b"]
+    assert model.city_objects[f"BuildingPart_{depth}"].parents \
+        == [f"BuildingPart_{depth - 1}"]
+
+
 # ---------------------------------------------------------------------------
 # the incremental parse: whitespace, chunks and memory
 # ---------------------------------------------------------------------------
@@ -585,18 +600,310 @@ def test_a_non_ascii_name_across_a_chunk_boundary(shift):
     assert utf8[0]["CityObjects"]["named"]["attributes"] == {street: street}
 
 
-def test_import_peak_memory_is_bounded_by_the_input():
-    """Whitespace-only texts and tails never reach the tree, and the
-    input is parsed in chunks rather than encoded whole, so the import,
-    tree and model together, peaks below 4.5 times the text's length.
-    A tree that keeps the whitespace, parsed from the whole text at once,
-    peaks at 6 times."""
-    text = synth.scene_to_citygml(
-        synth.make_scene(seed=7, buildings=120, part_every=5))
+def _peak_and_model(text) -> tuple[int, int]:
+    """The traced peak of importing ``text``, and what the finished model
+    and report hold."""
     tracemalloc.start()
     try:
-        import_citygml(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = import_citygml(text)
+        model, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    del result
+    return peak, model
+
+
+def test_import_peak_memory_is_bounded_by_the_input():
+    """Whitespace-only texts and tails never reach the tree, the input is
+    parsed in chunks rather than encoded whole, and each member is freed
+    once converted, so the import, tree and model together, peaks below
+    2 times the text's length (1.58 on Python 3.11).  A tree held whole
+    until the document ends peaks at 4 times; one that also keeps the
+    whitespace, parsed from the whole text at once, at 6 times."""
+    text = synth.scene_to_citygml(
+        synth.make_scene(seed=7, buildings=120, part_every=5))
+    peak, _ = _peak_and_model(text)
+    assert peak < 2 * len(text)
+
+
+def test_import_overhead_does_not_grow_with_the_tree():
+    """The tree holds one member at a time, so what the import holds
+    beyond the model it builds (the parser's chunk and one member's
+    subtree) stays put as the document grows; only the vertex pool's index
+    and the gml:ids of freed members grow.  From 60 to 240 buildings that
+    overhead grows by less than a quarter of the input's growth (about an
+    eighth on Python 3.11); a tree held whole grows by about 3 times it."""
+    sizes, overheads = [], []
+    for buildings in (60, 240):
+        text = synth.scene_to_citygml(
+            synth.make_scene(seed=7, buildings=buildings, part_every=5))
+        peak, model = _peak_and_model(text)
+        sizes.append(len(text))
+        overheads.append(peak - model)
+    assert overheads[1] - overheads[0] < (sizes[1] - sizes[0]) / 4
+
+
+def test_a_document_read_twice_peaks_as_a_whole_tree_reading(reads):
+    """A link from the last member back to the first is found only at the
+    end, when the first read has built nearly the whole model.  That read
+    is let go of before the second starts, so the import peaks as the
+    whole-tree reading alone does (4 times on Python 3.11), not at the
+    two together."""
+    text = synth.scene_to_citygml(
+        synth.make_scene(seed=7, buildings=120, part_every=5))
+    linking = ('<core:cityObjectMember><bldg:Building gml:id="linking">'
+               '<bldg:lod2MultiSurface><gml:MultiSurface>'
+               '<gml:surfaceMember xlink:href="#b0-f0"/></gml:MultiSurface>'
+               '</bldg:lod2MultiSurface></bldg:Building>'
+               '</core:cityObjectMember>\n')
+    text = text.replace("</core:CityModel>", linking + "</core:CityModel>")
+    assert reads(text) == 2
+    peak, _ = _peak_and_model(text)
     assert peak < 4.5 * len(text)
+
+
+# ---------------------------------------------------------------------------
+# member by member: a document one member cannot settle is read again
+# ---------------------------------------------------------------------------
+
+_LOW = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
+_HIGH = [(0, 0, 1), (1, 0, 1), (1, 1, 1)]
+
+
+def _member(bid: str, *surfaces: str, holders: str = "") -> str:
+    """A cityObjectMember holding the building ``bid``: one
+    lod2MultiSurface of ``surfaces`` (each a polygon, or "#id" for a
+    link to one), then ``holders``."""
+    members = "".join(
+        f'<gml:surfaceMember xlink:href="{s}"/>' if s.startswith("#")
+        else f"<gml:surfaceMember>{s}</gml:surfaceMember>"
+        for s in surfaces)
+    return (f'  <core:cityObjectMember><bldg:Building gml:id="{bid}">'
+            f'<bldg:lod2MultiSurface><gml:MultiSurface>{members}'
+            f'</gml:MultiSurface></bldg:lod2MultiSurface>{holders}'
+            '</bldg:Building></core:cityObjectMember>\n')
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """How many times importing a document reads it."""
+    frees = []
+    real = gml._import
+    monkeypatch.setattr(gml, "_import", lambda source, free:
+                        frees.append(free) or real(source, free))
+
+    def count(source) -> int:
+        frees.clear()
+        try:
+            import_citygml(source)
+        except GmlImportError:
+            pass
+        return len(frees)
+    return count
+
+
+def test_a_document_without_links_across_members_is_read_once(reads):
+    text = synth.scene_to_citygml(
+        synth.make_scene(seed=7, buildings=20, part_every=5))
+    assert reads(text) == 1
+    assert reads(CUBE_VARIANTS["xlinked-shell-inline-surfaces"]()) == 1
+
+
+def test_a_link_back_to_an_earlier_member(reads):
+    """Building 2 links a polygon of building 1, whose member is freed by
+    then."""
+    linked = gen_document(_member("b1", _polygon_xml(_LOW, pid="p1"))
+                          + _member("b2", "#p1"))
+    inlined = gen_document(_member("b1", _polygon_xml(_LOW, pid="p1"))
+                           + _member("b2", _polygon_xml(_LOW)))
+    assert _outcome(linked) == _outcome(inlined)
+    assert (reads(linked), reads(inlined)) == (2, 1)
+
+
+def test_a_link_forward_to_a_later_member(reads):
+    linked = gen_document(_member("b1", "#p2")
+                          + _member("b2", _polygon_xml(_HIGH, pid="p2")))
+    inlined = gen_document(_member("b1", _polygon_xml(_HIGH))
+                           + _member("b2", _polygon_xml(_HIGH, pid="p2")))
+    assert _outcome(linked) == _outcome(inlined)
+    assert (reads(linked), reads(inlined)) == (2, 1)
+
+
+def test_an_id_repeated_in_a_later_member_and_linked_there(reads):
+    """The first element in document order keeps a gml:id, even where its
+    member is freed before the second one comes."""
+    linked = gen_document(
+        _member("b1", _polygon_xml(_LOW, pid="p"))
+        + _member("b2", _polygon_xml(_HIGH, pid="p"), "#p"))
+    inlined = gen_document(
+        _member("b1", _polygon_xml(_LOW, pid="p"))
+        + _member("b2", _polygon_xml(_HIGH, pid="q"), _polygon_xml(_LOW)))
+    assert _outcome(linked) == _outcome(inlined)
+    assert (reads(linked), reads(inlined)) == (2, 1)
+
+
+def test_a_root_id_equal_to_a_member_element_id(reads):
+    """The root comes first in document order, so it takes over the id of
+    the MultiSurface it encloses, after that MultiSurface's member was
+    converted and freed: the link leads to the root, as a link to the
+    root's own id does."""
+    def document(root_id: str, target: str) -> str:
+        body = _member("b", _polygon_xml(_LOW), holders=(
+            f'<bldg:lod1MultiSurface xlink:href="#{target}"/>'))
+        body = body.replace("<gml:MultiSurface>",
+                            '<gml:MultiSurface gml:id="ms">')
+        return gen_document(body).replace(
+            "<core:CityModel", f'<core:CityModel gml:id="{root_id}"', 1)
+
+    taken_over, to_the_root = document("ms", "ms"), document("city", "city")
+    model, report = import_citygml(taken_over)
+    assert [g.lod for g in model.city_objects["b"].geometry] == [2]
+    assert report.skipped == [{"element": "CityModel",
+                               "reason": "unsupported geometry of b"}]
+    assert _outcome(taken_over) == _outcome(to_the_root)
+    assert (reads(taken_over), reads(to_the_root)) == (2, 2)
+
+
+def test_a_city_object_member_below_the_root_is_not_a_member(reads):
+    """Only children of the root are members; one nested in a building or
+    in an unsupported document member is reported with its parent, not
+    imported."""
+    text = gen_document(
+        _member("b1", _polygon_xml(_LOW)).replace(
+            "</bldg:Building>",
+            _member("inner1", _polygon_xml(_HIGH)) + "</bldg:Building>")
+        + f"  <core:wrapper>{_member('inner2', _polygon_xml(_HIGH))}"
+          "</core:wrapper>\n"
+        + _member("b2", _polygon_xml(_HIGH)))
+    model, report = import_citygml(text)
+    assert list(model.city_objects) == ["b1", "b2"]
+    assert report.skipped == [
+        {"element": "cityObjectMember",
+         "reason": "unsupported building member"},
+        {"element": "wrapper", "reason": "unsupported document member"}]
+    assert reads(text) == 1
+
+
+def test_skips_keep_document_order_across_members(reads):
+    """Each member's skips are reported as it is converted, and an
+    unsupported document member's in its place between them."""
+    text = gen_document(
+        _member("b1", _polygon_xml(_LOW), holders="<bldg:address/>")
+        + "  <core:appearanceMember/>\n"
+        + '  <core:cityObjectMember><bldg:Garage gml:id="g"/>'
+          "</core:cityObjectMember>\n"
+        + "  <gml:boundedBy/>\n")
+    _, report = import_citygml(text)
+    assert report.skipped == [
+        {"element": "address", "reason": "addresses are not imported"},
+        {"element": "appearanceMember",
+         "reason": "unsupported document member"},
+        {"element": "Garage",
+         "reason": "unknown feature imported as GenericCityObject"}]
+    assert reads(text) == 1
+
+
+def test_an_srs_error_after_a_failing_member_still_comes_first(reads):
+    """Member 1 links nowhere, but a later member's srsName that is not an
+    EPSG code is the error, as where the whole tree is read first."""
+    bad_srs = _member("b3", _polygon_xml(_HIGH)).replace(
+        "<gml:MultiSurface>",
+        '<gml:MultiSurface srsName="urn:ogc:def:crs:OGC:1.3:CRS84">')
+    text = gen_document(_member("b1", "#ghost")
+                        + _member("b2", _polygon_xml(_LOW)) + bad_srs)
+    expect_code(text, "NON_EPSG_CRS")
+    expect_code(text.replace(bad_srs, ""), "UNRESOLVED_XLINK")
+    assert reads(text) == 2
+
+
+def _whole_tree_outcome(text):
+    """The outcome of the second read alone: the whole tree kept, every
+    member converted once the parse is done."""
+    try:
+        model, report = gml._import(text, free=False)
+    except GmlImportError as exc:
+        return exc.code, exc.message
+    return tree_of(model), report.to_json_lines()
+
+
+_ID = re.compile(r'gml:id="([^"]+)"')
+_HREF = re.compile(r'xlink:href="#([^"]+)"')
+
+
+def _mutated(rng, text: str) -> str:
+    """``text`` with one change, of the kinds that a member may not
+    settle alone and a few that it may."""
+    ids = _ID.findall(text)
+    kind = rng.randrange(7)
+    if kind < 2:  # a link retargeted, or an id repeated, anywhere
+        spots = list((_HREF if kind == 0 else _ID).finditer(text))
+        at = rng.choice(spots)
+        return text[:at.start(1)] + rng.choice(ids) + text[at.end(1):]
+    if kind == 2:
+        return text.replace("<core:CityModel",
+                            f'<core:CityModel gml:id="{rng.choice(ids)}"', 1)
+    if kind == 3:
+        members = [m.start() for m in re.finditer("  <core:cityObjectMember>",
+                                                  text)]
+        spare = _member(rng.choice(ids + ["spare"]), _polygon_xml(_LOW),
+                        f"#{rng.choice(ids)}")
+        at = rng.choice(members)
+        return text[:at] + rng.choice(
+            [spare, f"<core:wrapper>{spare}</core:wrapper>"]) + text[at:]
+    if kind == 4:
+        spots = list(re.finditer("<gml:(MultiSurface|Polygon)", text))
+        at = rng.choice(spots).end()
+        srs = rng.choice(["EPSG:7415", "EPSG:28992", "urn:bad"])
+        return text[:at] + f' srsName="{srs}"' + text[at:]
+    if kind == 5:
+        spots = list(re.finditer("<gml:posList>", text))
+        at = rng.choice(spots).end()
+        return text[:at] + rng.choice(["x ", "", "1 2 "]) + text[at:]
+    # a second feature in a member, without an id
+    return text.replace("</bldg:Building>", "</bldg:Building><bldg:Shed/>", 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_member_by_member_reads_as_the_whole_tree_does(seed):
+    """Documents with links and ids across members, root ids, nested
+    members, srsNames and bad coordinates import exactly as the whole-tree
+    reading does: the same model and report, or the same error."""
+    rng = random.Random(seed)
+    text = synth.scene_to_citygml(synth.make_scene(
+        seed=seed, buildings=rng.randrange(1, 5),
+        part_every=rng.choice([0, 2])))
+    for _ in range(rng.randrange(1, 4)):
+        text = _mutated(rng, text)
+    try:
+        outcome = _outcome(text)
+    except GmlImportError as exc:
+        outcome = exc.code, exc.message
+    assert outcome == _whole_tree_outcome(text)
+
+
+@pytest.mark.parametrize("kind", ["file", "file-at-an-offset",
+                                  "file-that-cannot-seek"])
+def test_a_binary_file_imports_as_its_bytes_do(kind, tmp_path):
+    """A file is read in chunks from where it stands, and rewound to
+    there for a second read; one that cannot seek is read whole."""
+    class Unseekable(io.BytesIO):
+        def seekable(self):
+            return False
+
+    for text in (synth.scene_to_citygml(synth.make_scene(seed=3,
+                                                         buildings=8)),
+                 gen_document(_member("b1", "#p2")
+                              + _member("b2", _polygon_xml(_HIGH,
+                                                           pid="p2")))):
+        data = text.encode("utf-8")
+        if kind == "file":
+            path = tmp_path / "city.gml"
+            path.write_bytes(data)
+            with open(path, "rb") as source:
+                assert _outcome(source) == _outcome(data)
+        elif kind == "file-at-an-offset":
+            source = io.BytesIO(b"<skipped/>" + data)
+            source.seek(len(b"<skipped/>"))
+            assert _outcome(source) == _outcome(data)
+        else:
+            assert _outcome(Unseekable(data)) == _outcome(data)
