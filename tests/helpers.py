@@ -311,3 +311,71 @@ def shape_mutants():
                setter(bank, member, value), "WRONG_MEMBER_TYPE",
                f"geometry-templates/{member}")
     return out
+
+
+# -- consistency mutants ---------------------------------------------------
+
+
+def three_cubes():
+    """Three one-cube buildings on one pool of 24 rows; the middle one,
+    b-2, carries semantics."""
+    tree = cube_tree()
+    for k in (1, 2):
+        tree["vertices"] += cube_vertices(20.0 * k)
+        tree["CityObjects"][f"b-{k + 1}"] = {
+            "type": "Building",
+            "geometry": [{"type": "Solid", "lod": 2,
+                          "boundaries": [shifted_shell(8 * k)]}]}
+    tree["CityObjects"]["b-2"]["geometry"][0]["semantics"] = \
+        copy.deepcopy(CUBE_SEMANTICS)
+    return tree
+
+
+def consistency_mutants():
+    """Documents, by name, whose shapes are sound or nearly so but whose
+    pieces disagree: indices outside the pool (also in a geometry of no
+    known kind) or of the wrong type, rows
+    no geometry uses or used twice, semantic values that do not mirror
+    the boundaries, a template that does not exist and a one-way family
+    link.  Built in memory with ``record_model``, they reach the
+    validator's consistency layer and the ops."""
+    out = {}
+
+    def mutant(name, tree, change):
+        change(tree)
+        out[name] = tree
+
+    def middle_ring(tree):
+        return tree["CityObjects"]["b-2"]["geometry"][0]["boundaries"][0][2][0]
+
+    def values(tree):
+        return tree["CityObjects"]["b-2"]["geometry"][0]["semantics"][
+            "values"][0]
+
+    mutant("index-past-pool", three_cubes(),
+           lambda t: middle_ring(t).__setitem__(1, 24))
+    mutant("index-negative", three_cubes(),
+           lambda t: middle_ring(t).__setitem__(1, -1))
+    mutant("index-past-pool-unknown-kind", three_cubes(),
+           lambda t: (middle_ring(t).__setitem__(1, 24),
+                      t["CityObjects"]["b-2"]["geometry"][0]
+                      .__setitem__("type", "Hypercube")))
+    mutant("index-true", three_cubes(),
+           lambda t: middle_ring(t).__setitem__(1, True))
+    mutant("orphan-row", three_cubes(),
+           lambda t: t["vertices"].append([99.0, 99.0, 99.0]))
+    mutant("duplicate-row", three_cubes(),
+           lambda t: t["vertices"].__setitem__(9, list(t["vertices"][8])))
+    mutant("semantics-too-short", three_cubes(), lambda t: values(t).pop())
+    mutant("semantics-too-deep", three_cubes(),
+           lambda t: values(t).__setitem__(1, [1]))
+    mutant("semantics-out-of-range", three_cubes(),
+           lambda t: values(t).__setitem__(5, 3))
+    mutant("semantics-true", three_cubes(),
+           lambda t: values(t).__setitem__(2, True))
+    mutant("template-out-of-range", corpus_tree("22-two-instances"),
+           lambda t: t["CityObjects"]["lamp-row"]["geometry"][0]
+           .__setitem__("template", 5))
+    mutant("parent-one-way", corpus_tree("02-building-with-parts"),
+           lambda t: t["CityObjects"]["id-1"]["children"].remove("id-3"))
+    return out

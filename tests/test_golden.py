@@ -7,8 +7,11 @@ output's minified encoding (or the code of the ``CjtkError`` the op
 raised) is hashed and compared with ``data/golden_digests.json``.  The
 CityGML importer (model plus report lines) and the extension loader and
 checker (loaded members, findings) are pinned the same way, their errors
-by code, path and message (keys under ``gml/`` and ``ext/``).  A
-refactor that is meant to leave outputs as they are passes unchanged; a
+by code, path and message (keys under ``gml/`` and ``ext/``).  The
+findings of ``validate_text`` and ``validate`` on the corpus, the synth
+scenes, the shape mutants and the consistency mutants, and what the ops
+give or raise on the consistency mutants built in memory, are pinned
+under ``validate/``.  A refactor that is meant to leave outputs as they are passes unchanged; a
 change that alters outputs on purpose regenerates the file and says why
 in its description::
 
@@ -20,13 +23,14 @@ import hashlib
 import json
 from pathlib import Path
 
-from cjtk import codec, extensions, geomops, gml, ops, synth
+from cjtk import codec, extensions, geomops, gml, ops, synth, validation
 from cjtk.errors import CjtkError
 
 from conftest import NOISE_EXTENSION_PATH, committed_corpus
 from gmlvariants import (CUBE_FACES, CUBE_VARIANTS, RESPELLED,
                          SQUARE_POINTS, SQUARE_VARIANTS)
-from helpers import base_inputs
+from helpers import (base_inputs, consistency_mutants, mutant_text,
+                     record_model, shape_mutants)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -507,6 +511,52 @@ def _checked(model, exts) -> str:
                        for f in extensions.validate_extended(model, exts)])
 
 
+# -- validation ------------------------------------------------------------------
+
+
+def _findings(text, model) -> str:
+    """The findings of ``validate_text(text)`` and of ``validate(model)``."""
+    return json.dumps({how: [f.to_json() for f in findings] for how, findings
+                       in (("text", validation.validate_text(text)),
+                           ("model", validation.validate(model)))})
+
+
+MEMORY_OPS = {
+    "subset": lambda m: ops.subset(m, ids=sorted(m.city_objects)),
+    "grid2": lambda m: ops.partition_grid(m, 2, 2),
+    "clean": geomops.remove_orphan_vertices,
+    "dedupe0": geomops.dedupe_vertices,
+    "extent": geomops.compute_extent,
+}
+
+
+def _validation_digests(bases) -> dict[str, str]:
+    """Findings of every corpus file, of the synth scenes raw and
+    quantized, of every shape mutant and of every consistency mutant; and
+    what the ops give or raise on the consistency mutants built in
+    memory (keys under ``validate/``)."""
+    out = {}
+    for path in committed_corpus():
+        text = path.read_bytes()
+        out[f"validate/corpus/{path.name.split('.')[0]}"] = _pinned(
+            lambda: _findings(text, codec.parse(text)[0]))
+    for name, model in bases:
+        if name.startswith("synth-"):
+            for variant, m in _variants(model).items():
+                out[f"validate/{name}/{variant}"] = _pinned(
+                    lambda: _findings(codec.dumps(m), m))
+    for name, row in shape_mutants().items():
+        out[f"validate/shape/{name}"] = _pinned(
+            lambda: _findings(mutant_text(row.tree), record_model(row.tree)))
+    for name, tree in consistency_mutants().items():
+        out[f"validate/memory/{name}"] = _pinned(
+            lambda: _findings(mutant_text(tree), record_model(tree)))
+        for op_name, op in MEMORY_OPS.items():
+            out[f"validate/memory/{name}/{op_name}"] = _pinned(
+                lambda: _encoded(op(record_model(tree))))
+    return out
+
+
 def digests() -> dict[str, str]:
     out = {}
     for name, text in _gml_inputs():
@@ -518,6 +568,7 @@ def digests() -> dict[str, str]:
             out[f"ext/{name}/{set_name}"] = _pinned(
                 lambda: _checked(model, exts))
     bases = base_inputs()
+    out.update(_validation_digests(bases))
     for name, model in bases:
         variants = _variants(model)
         for variant, m in variants.items():
