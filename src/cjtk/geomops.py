@@ -24,12 +24,10 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
-from itertools import chain
-
 from .errors import CjtkError
-from .model import (GEOMETRY_DEPTH, CityModel, Geometry, TemplateBank,
-                    Transform, is_finite_number, is_matrix,
-                    iter_boundary_indices, map_boundaries, replace)
+from .model import (CityModel, Geometry, TemplateBank, Transform,
+                    boundary_indices, is_finite_number, is_matrix,
+                    map_boundaries, replace)
 
 _MAX_QUANTUM = 2 ** 53
 _BANK = "geometry-templates/vertices-templates"
@@ -172,64 +170,37 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
             else:
                 new_index[vi] = new_index[target]
 
-    if len(survivors) == len(verts) and _indices_in_range(
-            (g for _, _, g in model.iter_geometries()), len(verts)):
+    if len(survivors) == len(verts) and boundary_indices(
+            (g for _, _, g in model.iter_geometries()), len(verts))[1]:
         return replace(model)  # nothing merged: every index maps to itself
     return _rebase(model, survivors, new_index.__getitem__)
-
-
-def _indices_in_range(geometries, size: int) -> bool:
-    """Whether each geometry's boundaries nest as deep as its kind says
-    over ints in 0..size-1.
-
-    The geometries are grouped by depth and each level is checked whole,
-    by C-level passes; anything else is False, for a walk to name.
-    """
-    by_depth: dict[int, list] = {}
-    for g in geometries:
-        depth = 1 if g.is_instance() else GEOMETRY_DEPTH.get(g.type) \
-            if type(g.type) is str else None
-        if depth is None:
-            return False
-        by_depth.setdefault(depth, []).append(g.boundaries)
-    for depth, level in by_depth.items():
-        for _ in range(depth):
-            if not set(map(type, level)) <= {list}:
-                return False
-            level = list(chain.from_iterable(level))
-        if level and not (set(map(type, level)) <= {int}
-                          and min(level) >= 0 and max(level) < size):
-            return False
-    return True
 
 
 def remove_orphan_vertices(model: CityModel) -> CityModel:
     """New model without vertices (or template vertices) that no boundary
     references."""
     out = _rebase(model, *compact_pool(
-        (g.boundaries for _, _, g in model.iter_geometries()),
-        len(model.vertices), "vertices"))
+        (g for _, _, g in model.iter_geometries()), len(model.vertices),
+        "vertices"))
     if out.templates:
         bank = out.templates
-        survivors, new_index = compact_pool(
-            (t.boundaries for t in bank.templates), len(bank.vertices), _BANK)
+        survivors, new_index = compact_pool(bank.templates,
+                                            len(bank.vertices), _BANK)
         out.templates = TemplateBank(
             templates=[t.remapped(new_index) for t in bank.templates],
             vertices=[bank.vertices[old] for old in survivors])
     return out
 
 
-def compact_pool(boundary_arrays, size: int, path: str):
-    """(survivors, new_index): the pool rows the boundary arrays use, in
-    pool order, and the function mapping each to its index among them.
+def compact_pool(geometries, size: int, path: str):
+    """(survivors, new_index): the pool rows the geometries' boundaries
+    use, in pool order, and the function mapping each to its index among
+    them.
 
     An index outside the pool of ``size`` rows, negative included, raises
     VERTEX_INDEX_OUT_OF_RANGE at ``path``.
     """
-    used: set[int] = set()
-    for boundaries in boundary_arrays:
-        used.update(iter_boundary_indices(boundaries))
-    survivors = sorted(used)
+    survivors = sorted(set(boundary_indices(geometries)[0]))
     if survivors and not (0 <= survivors[0] and survivors[-1] < size):
         bad = survivors[0] if survivors[0] < 0 else survivors[-1]
         raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
@@ -281,7 +252,7 @@ def instance_world_vertices(model: CityModel, geom: Geometry,
                         path)
     ref = model.real_vertex(geom.boundaries[0])
     bank = model.templates.vertices
-    used, _ = compact_pool([template.boundaries], len(bank), _BANK)
+    used, _ = compact_pool([template], len(bank), _BANK)
     out = []
     for idx in used:
         x, y, z = bank[idx]
@@ -313,8 +284,8 @@ def instantiate_template(model: CityModel, object_id: str,
     model.check_transform()
     verts = instance_world_vertices(model, geom, path)
     template = model.placed_template(geom)
-    _, new_index = compact_pool([template.boundaries],
-                                len(model.templates.vertices), _BANK)
+    _, new_index = compact_pool([template], len(model.templates.vertices),
+                                _BANK)
     expanded = Geometry(
         type=template.type,
         lod=geom.lod if geom.lod is not None else template.lod,
@@ -339,7 +310,7 @@ def object_extent(model: CityModel, oid: str):
                 model, geom, f"CityObjects/{oid}/geometry/{gi}")
         else:
             rows = [model.real_vertex(i)
-                    for i in set(iter_boundary_indices(geom.boundaries))]
+                    for i in set(boundary_indices([geom])[0])]
         if rows:
             columns = list(zip(*rows))
             boxes.append((list(map(min, columns)), list(map(max, columns))))

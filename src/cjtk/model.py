@@ -481,8 +481,56 @@ class CityModel(Record):
 # -- boundary array helpers ---------------------------------------------
 
 
+def flatten(nodes: list, levels: int) -> list | None:
+    """What lies ``levels`` list levels below ``nodes``, in order; None
+    where a node above that is not a list (a list subclass is not, for a
+    walk to accept).  Each level is type-checked and flattened whole, by
+    C-level passes."""
+    for _ in range(levels):
+        if not set(map(type, nodes)) <= {list}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    return nodes
+
+
+def depth_of(geom: Geometry) -> int | None:
+    """List levels over a geometry's vertex indices: 1 for an instance,
+    ``GEOMETRY_DEPTH[kind]`` otherwise, None for a type that is no kind."""
+    if geom.is_instance():
+        return 1
+    return GEOMETRY_DEPTH.get(geom.type) if isinstance(geom.type, str) \
+        else None
+
+
+def by_depth(geometries) -> dict:
+    """The geometries grouped by ``depth_of``, each group in order."""
+    groups: dict = {}
+    for geom in geometries:
+        groups.setdefault(depth_of(geom), []).append(geom)
+    return groups
+
+
+def boundary_indices(geometries, size: int | None = None) -> tuple[list, bool]:
+    """(indices, ok): every vertex index of the geometries' boundaries,
+    each depth group through one ``flatten``, and whether each nests
+    ``depth_of`` it deep over integers (in 0..size-1, given ``size``).
+    Where one does not, the indices are ``iter_boundary_indices``' and ok
+    is False, for the caller to name the fault."""
+    geometries = list(geometries)
+    out: list = []
+    for depth, group in by_depth(geometries).items():
+        leaves = None if depth is None \
+            else flatten([g.boundaries for g in group], depth)
+        if leaves is None or not _all_ints(leaves):
+            return [i for g in geometries
+                    for i in iter_boundary_indices(g.boundaries)], False
+        out += leaves
+    return out, size is None or not out or min(out) >= 0 and max(out) < size
+
+
 def iter_boundary_indices(boundaries) -> Iterator[int]:
-    """All vertex indices in a boundaries array, in document order.
+    """All vertex indices in a boundaries array of unknown depth, in
+    document order.
 
     The walk keeps its own stack, so any depth of nesting is walked.
     """
@@ -504,6 +552,19 @@ def map_boundaries(boundaries, fn: Callable[[int], int]):
     return fn(boundaries)
 
 
+def walk(node, depth: int) -> Iterator[tuple[tuple, object, int]]:
+    """(position, node, levels left) of ``node`` and of every node down to
+    ``depth`` list levels below it, in document order; a position is the
+    tuple of indices leading to its node, and a node that is not a list is
+    not entered.  This names what a check over ``flatten`` found wrong."""
+    stack = [((), node, depth)]
+    while stack:
+        at, node, left = stack.pop()
+        yield at, node, left
+        if left and isinstance(node, list):
+            stack += [(at + (i,), x, left - 1) for i, x in enumerate(node)][::-1]
+
+
 def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
     """Every (path, ring) of a surface-bearing geometry whose boundaries
     ``shape_problems`` accepts.
@@ -511,14 +572,11 @@ def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
     A ring is an innermost index list; the path is the slash-joined list of
     positions leading to it inside the boundaries array.
     """
-    if kind not in SURFACE_KINDS:
-        return
-    level = [("", boundaries)]
-    # Rings lie one level above the indices.
-    for _ in range(GEOMETRY_DEPTH[kind] - 1):
-        level = [(f"{where}/{i}" if where else str(i), child)
-                 for where, node in level for i, child in enumerate(node)]
-    yield from level
+    if kind in SURFACE_KINDS:
+        # Rings lie one level above the indices.
+        for at, ring, left in walk(boundaries, GEOMETRY_DEPTH[kind] - 1):
+            if not left:
+                yield "/".join(map(str, at)), ring
 
 
 # -- shape rules ----------------------------------------------------------
@@ -537,8 +595,17 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     integers (a type that is not a string is no kind); ``semantics`` has an
     array of objects, ``surfaces``, and an array, ``values``; ``material``
     and ``texture`` are objects.
+
+    All boundaries go through one ``boundary_indices`` call; only where
+    that fails is each geometry walked to name its first bad node.
     """
     yield from _pool_problems("vertices", model.vertices)
+    templates = model.templates.templates if model.templates is not None \
+        else []
+    geometries = [g for co in model.city_objects.values() for g in co.geometry]
+    if isinstance(templates, list):
+        geometries += templates
+    shaped = boundary_indices(geometries)[1]
     for oid, co in model.city_objects.items():
         path = f"CityObjects/{oid}"
         for member, ids in (("parents", co.parents), ("children", co.children),
@@ -548,32 +615,30 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
                 yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
                        f"{member} must be an array of ids")
         for gi, geom in enumerate(co.geometry):
-            yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
+            yield from _geometry_problems(f"{path}/geometry/{gi}", geom,
+                                          shaped)
     if model.templates is not None:
-        templates = model.templates.templates
         if not isinstance(templates, list):
             yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
                    "templates must be an array")
         else:
             for ti, geom in enumerate(templates):
                 yield from _geometry_problems(
-                    f"geometry-templates/templates/{ti}", geom)
+                    f"geometry-templates/templates/{ti}", geom, shaped)
         yield from _pool_problems("geometry-templates/vertices-templates",
                                   model.templates.vertices)
 
 
-def _geometry_problems(path: str, geom: Geometry):
+def _geometry_problems(path: str, geom: Geometry, shaped: bool):
     if geom.lod is not None and not is_finite_number(geom.lod):
         yield f"{path}/lod", "WRONG_MEMBER_TYPE", "lod must be a number"
-    b, where = geom.boundaries, f"{path}/boundaries"
-    if geom.is_instance():
-        bad = list(_boundary_problems(b, 1, where))
-        if not bad and len(b) != 1:
-            bad = [(where, "BAD_GEOMETRY_SHAPE",
-                    "instance boundaries hold exactly one reference point")]
-        yield from bad
-    elif isinstance(geom.type, str) and geom.type in GEOMETRY_DEPTH:
-        yield from _boundary_problems(b, GEOMETRY_DEPTH[geom.type], where)
+    b, where, depth = geom.boundaries, f"{path}/boundaries", depth_of(geom)
+    bad = [] if shaped or depth is None \
+        else _boundary_problem(b, depth, where)
+    if not bad and geom.is_instance() and len(b) != 1:
+        bad = [(where, "BAD_GEOMETRY_SHAPE",
+                "instance boundaries hold exactly one reference point")]
+    yield from bad
     sem = geom.semantics
     if sem is not None and not geom.is_instance():
         if not (isinstance(sem, Semantics) and isinstance(sem.surfaces, list)
@@ -593,39 +658,16 @@ def _geometry_problems(path: str, geom: Geometry):
                    f"{member} must be an object")
 
 
-def _boundary_problems(boundaries, depth: int, path: str):
-    return _first_bad(boundaries, depth, _all_ints,
-                      lambda: _walk_boundary_shape(boundaries, depth, path))
-
-
 def _pool_problems(path: str, pool):
     if not isinstance(pool, list):
         return [(path, "WRONG_MEMBER_TYPE",
                  f"{path.rpartition('/')[2]} must be an array")]
-    return _first_bad(pool, 1, _finite_rows, lambda: (
-        (f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
-         "vertex must hold exactly three finite numbers")
-        for i, v in enumerate(pool) if not isinstance(v, list)
-        or len(v) != 3 or not all(map(is_finite_number, v))))
-
-
-def _first_bad(node, depth: int, leaves_ok, walk):
-    """Nothing where ``node`` nests ``depth`` list levels over leaves that
-    ``leaves_ok`` accepts; else the first problem ``walk()`` yields.
-
-    Each level is checked whole, by C-level passes over the types of its
-    nodes; the walk node by node runs only where that fails, to name the
-    first bad node (or to accept a subclass).
-    """
-    level = [node]
-    for _ in range(depth):
-        if not set(map(type, level)) <= {list}:
-            break
-        level = list(chain.from_iterable(level))
-    else:
-        if leaves_ok(level):
-            return
-    yield from islice(walk(), 1)
+    if _finite_rows(pool):
+        return []
+    return islice(((f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
+                    "vertex must hold exactly three finite numbers")
+                   for i, v in enumerate(pool) if not isinstance(v, list)
+                   or len(v) != 3 or not all(map(is_finite_number, v))), 1)
 
 
 def _all_ints(level) -> bool:
@@ -633,10 +675,9 @@ def _all_ints(level) -> bool:
 
 
 def _finite_rows(rows) -> bool:
-    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {3}:
-        return False
-    coords = list(chain.from_iterable(rows))
-    if not set(map(type, coords)) <= {int, float}:  # a bool is no number
+    coords = flatten(rows, 1)
+    if coords is None or not set(map(len, rows)) <= {3} \
+            or not set(map(type, coords)) <= {int, float}:  # no bool
         return False
     try:
         return all(map(math.isfinite, coords))
@@ -644,14 +685,13 @@ def _finite_rows(rows) -> bool:
         return False
 
 
-def _walk_boundary_shape(node, depth: int, path: str):
-    if depth == 0:
-        if not isinstance(node, int) or isinstance(node, bool):
-            yield (path, "BAD_GEOMETRY_SHAPE",
-                   f"vertex reference {node!r} is not an integer")
-    elif not isinstance(node, list):
-        yield (path, "BAD_GEOMETRY_SHAPE",
-               f"expected {depth} more array level(s)")
-    else:
-        for i, sub in enumerate(node):
-            yield from _walk_boundary_shape(sub, depth - 1, f"{path}/{i}")
+def _boundary_problem(boundaries, depth: int, path: str) -> list:
+    """The first node, if any, where ``boundaries`` do not nest ``depth``
+    list levels deep over integers."""
+    for at, node, left in walk(boundaries, depth):
+        if not isinstance(node, list) if left \
+                else not isinstance(node, int) or isinstance(node, bool):
+            return [(path + "".join(f"/{i}" for i in at), "BAD_GEOMETRY_SHAPE",
+                     f"expected {left} more array level(s)" if left
+                     else f"vertex reference {node!r} is not an integer")]
+    return []

@@ -114,8 +114,8 @@ def _carve(model: CityModel, keep: set[str]) -> CityModel:
     kept = [(oid, co) for oid, co in model.city_objects.items()
             if oid in keep]
     geoms = [g for _, co in kept for g in co.geometry]
-    survivors, new_index = compact_pool((g.boundaries for g in geoms),
-                                        len(model.vertices), "vertices")
+    survivors, new_index = compact_pool(geoms, len(model.vertices),
+                                        "vertices")
     uses_templates = any(g.is_instance() for g in geoms)
     uses_appearance = any(g.material is not None or g.texture is not None
                           for g in geoms)

@@ -26,14 +26,17 @@ reports are sorted by (path, code).
 from __future__ import annotations
 
 import re
+from itertools import chain, compress, repeat
+from operator import eq, is_not, itemgetter, lt
 
 from .codec import parse
 from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
-                    SEMANTIC_SURFACE_TYPES, SURFACE_KINDS, CityModel, Geometry,
-                    is_extent, is_finite_number, is_matrix, is_scale,
-                    iter_boundary_indices, iter_rings, shape_problems)
+                    SEMANTIC_SURFACE_TYPES, CityModel, Geometry,
+                    boundary_indices, by_depth, depth_of, flatten, is_extent,
+                    is_finite_number, is_matrix, is_scale,
+                    iter_boundary_indices, iter_rings, shape_problems, walk)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 
@@ -44,13 +47,24 @@ _EPSG_RE = re.compile(r"^EPSG:\d+$")
 
 
 def validate_structure(model: CityModel) -> list[Finding]:
+    out = sorted(Finding(path, code, ERROR, message, "structure")
+                 for path, code, message in shape_problems(model))
+    # The rules below read what the shape rules accept.
+    return out or _structure_rules(model)
+
+
+def _structure_rules(model: CityModel) -> list[Finding]:
+    """The structure findings of a model that breaks no shape rule."""
     out: list[Finding] = []
     err, warn = reporters(out, "structure")
-
-    for problem in shape_problems(model):
-        err(*problem)
-    if out:  # the rules below read what the shape rules accept
-        return sorted(out)
+    rings = [flatten([g.boundaries for g in group], depth - 1)
+             for depth, group in by_depth(
+                 g for _, _, g in model.iter_geometries()).items()
+             if (depth or 0) >= 3]  # the surface kinds
+    rings_ok = None not in rings and all(
+        min(map(len, r)) >= 3
+        and not any(map(eq, map(itemgetter(0), r), map(itemgetter(-1), r)))
+        for r in rings if r)
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
         if not isinstance(co.type, str) or (co.type not in COBJECT_TYPES
@@ -61,7 +75,8 @@ def validate_structure(model: CityModel) -> list[Finding]:
             err(f"{base}/geographicalExtent", "INVALID_EXTENT",
                 "extent must be six finite numbers with min <= max per axis")
         for gi, geom in enumerate(co.geometry):
-            _check_geometry(model, geom, f"{base}/geometry/{gi}", err, warn)
+            _check_geometry(model, geom, f"{base}/geometry/{gi}", rings_ok,
+                            err, warn)
 
     if model.transform is not None:
         tr = model.transform
@@ -84,7 +99,8 @@ def validate_structure(model: CityModel) -> list[Finding]:
     return out
 
 
-def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
+def _check_geometry(model: CityModel, geom: Geometry, base: str,
+                    rings_ok: bool, err, warn):
     if geom.is_instance():
         if model.placed_template(geom) is None:
             n = len(model.templates.templates) if model.templates else 0
@@ -103,7 +119,7 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
     if geom.lod is None:
         err(f"{base}/lod", "MISSING_REQUIRED_MEMBER",
             "every geometry carries a numeric lod")
-    if geom.type in SURFACE_KINDS:
+    if not rings_ok:
         for where, ring in iter_rings(geom.type, geom.boundaries):
             if len(ring) < 3:
                 err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
@@ -153,28 +169,29 @@ def validate_consistency(model: CityModel) -> list[Finding]:
                  f"{co.type} normally belongs to a parent object")
 
     # 2. semantic values mirror the boundaries they annotate.
-    for oid, gi, geom in model.iter_geometries():
-        if geom.semantics is None or geom.is_instance():
-            continue
-        base = f"CityObjects/{oid}/geometry/{gi}/semantics"
-        if geom.type not in GEOMETRY_DEPTH or GEOMETRY_DEPTH[geom.type] < 3:
-            continue
-        levels = GEOMETRY_DEPTH[geom.type] - 2
-        nsurf = len(geom.semantics.surfaces)
-        problem = _semantics_problem(geom.boundaries, geom.semantics.values,
-                                     levels, nsurf)
-        if problem:
-            err(base, "SEMANTICS_SHAPE_MISMATCH", problem)
+    annotated = [(oid, gi, geom) for oid, gi, geom in model.iter_geometries()
+                 if geom.semantics is not None and (depth_of(geom) or 0) >= 3
+                 and geom.semantics.values is not None]
+    if not all(_mirrored(group, depth - 2) for depth, group in by_depth(
+            geom for _, _, geom in annotated).items()):
+        for oid, gi, geom in annotated:
+            problem = _semantics_problem(
+                geom.boundaries, geom.semantics.values, depth_of(geom) - 2,
+                len(geom.semantics.surfaces))
+            if problem:
+                err(f"CityObjects/{oid}/geometry/{gi}/semantics",
+                    "SEMANTICS_SHAPE_MISMATCH", problem)
 
     # 3. duplicate vertices (warnings).
-    seen: dict[tuple, int] = {}
-    for vi, v in enumerate(model.vertices):
-        key = tuple(v)
-        if key in seen:
-            warn(f"vertices/{vi}", "DUPLICATE_VERTEX",
-                 f"same coordinates as vertex {seen[key]}")
-        else:
-            seen[key] = vi
+    if len(set(map(tuple, model.vertices))) < len(model.vertices):
+        seen: dict[tuple, int] = {}
+        for vi, v in enumerate(model.vertices):
+            key = tuple(v)
+            if key in seen:
+                warn(f"vertices/{vi}", "DUPLICATE_VERTEX",
+                     f"same coordinates as vertex {seen[key]}")
+            else:
+                seen[key] = vi
 
     # 4. every boundary index addresses an existing vertex, and every
     # vertex is addressed (warnings), in the model pool and the bank.
@@ -197,46 +214,60 @@ def _check_pool(size: int, pool_path: str, vertex: str, user: str,
     """Findings for a pool of ``size`` rows indexed by ``geometries``,
     (path, geometry) pairs: each geometry's first index outside the pool,
     and each row no geometry indexes."""
-    used: set = set()
-    for path, geom in geometries:
-        indices = list(iter_boundary_indices(geom.boundaries))
-        used.update(indices)
-        for idx in indices:
-            if not isinstance(idx, int) or isinstance(idx, bool) \
-                    or not 0 <= idx < size:
-                err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
-                    f"index {idx!r} not in 0..{size - 1}")
-                break
-    for vi in range(size):
-        if vi not in used:
-            warn(f"{pool_path}/{vi}", "ORPHAN_VERTEX",
-                 f"{vertex} is referenced by no {user}")
+    geometries = list(geometries)
+    used, ok = boundary_indices((geom for _, geom in geometries), size)
+    if not ok:  # name each geometry's first bad index
+        for path, geom in geometries:
+            for idx in iter_boundary_indices(geom.boundaries):
+                if not isinstance(idx, int) or isinstance(idx, bool) \
+                        or not 0 <= idx < size:
+                    err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
+                        f"index {idx!r} not in 0..{size - 1}")
+                    break
+    for vi in set(range(size)).difference(used):
+        warn(f"{pool_path}/{vi}", "ORPHAN_VERTEX",
+             f"{vertex} is referenced by no {user}")
+
+
+def _mirrored(geometries, levels: int) -> bool:
+    """Whether ``_semantics_problem`` finds nothing in any of the
+    geometries, checked level by level over all of them at once."""
+    bounds = [g.boundaries for g in geometries]
+    values = [g.semantics.values for g in geometries]
+    limits = [len(g.semantics.surfaces) for g in geometries]
+    for _ in range(levels):
+        below = flatten(bounds, 1), flatten(values, 1)
+        if None in below or list(map(len, values)) != list(map(len, bounds)):
+            return False
+        limits = list(chain.from_iterable(map(repeat, limits,
+                                              map(len, values))))
+        bounds, values = below
+    if not set(map(type, values)) <= {int, type(None)}:
+        return False
+    if None in values:
+        kept = list(map(is_not, values, repeat(None)))
+        values = list(compress(values, kept))
+        limits = list(compress(limits, kept))
+    return not values or min(values) >= 0 and all(map(lt, values, limits))
 
 
 def _semantics_problem(boundaries, values, levels: int, nsurf: int):
     """values must nest `levels` deep and mirror boundaries above ring level;
     leaves are surface indices or null."""
-    def walk(b, v, depth, where):
-        if depth == 0:
-            if v is None:
-                return None
-            if not isinstance(v, int) or isinstance(v, bool):
-                return f"values/{where}: expected a surface index or null"
-            if not 0 <= v < nsurf:
-                return f"values/{where}: surface index {v} not in 0..{nsurf - 1}"
-            return None
-        if not isinstance(v, list) or len(v) != len(b):
-            return (f"values/{where}: expected {len(b)} entries mirroring "
-                    "the boundaries")
-        for i, (bb, vv) in enumerate(zip(b, v)):
-            problem = walk(bb, vv, depth - 1, f"{where}/{i}" if where else str(i))
-            if problem:
-                return problem
-        return None
-
-    if values is None:
-        return None
-    return walk(boundaries, values, levels, "")
+    for at, v, left in walk(values, levels):
+        where = "values/" + "/".join(map(str, at))
+        if left:
+            b = boundaries
+            for i in at:
+                b = b[i]
+            if not isinstance(v, list) or len(v) != len(b):
+                return (f"{where}: expected {len(b)} entries mirroring the "
+                        "boundaries")
+        elif v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+            return f"{where}: expected a surface index or null"
+        elif v is not None and not 0 <= v < nsurf:
+            return f"{where}: surface index {v} not in 0..{nsurf - 1}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +279,13 @@ def validate(model: CityModel,
              extensions: list[Extension] | None = None) -> list[Finding]:
     """Structure first; consistency only on structurally sound models;
     extension checks last."""
-    findings = validate_structure(model)
+    return _after_structure(model, validate_structure(model), extensions)
+
+
+def _after_structure(model: CityModel, findings: list[Finding],
+                     extensions: list[Extension] | None) -> list[Finding]:
+    """The model's structure ``findings`` and those of the later layers
+    that they allow."""
     if not any(f.severity == ERROR for f in findings):
         findings += validate_consistency(model)
         if extensions is not None \
@@ -268,13 +305,14 @@ def parse_and_validate(text: str | bytes,
                        extensions: list[Extension] | None = None) \
         -> tuple[CityModel | None, list[Finding]]:
     """``validate_text`` that also returns the parsed model, or None when
-    the text does not parse."""
+    the text does not parse.  The codec has already applied the shape
+    rules, so they do not run twice."""
     try:
         model, _ = parse(text)
     except CjtkError as exc:
         return None, [Finding(exc.path or "", exc.code, ERROR, exc.message,
                               "syntax")]
-    return model, validate(model, extensions)
+    return model, _after_structure(model, _structure_rules(model), extensions)
 
 
 def errors_of(findings: list[Finding]) -> list[Finding]:
