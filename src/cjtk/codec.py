@@ -43,6 +43,7 @@ from .model import (
     CityModel,
     CityObject,
     Record,
+    Semantics,
     TemplateBank,
     Transform,
     is_finite_number,
@@ -252,6 +253,10 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
         for g_i, g in enumerate(co.geometry):
             diag.unknown_members.extend(f"{path}/geometry/{g_i}/{k}"
                                         for k in g.extra)
+            if isinstance(g.semantics, Semantics):
+                diag.unknown_members.extend(
+                    f"{path}/geometry/{g_i}/semantics/{k}"
+                    for k in g.semantics.extra)
         diag.unknown_members.extend(f"{path}/{k}" for k in co.extra)
         model.city_objects[oid] = co
 

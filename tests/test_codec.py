@@ -212,6 +212,16 @@ def test_unknown_geometry_members_are_reported_by_full_path():
     assert tree_of(model)["CityObjects"]["b-1"]["geometry"][1]["tag"] == 7
 
 
+def test_unknown_semantics_members_are_reported_by_full_path():
+    tree = cube_tree(semantics=True)
+    tree["CityObjects"]["b-1"]["geometry"][0]["semantics"]["note"] = 1
+    model, diag = codec.parse(as_text(tree))
+    assert diag.unknown_members == [
+        "CityObjects/b-1/geometry/0/semantics/note"]
+    assert model.city_objects["b-1"].geometry[0].semantics.extra == {"note": 1}
+    assert tree_of(model) == tree
+
+
 def test_empty_appearance_round_trips_but_empty_metadata_is_dropped():
     tree = cube_tree(appearance={})
     model, _ = codec.parse(as_text(tree))
