@@ -12,8 +12,8 @@ The shape rules that codec, validator and ops share are written here once
 ``Transform.checked``, ``CityModel.placed_template`` and
 ``shape_problems``: vertex rows; a city object's ``parents``,
 ``children`` and ``members``; a geometry's ``lod``, instance reference
-point, boundary nesting, ``semantics``, ``material`` and ``texture``), so
-those modules cannot disagree.
+point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
+their themes), so those modules cannot disagree.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
@@ -594,7 +594,7 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     reference point; a known kind's nest ``GEOMETRY_DEPTH[kind]`` deep over
     integers (a type that is not a string is no kind); ``semantics`` has an
     array of objects, ``surfaces``, and an array, ``values``; ``material``
-    and ``texture`` are objects.
+    and ``texture`` are objects whose themes are objects.
 
     All boundaries go through one ``boundary_indices`` call; only where
     that fails is each geometry walked to name its first bad node.
@@ -656,6 +656,11 @@ def _geometry_problems(path: str, geom: Geometry, shaped: bool):
         if value is not None and not isinstance(value, dict):
             yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
                    f"{member} must be an object")
+        elif value is not None:
+            yield from ((f"{path}/{member}/{theme}", "WRONG_MEMBER_TYPE",
+                         f"{member} theme must be an object")
+                        for theme, themed in value.items()
+                        if not isinstance(themed, dict))
 
 
 def _pool_problems(path: str, pool):

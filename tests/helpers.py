@@ -260,7 +260,7 @@ def shape_mutants():
     mutant("members-one", corpus_tree("18-cityobjectgroup"),
            setter(family("block-north"), "members", ["house-b"]))
 
-    # Appearance members of a geometry: objects.
+    # Appearance members of a geometry, and their themes: objects.
     wrong = {"int": 5, "array": [1], "string": "x"}
     for member, corpus, oid in (
             ("material", "16-appearance-materials", "tank-4"),
@@ -274,6 +274,10 @@ def shape_mutants():
                    f"CityObjects/{oid}/geometry/0/{member}")
         mutant(f"{member}-no-themes", corpus_tree(corpus),
                setter(appearance_geom, member, {}))
+        mutant(f"{member}-theme-int", corpus_tree(corpus),
+               setter(appearance_geom, member, {"winter": 5}),
+               "WRONG_MEMBER_TYPE",
+               f"CityObjects/{oid}/geometry/0/{member}/winter")
 
     # Vertex pools: rows of three finite numbers.
     def row(tree):
