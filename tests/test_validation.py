@@ -1,5 +1,7 @@
 """Structural and consistency checks, and how the stages compose."""
 
+import sys
+
 import pytest
 
 from cjtk import codec, is_valid, ops, validate, validate_text
@@ -8,9 +10,12 @@ from cjtk.validation import (errors_of, parse_and_validate,
                              validate_consistency, validate_structure,
                              warnings_of)
 
-from helpers import (as_model, as_text, codes_of, cube_tree,
-                     deep_documents, mutant_text, record_model,
-                     shape_mutants, tree_of)
+from cjtk.model import shape_problems
+
+from conftest import committed_corpus
+from helpers import (as_model, as_text, base_inputs, codes_of,
+                     consistency_mutants, cube_tree, deep_documents,
+                     mutant_text, record_model, shape_mutants, tree_of)
 from test_codec import hostile_inputs, hostile_models
 
 IDENTITY = [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0]
@@ -302,6 +307,40 @@ def test_parse_and_validate_returns_the_model_it_checked():
     assert findings == validate_text(text) == validate(model)
     assert tree_of(model) == tree_of(as_model(cube_tree(semantics=True)))
     assert parse_and_validate('{"type": "CityJSON"')[0] is None
+
+
+def _parsed_documents():
+    """The text of every corpus file, of the synth scenes and of each
+    consistency mutant that parses."""
+    texts = [path.read_bytes() for path in committed_corpus()]
+    texts += [codec.dumps(model) for name, model in base_inputs()
+              if name.startswith("synth-")]
+    texts += [mutant_text(tree) for tree in consistency_mutants().values()]
+    return [text for text in texts if parse_and_validate(text)[0]]
+
+
+def test_validate_text_runs_the_shape_rules_once_per_document(monkeypatch):
+    texts = _parsed_documents()
+    real = shape_problems
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return real(model)
+
+    # Every module that refers to the rules calls the spy.
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cjtk") \
+                and getattr(module, "shape_problems", None) is real:
+            monkeypatch.setattr(module, "shape_problems", spy)
+    for text in texts:
+        validate_text(text)
+    assert len(calls) == len(texts)
+
+
+def test_a_parsed_document_gets_the_findings_of_its_model():
+    for text in _parsed_documents():
+        assert parse_and_validate(text)[1] == validate(codec.parse(text)[0])
 
 
 @pytest.mark.parametrize("name", sorted(
