@@ -8,8 +8,9 @@ the vertex pool and transform only, vertex hygiene rebuilds the pool and
 the geometries' index arrays, and an expanded instance shares the
 template's semantics.  Nothing here deep-copies; callers that mutate a
 result in place should ``copy.deepcopy`` it first.  The package's one
-pool compaction (``compact_pool``) and one extent walk (``object_extent``)
-live here.
+pool compaction (``compact_pool``) and its per-object extents
+(``object_extent``) live here; both read boundaries through
+``model.boundary_indices``.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the

@@ -15,6 +15,13 @@ The shape rules that codec, validator and ops share are written here once
 point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
 their themes), so those modules cannot disagree.
 
+Boundaries of a known depth are read by one walker: ``boundary_indices``
+groups geometries by depth (``depth_of``) and puts each group through
+``flatten``, which checks and flattens a whole level at a time; ``walk``
+names the first bad node where such a check fails.
+``iter_boundary_indices`` is only for boundaries whose depth is unknown
+(a type that is no kind, or a model built in memory and not validated).
+
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
 it did not change (objects, geometries, vertex rows, metadata) with its

@@ -3,7 +3,8 @@
 Structure answers "is each piece well-formed on its own".  It reports the
 problems of ``model.shape_problems``, the rules the codec raises at the
 syntax stage for documents; only a model built in memory can show them
-here.  On a model without them it adds its own rules: known object and
+here, and a parsed document reuses the codec's shape pass instead of
+running it again (``parse_and_validate``).  On a model without them it adds its own rules: known object and
 geometry types, a lod on every geometry, rings with at least three
 distinct corners, 16-number transformation matrices, template indices
 that exist, an EPSG reference system, a well-shaped transform and extent,
@@ -21,6 +22,10 @@ report always begins at the first stage that fails: syntax errors suppress
 structure findings, structure errors suppress consistency findings, and so
 on.  Each finding carries its stage, a path, a code, and a severity;
 reports are sorted by (path, code).
+
+Checks over boundaries (rings, semantic values, index ranges) run once
+over every geometry of a depth through ``model.flatten``; only a check
+that fails walks geometry by geometry to name what it found.
 """
 
 from __future__ import annotations
