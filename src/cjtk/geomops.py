@@ -25,6 +25,7 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
+
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
                     boundary_indices, is_finite_number, is_matrix,

@@ -569,7 +569,8 @@ def walk(node, depth: int) -> Iterator[tuple[tuple, object, int]]:
         at, node, left = stack.pop()
         yield at, node, left
         if left and isinstance(node, list):
-            stack += [(at + (i,), x, left - 1) for i, x in enumerate(node)][::-1]
+            stack += [(at + (i,), x, left - 1)
+                      for i, x in enumerate(node)][::-1]
 
 
 def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
@@ -607,12 +608,10 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     that fails is each geometry walked to name its first bad node.
     """
     yield from _pool_problems("vertices", model.vertices)
-    templates = model.templates.templates if model.templates is not None \
-        else []
+    bank = model.templates.templates if model.templates is not None else []
     geometries = [g for co in model.city_objects.values() for g in co.geometry]
-    if isinstance(templates, list):
-        geometries += templates
-    shaped = boundary_indices(geometries)[1]
+    shaped = boundary_indices(
+        geometries + (bank if isinstance(bank, list) else []))[1]
     for oid, co in model.city_objects.items():
         path = f"CityObjects/{oid}"
         for member, ids in (("parents", co.parents), ("children", co.children),
@@ -625,11 +624,11 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
             yield from _geometry_problems(f"{path}/geometry/{gi}", geom,
                                           shaped)
     if model.templates is not None:
-        if not isinstance(templates, list):
+        if not isinstance(bank, list):
             yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
                    "templates must be an array")
         else:
-            for ti, geom in enumerate(templates):
+            for ti, geom in enumerate(bank):
                 yield from _geometry_problems(
                     f"geometry-templates/templates/{ti}", geom, shaped)
         yield from _pool_problems("geometry-templates/vertices-templates",
@@ -701,9 +700,13 @@ def _boundary_problem(boundaries, depth: int, path: str) -> list:
     """The first node, if any, where ``boundaries`` do not nest ``depth``
     list levels deep over integers."""
     for at, node, left in walk(boundaries, depth):
-        if not isinstance(node, list) if left \
-                else not isinstance(node, int) or isinstance(node, bool):
-            return [(path + "".join(f"/{i}" for i in at), "BAD_GEOMETRY_SHAPE",
-                     f"expected {left} more array level(s)" if left
-                     else f"vertex reference {node!r} is not an integer")]
+        if left and not isinstance(node, list):
+            message = f"expected {left} more array level(s)"
+        elif not left and (not isinstance(node, int)
+                           or isinstance(node, bool)):
+            message = f"vertex reference {node!r} is not an integer"
+        else:
+            continue
+        return [(path + "".join(f"/{i}" for i in at), "BAD_GEOMETRY_SHAPE",
+                 message)]
     return []

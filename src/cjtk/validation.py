@@ -4,11 +4,12 @@ Structure answers "is each piece well-formed on its own".  It reports the
 problems of ``model.shape_problems``, the rules the codec raises at the
 syntax stage for documents; only a model built in memory can show them
 here, and a parsed document reuses the codec's shape pass instead of
-running it again (``parse_and_validate``).  On a model without them it adds its own rules: known object and
-geometry types, a lod on every geometry, rings with at least three
-distinct corners, 16-number transformation matrices, template indices
-that exist, an EPSG reference system, a well-shaped transform and extent,
-and standard semantic surface types (warnings).
+running it again (``parse_and_validate``).  On a model without them it
+adds its own rules: known object and geometry types, a lod on every
+geometry, rings with at least three distinct corners, 16-number
+transformation matrices, template indices that exist, an EPSG reference
+system, a well-shaped transform and extent, and standard semantic surface
+types (warnings).
 
 Consistency answers "do the pieces agree with each other": parents and
 children listing one another, semantic values mirroring the shape of the
