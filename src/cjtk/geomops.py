@@ -8,9 +8,9 @@ the vertex pool and transform only, vertex hygiene rebuilds the pool and
 the geometries' index arrays, and an expanded instance shares the
 template's semantics.  Nothing here deep-copies; callers that mutate a
 result in place should ``copy.deepcopy`` it first.  The package's one
-pool compaction (``compact_pool``) and its per-object extents
-(``object_extent``) live here; both read boundaries through
-``model.boundary_indices``.
+pool compaction (``compact_pool``), which reads boundaries through
+``model.boundary_indices``, and one extent walk (``object_extent``) live
+here.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the
@@ -29,7 +29,7 @@ import math
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
                     boundary_indices, is_finite_number, is_matrix,
-                    map_boundaries, replace)
+                    iter_boundary_indices, map_boundaries, replace)
 
 _MAX_QUANTUM = 2 ** 53
 _BANK = "geometry-templates/vertices-templates"
@@ -311,8 +311,10 @@ def object_extent(model: CityModel, oid: str):
             rows = instance_world_vertices(
                 model, geom, f"CityObjects/{oid}/geometry/{gi}")
         else:
+            # One small geometry at a time: the plain walk costs less here
+            # than a grouped ``boundary_indices`` call.
             rows = [model.real_vertex(i)
-                    for i in set(boundary_indices([geom])[0])]
+                    for i in set(iter_boundary_indices(geom.boundaries))]
         if rows:
             columns = list(zip(*rows))
             boxes.append((list(map(min, columns)), list(map(max, columns))))

@@ -19,8 +19,11 @@ Boundaries of a known depth are read by one walker: ``boundary_indices``
 groups geometries by depth (``depth_of``) and puts each group through
 ``flatten``, which checks and flattens a whole level at a time; ``walk``
 names the first bad node where such a check fails.
-``iter_boundary_indices`` is only for boundaries whose depth is unknown
-(a type that is no kind, or a model built in memory and not validated).
+``iter_boundary_indices`` walks one array whatever it holds: where the
+depth is unknown (a type that is no kind, or a model built in memory and
+not validated), and for one small geometry at a time
+(``geomops.object_extent``), where a grouped flatten costs more than it
+saves.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
@@ -536,7 +539,7 @@ def boundary_indices(geometries, size: int | None = None) -> tuple[list, bool]:
 
 
 def iter_boundary_indices(boundaries) -> Iterator[int]:
-    """All vertex indices in a boundaries array of unknown depth, in
+    """All vertex indices in a boundaries array, whatever its depth, in
     document order.
 
     The walk keeps its own stack, so any depth of nesting is walked.
