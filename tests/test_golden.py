@@ -11,9 +11,9 @@ by code, path and message (keys under ``gml/`` and ``ext/``).  The
 findings of ``validate_text`` and ``validate`` on the corpus, the synth
 scenes, the shape mutants and the consistency mutants, and what the ops
 give or raise on the consistency mutants built in memory, are pinned
-under ``validate/``.  A refactor that is meant to leave outputs as they are passes unchanged; a
-change that alters outputs on purpose regenerates the file and says why
-in its description::
+under ``validate/``.  A refactor that is meant to leave outputs as they
+are passes unchanged; a change that alters outputs on purpose regenerates
+the file and says why in its description::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -511,7 +511,7 @@ def _checked(model, exts) -> str:
                        for f in extensions.validate_extended(model, exts)])
 
 
-# -- validation ------------------------------------------------------------------
+# -- validation ----------------------------------------------------------------
 
 
 def _findings(text, model) -> str:
