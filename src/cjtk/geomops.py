@@ -173,7 +173,8 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
                 new_index[vi] = new_index[target]
 
     if len(survivors) == len(verts) and boundary_indices(
-            (g for _, _, g in model.iter_geometries()), len(verts))[1]:
+            (g for _, _, g in model.iter_geometries()),
+            len(verts)) is not None:
         return replace(model)  # nothing merged: every index maps to itself
     return _rebase(model, survivors, new_index.__getitem__)
 
@@ -202,7 +203,12 @@ def compact_pool(geometries, size: int, path: str):
     An index outside the pool of ``size`` rows, negative included, raises
     VERTEX_INDEX_OUT_OF_RANGE at ``path``.
     """
-    survivors = sorted(set(boundary_indices(geometries)[0]))
+    geometries = list(geometries)
+    indices = boundary_indices(geometries)
+    if indices is None:  # walk each whatever it holds
+        indices = [i for g in geometries
+                   for i in iter_boundary_indices(g.boundaries)]
+    survivors = sorted(set(indices))
     if survivors and not (0 <= survivors[0] and survivors[-1] < size):
         bad = survivors[0] if survivors[0] < 0 else survivors[-1]
         raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",

@@ -520,22 +520,21 @@ def by_depth(geometries) -> dict:
     return groups
 
 
-def boundary_indices(geometries, size: int | None = None) -> tuple[list, bool]:
-    """(indices, ok): every vertex index of the geometries' boundaries,
-    each depth group through one ``flatten``, and whether each nests
-    ``depth_of`` it deep over integers (in 0..size-1, given ``size``).
-    Where one does not, the indices are ``iter_boundary_indices``' and ok
-    is False, for the caller to name the fault."""
-    geometries = list(geometries)
+def boundary_indices(geometries, size: int | None = None) -> list | None:
+    """Every vertex index of the geometries' boundaries, each depth group
+    through one ``flatten``; None where one does not nest ``depth_of`` it
+    deep over integers (in 0..size-1, given ``size``), for the caller to
+    walk the geometries one by one."""
     out: list = []
     for depth, group in by_depth(geometries).items():
         leaves = None if depth is None \
             else flatten([g.boundaries for g in group], depth)
         if leaves is None or not _all_ints(leaves):
-            return [i for g in geometries
-                    for i in iter_boundary_indices(g.boundaries)], False
+            return None
         out += leaves
-    return out, size is None or not out or min(out) >= 0 and max(out) < size
+    if size is None or not out or min(out) >= 0 and max(out) < size:
+        return out
+    return None
 
 
 def iter_boundary_indices(boundaries) -> Iterator[int]:
@@ -608,13 +607,14 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     and ``texture`` are objects whose themes are objects.
 
     All boundaries go through one ``boundary_indices`` call; only where
-    that fails is each geometry walked to name its first bad node.
+    that fails is each geometry checked alone, and walked to name its
+    first bad node.
     """
     yield from _pool_problems("vertices", model.vertices)
     bank = model.templates.templates if model.templates is not None else []
     geometries = [g for co in model.city_objects.values() for g in co.geometry]
     shaped = boundary_indices(
-        geometries + (bank if isinstance(bank, list) else []))[1]
+        geometries + (bank if isinstance(bank, list) else [])) is not None
     for oid, co in model.city_objects.items():
         path = f"CityObjects/{oid}"
         for member, ids in (("parents", co.parents), ("children", co.children),
@@ -701,7 +701,11 @@ def _finite_rows(rows) -> bool:
 
 def _boundary_problem(boundaries, depth: int, path: str) -> list:
     """The first node, if any, where ``boundaries`` do not nest ``depth``
-    list levels deep over integers."""
+    list levels deep over integers; walked only where ``flatten`` finds
+    something wrong."""
+    leaves = flatten([boundaries], depth)
+    if leaves is not None and _all_ints(leaves):
+        return []
     for at, node, left in walk(boundaries, depth):
         if left and not isinstance(node, list):
             message = f"expected {left} more array level(s)"

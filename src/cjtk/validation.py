@@ -221,10 +221,13 @@ def _check_pool(size: int, pool_path: str, vertex: str, user: str,
     (path, geometry) pairs: each geometry's first index outside the pool,
     and each row no geometry indexes."""
     geometries = list(geometries)
-    used, ok = boundary_indices((geom for _, geom in geometries), size)
-    if not ok:  # name each geometry's first bad index
+    used = boundary_indices((geom for _, geom in geometries), size)
+    if used is None:  # name each geometry's first bad index
+        used = []
         for path, geom in geometries:
-            for idx in iter_boundary_indices(geom.boundaries):
+            indices = list(iter_boundary_indices(geom.boundaries))
+            used += indices
+            for idx in indices:
                 if not isinstance(idx, int) or isinstance(idx, bool) \
                         or not 0 <= idx < size:
                     err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
