@@ -8,9 +8,8 @@ the vertex pool and transform only, vertex hygiene rebuilds the pool and
 the geometries' index arrays, and an expanded instance shares the
 template's semantics.  Nothing here deep-copies; callers that mutate a
 result in place should ``copy.deepcopy`` it first.  The package's one
-pool compaction (``compact_pool``), which reads boundaries through
-``model.boundary_indices``, and one extent walk (``object_extent``) live
-here.
+pool compaction (``compact_pool``, over ``model.boundary_indices``) and
+one extent walk (``object_extent``) live here.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the
@@ -196,19 +195,15 @@ def remove_orphan_vertices(model: CityModel) -> CityModel:
 
 
 def compact_pool(geometries, size: int, path: str):
-    """(survivors, new_index): the pool rows the geometries' boundaries
-    use, in pool order, and the function mapping each to its index among
-    them.
+    """(survivors, new_index): the pool rows the geometries index, in pool
+    order, and the function mapping each to its index among them.
 
     An index outside the pool of ``size`` rows, negative included, raises
     VERTEX_INDEX_OUT_OF_RANGE at ``path``.
     """
-    geometries = list(geometries)
-    indices = boundary_indices(geometries)
-    if indices is None:  # walk each whatever it holds
-        indices = [i for g in geometries
-                   for i in iter_boundary_indices(g.boundaries)]
-    survivors = sorted(set(indices))
+    geometries = list(geometries)  # walked one by one where not flattened
+    survivors = sorted(set(boundary_indices(geometries) or [
+        i for g in geometries for i in iter_boundary_indices(g.boundaries)]))
     if survivors and not (0 <= survivors[0] and survivors[-1] < size):
         bad = survivors[0] if survivors[0] < 0 else survivors[-1]
         raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
@@ -317,8 +312,6 @@ def object_extent(model: CityModel, oid: str):
             rows = instance_world_vertices(
                 model, geom, f"CityObjects/{oid}/geometry/{gi}")
         else:
-            # One small geometry at a time: the plain walk costs less here
-            # than a grouped ``boundary_indices`` call.
             rows = [model.real_vertex(i)
                     for i in set(iter_boundary_indices(geom.boundaries))]
         if rows:

@@ -15,15 +15,10 @@ The shape rules that codec, validator and ops share are written here once
 point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
 their themes), so those modules cannot disagree.
 
-Boundaries of a known depth are read by one walker: ``boundary_indices``
-groups geometries by depth (``depth_of``) and puts each group through
-``flatten``, which checks and flattens a whole level at a time; ``walk``
-names the first bad node where such a check fails.
-``iter_boundary_indices`` walks one array whatever it holds: where the
-depth is unknown (a type that is no kind, or a model built in memory and
-not validated), and for one small geometry at a time
-(``geomops.object_extent``), where a grouped flatten costs more than it
-saves.
+Boundaries of a known depth are read through ``flatten`` (by depth group
+in ``boundary_indices``), and ``walk`` names the node where its check
+fails.  ``iter_boundary_indices`` walks one array of any depth: where the
+depth is unknown, and one small geometry at a time in ``object_extent``.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
@@ -492,10 +487,8 @@ class CityModel(Record):
 
 
 def flatten(nodes: list, levels: int) -> list | None:
-    """What lies ``levels`` list levels below ``nodes``, in order; None
-    where a node above that is not a list (a list subclass is not, for a
-    walk to accept).  Each level is type-checked and flattened whole, by
-    C-level passes."""
+    """What lies ``levels`` list levels below ``nodes``, in order, each
+    level checked whole; None where a node above is not a plain list."""
     for _ in range(levels):
         if not set(map(type, nodes)) <= {list}:
             return None
@@ -506,29 +499,20 @@ def flatten(nodes: list, levels: int) -> list | None:
 def depth_of(geom: Geometry) -> int | None:
     """List levels over a geometry's vertex indices: 1 for an instance,
     ``GEOMETRY_DEPTH[kind]`` otherwise, None for a type that is no kind."""
-    if geom.is_instance():
-        return 1
-    return GEOMETRY_DEPTH.get(geom.type) if isinstance(geom.type, str) \
-        else None
-
-
-def by_depth(geometries) -> dict:
-    """The geometries grouped by ``depth_of``, each group in order."""
-    groups: dict = {}
-    for geom in geometries:
-        groups.setdefault(depth_of(geom), []).append(geom)
-    return groups
+    return 1 if geom.is_instance() else GEOMETRY_DEPTH.get(geom.type) \
+        if isinstance(geom.type, str) else None
 
 
 def boundary_indices(geometries, size: int | None = None) -> list | None:
-    """Every vertex index of the geometries' boundaries, each depth group
-    through one ``flatten``; None where one does not nest ``depth_of`` it
-    deep over integers (in 0..size-1, given ``size``), for the caller to
-    walk the geometries one by one."""
+    """Every vertex index of the geometries, each depth group through one
+    ``flatten``; None where one does not nest ``depth_of`` it deep over
+    integers (in 0..size-1, given ``size``), for the caller to walk."""
+    groups: dict = {}
+    for geom in geometries:
+        groups.setdefault(depth_of(geom), []).append(geom.boundaries)
     out: list = []
-    for depth, group in by_depth(geometries).items():
-        leaves = None if depth is None \
-            else flatten([g.boundaries for g in group], depth)
+    for depth, group in groups.items():
+        leaves = None if depth is None else flatten(group, depth)
         if leaves is None or not _all_ints(leaves):
             return None
         out += leaves
@@ -538,8 +522,7 @@ def boundary_indices(geometries, size: int | None = None) -> list | None:
 
 
 def iter_boundary_indices(boundaries) -> Iterator[int]:
-    """All vertex indices in a boundaries array, whatever its depth, in
-    document order.
+    """All vertex indices in a boundaries array of any depth, in order.
 
     The walk keeps its own stack, so any depth of nesting is walked.
     """
@@ -556,16 +539,36 @@ def iter_boundary_indices(boundaries) -> Iterator[int]:
 
 def map_boundaries(boundaries, fn: Callable[[int], int]):
     """Same-shaped boundaries array with fn applied to every index."""
-    if isinstance(boundaries, list):
-        return [map_boundaries(b, fn) for b in boundaries]
-    return fn(boundaries)
+    return map_leaves(boundaries, fn, lambda x: not isinstance(x, list))
+
+
+def map_leaves(node, fn: Callable, is_leaf: Callable):
+    """Copy of the nested lists ``node`` with ``fn`` applied to each item
+    ``is_leaf`` accepts, ``node`` itself included; every other item is a
+    list, copied the same way.  The walk keeps its own stack, so no depth
+    of nesting runs into the recursion limit."""
+    if is_leaf(node):
+        return fn(node)
+    root: list = []
+    stack = [(iter(node), root)]
+    while stack:
+        items, built = stack[-1]
+        for x in items:
+            if is_leaf(x):
+                built.append(fn(x))
+            else:
+                built.append([])
+                stack.append((iter(x), built[-1]))
+                break
+        else:
+            stack.pop()
+    return root
 
 
 def walk(node, depth: int) -> Iterator[tuple[tuple, object, int]]:
     """(position, node, levels left) of ``node`` and of every node down to
     ``depth`` list levels below it, in document order; a position is the
-    tuple of indices leading to its node, and a node that is not a list is
-    not entered.  This names what a check over ``flatten`` found wrong."""
+    tuple of indices leading to its node."""
     stack = [((), node, depth)]
     while stack:
         at, node, left = stack.pop()
@@ -582,11 +585,14 @@ def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
     A ring is an innermost index list; the path is the slash-joined list of
     positions leading to it inside the boundaries array.
     """
-    if kind in SURFACE_KINDS:
-        # Rings lie one level above the indices.
-        for at, ring, left in walk(boundaries, GEOMETRY_DEPTH[kind] - 1):
-            if not left:
-                yield "/".join(map(str, at)), ring
+    if kind not in SURFACE_KINDS:
+        return
+    level = [("", boundaries)]
+    # Rings lie one level above the indices.
+    for _ in range(GEOMETRY_DEPTH[kind] - 1):
+        level = [(f"{where}/{i}" if where else str(i), child)
+                 for where, node in level for i, child in enumerate(node)]
+    yield from level
 
 
 # -- shape rules ----------------------------------------------------------
@@ -605,16 +611,8 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
     integers (a type that is not a string is no kind); ``semantics`` has an
     array of objects, ``surfaces``, and an array, ``values``; ``material``
     and ``texture`` are objects whose themes are objects.
-
-    All boundaries go through one ``boundary_indices`` call; only where
-    that fails is each geometry checked alone, and walked to name its
-    first bad node.
     """
     yield from _pool_problems("vertices", model.vertices)
-    bank = model.templates.templates if model.templates is not None else []
-    geometries = [g for co in model.city_objects.values() for g in co.geometry]
-    shaped = boundary_indices(
-        geometries + (bank if isinstance(bank, list) else [])) is not None
     for oid, co in model.city_objects.items():
         path = f"CityObjects/{oid}"
         for member, ids in (("parents", co.parents), ("children", co.children),
@@ -624,26 +622,25 @@ def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
                 yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
                        f"{member} must be an array of ids")
         for gi, geom in enumerate(co.geometry):
-            yield from _geometry_problems(f"{path}/geometry/{gi}", geom,
-                                          shaped)
+            yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
     if model.templates is not None:
-        if not isinstance(bank, list):
+        templates = model.templates.templates
+        if not isinstance(templates, list):
             yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
                    "templates must be an array")
         else:
-            for ti, geom in enumerate(bank):
+            for ti, geom in enumerate(templates):
                 yield from _geometry_problems(
-                    f"geometry-templates/templates/{ti}", geom, shaped)
+                    f"geometry-templates/templates/{ti}", geom)
         yield from _pool_problems("geometry-templates/vertices-templates",
                                   model.templates.vertices)
 
 
-def _geometry_problems(path: str, geom: Geometry, shaped: bool):
+def _geometry_problems(path: str, geom: Geometry):
     if geom.lod is not None and not is_finite_number(geom.lod):
         yield f"{path}/lod", "WRONG_MEMBER_TYPE", "lod must be a number"
     b, where, depth = geom.boundaries, f"{path}/boundaries", depth_of(geom)
-    bad = [] if shaped or depth is None \
-        else _boundary_problem(b, depth, where)
+    bad = [] if depth is None else _boundary_problem(b, depth, where)
     if not bad and geom.is_instance() and len(b) != 1:
         bad = [(where, "BAD_GEOMETRY_SHAPE",
                 "instance boundaries hold exactly one reference point")]
@@ -701,8 +698,7 @@ def _finite_rows(rows) -> bool:
 
 def _boundary_problem(boundaries, depth: int, path: str) -> list:
     """The first node, if any, where ``boundaries`` do not nest ``depth``
-    list levels deep over integers; walked only where ``flatten`` finds
-    something wrong."""
+    list levels deep over integers."""
     leaves = flatten([boundaries], depth)
     if leaves is not None and _all_ints(leaves):
         return []

@@ -24,7 +24,7 @@ from .errors import CjtkError
 from .geomops import (box_union, compact_pool, compute_extent, dequantize,
                       object_extent, quantize)
 from .model import (CityModel, Geometry, TemplateBank, Transform,
-                    is_finite_number, map_boundaries, replace)
+                    is_finite_number, map_boundaries, map_leaves, replace)
 
 # ---------------------------------------------------------------------------
 # subset
@@ -321,33 +321,11 @@ def _merge_appearance(a: dict, b: dict) -> dict:
 
 def _shift_themes(member: dict, fn, is_leaf) -> dict:
     """Copy of a material or texture member, each theme's "values" mapped
-    by ``_mapped(values, fn, is_leaf)``; the rest is shared."""
-    return {theme: {**themed, "values": _mapped(themed["values"], fn, is_leaf)}
+    by ``map_leaves(values, fn, is_leaf)``; the rest is shared."""
+    return {theme: {**themed,
+                    "values": map_leaves(themed["values"], fn, is_leaf)}
             if type(themed) is dict and "values" in themed else themed
             for theme, themed in member.items()}
-
-
-def _mapped(node, fn, is_leaf):
-    """Copy of the nested lists ``node`` with ``fn`` applied to each item
-    ``is_leaf`` accepts, ``node`` itself included; every other item is a
-    list, copied the same way.  The walk keeps its own stack, so no depth
-    of nesting runs into the recursion limit."""
-    if is_leaf(node):
-        return fn(node)
-    root: list = []
-    stack = [(iter(node), root)]
-    while stack:
-        items, built = stack[-1]
-        for x in items:
-            if is_leaf(x):
-                built.append(fn(x))
-            else:
-                built.append([])
-                stack.append((iter(x), built[-1]))
-                break
-        else:
-            stack.pop()
-    return root
 
 
 def _shift_material(member: dict, offset: int) -> dict:

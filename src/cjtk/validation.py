@@ -23,26 +23,22 @@ report always begins at the first stage that fails: syntax errors suppress
 structure findings, structure errors suppress consistency findings, and so
 on.  Each finding carries its stage, a path, a code, and a severity;
 reports are sorted by (path, code).
-
-Checks over boundaries (rings, semantic values, index ranges) run once
-over every geometry of a depth through ``model.flatten``; only a check
-that fails walks geometry by geometry to name what it found.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, repeat
-from operator import eq, is_not, itemgetter, lt
+from functools import reduce
+from operator import getitem
 
 from .codec import parse
 from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, CityModel, Geometry,
-                    boundary_indices, by_depth, depth_of, flatten, is_extent,
-                    is_finite_number, is_matrix, is_scale,
-                    iter_boundary_indices, iter_rings, shape_problems, walk)
+                    boundary_indices, depth_of, is_extent, is_finite_number,
+                    is_matrix, is_scale, iter_boundary_indices, iter_rings,
+                    shape_problems, walk)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 
@@ -55,7 +51,6 @@ _EPSG_RE = re.compile(r"^EPSG:\d+$")
 def validate_structure(model: CityModel) -> list[Finding]:
     out = sorted(Finding(path, code, ERROR, message, "structure")
                  for path, code, message in shape_problems(model))
-    # The rules below read what the shape rules accept.
     return out or _structure_rules(model)
 
 
@@ -63,14 +58,6 @@ def _structure_rules(model: CityModel) -> list[Finding]:
     """The structure findings of a model that breaks no shape rule."""
     out: list[Finding] = []
     err, warn = reporters(out, "structure")
-    rings = [flatten([g.boundaries for g in group], depth - 1)
-             for depth, group in by_depth(
-                 g for _, _, g in model.iter_geometries()).items()
-             if (depth or 0) >= 3]  # the surface kinds
-    rings_ok = None not in rings and all(
-        min(map(len, r)) >= 3
-        and not any(map(eq, map(itemgetter(0), r), map(itemgetter(-1), r)))
-        for r in rings if r)
     for oid, co in model.city_objects.items():
         base = f"CityObjects/{oid}"
         if not isinstance(co.type, str) or (co.type not in COBJECT_TYPES
@@ -81,8 +68,7 @@ def _structure_rules(model: CityModel) -> list[Finding]:
             err(f"{base}/geographicalExtent", "INVALID_EXTENT",
                 "extent must be six finite numbers with min <= max per axis")
         for gi, geom in enumerate(co.geometry):
-            _check_geometry(model, geom, f"{base}/geometry/{gi}", rings_ok,
-                            err, warn)
+            _check_geometry(model, geom, f"{base}/geometry/{gi}", err, warn)
 
     if model.transform is not None:
         tr = model.transform
@@ -105,8 +91,7 @@ def _structure_rules(model: CityModel) -> list[Finding]:
     return out
 
 
-def _check_geometry(model: CityModel, geom: Geometry, base: str,
-                    rings_ok: bool, err, warn):
+def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
     if geom.is_instance():
         if model.placed_template(geom) is None:
             n = len(model.templates.templates) if model.templates else 0
@@ -125,15 +110,14 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str,
     if geom.lod is None:
         err(f"{base}/lod", "MISSING_REQUIRED_MEMBER",
             "every geometry carries a numeric lod")
-    if not rings_ok:
-        for where, ring in iter_rings(geom.type, geom.boundaries):
-            if len(ring) < 3:
-                err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
-                    "a ring needs at least 3 vertex indices")
-            elif ring[0] == ring[-1]:
-                err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
-                    "rings are implicitly closed; the first vertex must "
-                    "not be repeated at the end")
+    for where, ring in iter_rings(geom.type, geom.boundaries):
+        if len(ring) < 3:
+            err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
+                "a ring needs at least 3 vertex indices")
+        elif ring[0] == ring[-1]:
+            err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
+                "rings are implicitly closed; the first vertex must "
+                "not be repeated at the end")
     if geom.semantics is not None:
         for si, surf in enumerate(geom.semantics.surfaces):
             stype = surf.get("type")
@@ -175,29 +159,24 @@ def validate_consistency(model: CityModel) -> list[Finding]:
                  f"{co.type} normally belongs to a parent object")
 
     # 2. semantic values mirror the boundaries they annotate.
-    annotated = [(oid, gi, geom) for oid, gi, geom in model.iter_geometries()
-                 if geom.semantics is not None and (depth_of(geom) or 0) >= 3
-                 and geom.semantics.values is not None]
-    if not all(_mirrored(group, depth - 2) for depth, group in by_depth(
-            geom for _, _, geom in annotated).items()):
-        for oid, gi, geom in annotated:
-            problem = _semantics_problem(
-                geom.boundaries, geom.semantics.values, depth_of(geom) - 2,
-                len(geom.semantics.surfaces))
-            if problem:
-                err(f"CityObjects/{oid}/geometry/{gi}/semantics",
-                    "SEMANTICS_SHAPE_MISMATCH", problem)
+    for oid, gi, geom in model.iter_geometries():
+        sem, depth = geom.semantics, depth_of(geom) or 0
+        problem = depth >= 3 and sem is not None and sem.values is not None \
+            and _semantics_problem(geom.boundaries, sem.values, depth - 2,
+                                   len(sem.surfaces))
+        if problem:
+            err(f"CityObjects/{oid}/geometry/{gi}/semantics",
+                "SEMANTICS_SHAPE_MISMATCH", problem)
 
     # 3. duplicate vertices (warnings).
-    if len(set(map(tuple, model.vertices))) < len(model.vertices):
-        seen: dict[tuple, int] = {}
-        for vi, v in enumerate(model.vertices):
-            key = tuple(v)
-            if key in seen:
-                warn(f"vertices/{vi}", "DUPLICATE_VERTEX",
-                     f"same coordinates as vertex {seen[key]}")
-            else:
-                seen[key] = vi
+    seen: dict[tuple, int] = {}
+    for vi, v in enumerate(model.vertices):
+        key = tuple(v)
+        if key in seen:
+            warn(f"vertices/{vi}", "DUPLICATE_VERTEX",
+                 f"same coordinates as vertex {seen[key]}")
+        else:
+            seen[key] = vi
 
     # 4. every boundary index addresses an existing vertex, and every
     # vertex is addressed (warnings), in the model pool and the bank.
@@ -238,44 +217,22 @@ def _check_pool(size: int, pool_path: str, vertex: str, user: str,
              f"{vertex} is referenced by no {user}")
 
 
-def _mirrored(geometries, levels: int) -> bool:
-    """Whether ``_semantics_problem`` finds nothing in any of the
-    geometries, checked level by level over all of them at once."""
-    bounds = [g.boundaries for g in geometries]
-    values = [g.semantics.values for g in geometries]
-    limits = [len(g.semantics.surfaces) for g in geometries]
-    for _ in range(levels):
-        below = flatten(bounds, 1), flatten(values, 1)
-        if None in below or list(map(len, values)) != list(map(len, bounds)):
-            return False
-        limits = list(chain.from_iterable(map(repeat, limits,
-                                              map(len, values))))
-        bounds, values = below
-    if not set(map(type, values)) <= {int, type(None)}:
-        return False
-    if None in values:
-        kept = list(map(is_not, values, repeat(None)))
-        values = list(compress(values, kept))
-        limits = list(compress(limits, kept))
-    return not values or min(values) >= 0 and all(map(lt, values, limits))
-
-
 def _semantics_problem(boundaries, values, levels: int, nsurf: int):
     """values must nest `levels` deep and mirror boundaries above ring level;
     leaves are surface indices or null."""
     for at, v, left in walk(values, levels):
-        where = "values/" + "/".join(map(str, at))
-        if left:
-            b = boundaries
-            for i in at:
-                b = b[i]
-            if not isinstance(v, list) or len(v) != len(b):
-                return (f"{where}: expected {len(b)} entries mirroring the "
-                        "boundaries")
-        elif v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-            return f"{where}: expected a surface index or null"
-        elif v is not None and not 0 <= v < nsurf:
-            return f"{where}: surface index {v} not in 0..{nsurf - 1}"
+        b = reduce(getitem, at, boundaries) if left else None
+        if left and (not isinstance(v, list) or len(v) != len(b)):
+            problem = f"expected {len(b)} entries mirroring the boundaries"
+        elif left or v is None:
+            continue
+        elif not isinstance(v, int) or isinstance(v, bool):
+            problem = "expected a surface index or null"
+        elif not 0 <= v < nsurf:
+            problem = f"surface index {v} not in 0..{nsurf - 1}"
+        else:
+            continue
+        return f"values/{'/'.join(map(str, at))}: {problem}"
     return None
 
 
@@ -293,8 +250,7 @@ def validate(model: CityModel,
 
 def _after_structure(model: CityModel, findings: list[Finding],
                      extensions: list[Extension] | None) -> list[Finding]:
-    """The model's structure ``findings`` and those of the later layers
-    that they allow."""
+    """Structure ``findings`` and the later layers they allow."""
     if not any(f.severity == ERROR for f in findings):
         findings += validate_consistency(model)
         if extensions is not None \
