@@ -516,9 +516,8 @@ def boundary_indices(geometries, size: int | None = None) -> list | None:
         if leaves is None or not _all_ints(leaves):
             return None
         out += leaves
-    if size is None or not out or min(out) >= 0 and max(out) < size:
-        return out
-    return None
+    fits = size is None or not out or min(out) >= 0 and max(out) < size
+    return out if fits else None
 
 
 def iter_boundary_indices(boundaries) -> Iterator[int]:

@@ -181,14 +181,14 @@ def validate_consistency(model: CityModel) -> list[Finding]:
     # 4. every boundary index addresses an existing vertex, and every
     # vertex is addressed (warnings), in the model pool and the bank.
     _check_pool(len(model.vertices), "vertices", "vertex", "geometry",
-                ((f"CityObjects/{oid}/geometry/{gi}", geom)
-                 for oid, gi, geom in model.iter_geometries()), err, warn)
+                [(f"CityObjects/{oid}/geometry/{gi}", geom)
+                 for oid, gi, geom in model.iter_geometries()], err, warn)
     if model.templates:
         bank = model.templates
         _check_pool(len(bank.vertices), "geometry-templates/vertices-templates",
                     "template vertex", "template",
-                    ((f"geometry-templates/templates/{ti}", t)
-                     for ti, t in enumerate(bank.templates)), err, warn)
+                    [(f"geometry-templates/templates/{ti}", t)
+                     for ti, t in enumerate(bank.templates)], err, warn)
 
     out.sort()
     return out
@@ -196,10 +196,9 @@ def validate_consistency(model: CityModel) -> list[Finding]:
 
 def _check_pool(size: int, pool_path: str, vertex: str, user: str,
                 geometries, err, warn) -> None:
-    """Findings for a pool of ``size`` rows indexed by ``geometries``,
-    (path, geometry) pairs: each geometry's first index outside the pool,
-    and each row no geometry indexes."""
-    geometries = list(geometries)
+    """Findings for a pool of ``size`` rows indexed by ``geometries``, a
+    list of (path, geometry) pairs: each geometry's first index outside
+    the pool, and each row no geometry indexes."""
     used = boundary_indices((geom for _, geom in geometries), size)
     if used is None:  # name each geometry's first bad index
         used = []
