@@ -16,9 +16,10 @@ point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
 their themes), so those modules cannot disagree.
 
 Boundaries of a known depth are read through ``flatten`` (by depth group
-in ``boundary_indices``), and ``walk`` names the node where its check
-fails.  ``iter_boundary_indices`` walks one array of any depth: where the
-depth is unknown, and one small geometry at a time in ``object_extent``.
+in ``boundary_indices``), and ``walk`` gives the position of each node,
+to name a bad one.  ``iter_boundary_indices`` walks one array of any
+depth: where the depth is unknown, and one geometry at a time in
+``object_extent``.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
