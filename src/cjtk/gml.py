@@ -12,12 +12,12 @@ namespace URI or prefix.
 
 The document is parsed in chunks of 65,536 characters, or bytes where it
 comes as bytes, or as a binary file, in the encoding its XML declaration
-names.  As each element ends, one pass rewrites its tag to its local name,
-drops its tail and any text that is only whitespace (no reader needs them),
-indexes the gml:ids that XLinks point at and reads the srsNames.  Elements
-end in post-order, but the rules follow document order: of elements sharing
-a gml:id, the first keeps it, and the first srsName that is not an EPSG
-code is the one reported.
+names.  Elements start in document order, and as each starts its tag is
+rewritten to its local name, its gml:ids are indexed for the XLinks that
+point at them and its srsName is read: of elements sharing a gml:id, the
+first keeps it, and the first srsName that is not an EPSG code is the one
+reported.  As each element ends, its tail and any text that is only
+whitespace are dropped (no reader needs them).
 
 The document is converted one member at a time: as each child of the root
 ends (a ``cityObjectMember`` or ``featureMember``, or any other), it is
@@ -25,11 +25,10 @@ converted and then freed with its gml:ids, so the tree never holds more
 than one of them.  Where one member cannot settle its conversion alone,
 the importer reads the document a second time, keeps the whole tree and
 converts the members once the parse is done, as a whole-tree reading
-does.  That happens on a link to an element outside its member, on a
-gml:id carried again after its first holder was freed, and on a member
-whose conversion fails, so that errors keep the precedence of the
-whole-tree reading: a syntax error anywhere, then the root, then the
-srsNames, then the first failing member in document order.
+does.  That happens on a link to an element outside its member, the root
+included, and on a member whose conversion fails, so that errors keep the
+precedence of the whole-tree reading: a syntax error anywhere, then the
+root, then the srsNames, then the first failing member in document order.
 
 Scope (fixed at build time): Building with BuildingPart and the semantic
 boundary surfaces, SolitaryVegetationObject, and a generic fallback for
@@ -361,62 +360,48 @@ class _Importer:
         # gml:id -> element, or None once the element has been freed
         self.ids: dict[str, ET.Element | None] = {}
         self.held: list[str] = []  # the ids held in the open root child
-        # The parse reads elements as they end, in post-order; an
-        # element's place in that order settles which of two comes first
-        # in document order (see _encloses).
-        self.ended = 0
-        self.id_ends: dict[str, int] = {}  # gml:id -> its element's place
         self.codes: set[int] = set()  # EPSG codes of the srsNames
-        self.bad_srs: tuple | None = None  # (place, NON_EPSG_CRS error)
-        self.sizes: dict[ET.Element, int] = {}
+        self.bad_srs: GmlImportError | None = None  # the first NON_EPSG_CRS
 
     # -- parse ------------------------------------------------------------
 
     def take(self, events) -> None:
-        """Take in elements as the parser starts and ends them: rewrite
-        each tag to its local name, drop the tails and whitespace-only
-        texts that no reader needs (they strip or split the text anyway),
-        index the gml:ids and read the srsNames.  For an id that several
-        elements carry, the first in document order keeps it; of the
-        srsNames that are not EPSG codes, the first in document order is
-        the error, and ``run`` raises it once the parse has succeeded.
-        With ``free``, each child of a CityModel root is converted and
-        freed as it ends."""
-        names, ids, id_ends = self.names, self.ids, self.id_ends
-        held = self.held
-        place, depth = self.ended, self.depth
+        """Take in elements as the parser starts and ends them.  As each
+        starts, in document order: rewrite its tag to its local name,
+        index its gml:ids, of which the first holder keeps each, and read
+        its srsName, keeping the first that is not an EPSG code as the
+        error that ``run`` raises once the parse has succeeded.  As each
+        ends, drop its tail and any text that is only whitespace, which no
+        reader needs (they strip or split the text anyway).  With
+        ``free``, each child of a CityModel root is converted and freed as
+        it ends."""
+        names, ids, held = self.names, self.ids, self.held
+        depth = self.depth
         for event, elem in events:
             if event == "start":
+                elem.tag = names[elem.tag]
+                for key, value in elem.items():
+                    if key == "srsName":
+                        if value:
+                            self._read_srs(value)
+                    elif names[key] == "id":
+                        if ids.setdefault(value, elem) is elem and depth:
+                            held.append(value)  # the root's own is not freed
                 if depth == 0:
                     self.root = elem
-                    self.free = self.free and names[elem.tag] == "CityModel"
+                    self.free = self.free and elem.tag == "CityModel"
                 depth += 1
                 continue
             depth -= 1
-            elem.tag = names[elem.tag]
             elem.tail = None
             text = elem.text
             if text is not None and text.isspace():
                 elem.text = None
-            for key, value in elem.items():
-                if key == "srsName":
-                    if value:
-                        self._read_srs(value, elem, place)
-                elif names[key] == "id":
-                    holder = ids.setdefault(value, elem)
-                    if holder is None:  # its first holder has been freed
-                        raise _Reread
-                    if holder is elem \
-                            or self._encloses(elem, place, id_ends[value]):
-                        ids[value] = elem
-                        id_ends[value] = place
-                        held.append(value)
-            place += 1
             if depth == 1:
                 if self.free:
                     self._free(elem)
                 held.clear()
-        self.ended, self.depth = place, depth
+        self.depth = depth
 
     def _free(self, child: ET.Element) -> None:
         """Convert a child of the root, then free it and mark its gml:ids
@@ -429,42 +414,14 @@ class _Importer:
         self.root.remove(child)
         for value in self.held:
             self.ids[value] = None
-            self.id_ends.pop(value, None)
         self.claims.clear()
-        self.sizes.clear()
 
-    def _read_srs(self, value: str, elem: ET.Element, place: int) -> None:
+    def _read_srs(self, value: str) -> None:
         try:
             self.codes.add(_epsg_code(value))
         except GmlImportError as exc:
-            if self.bad_srs is None \
-                    or self._encloses(elem, place, self.bad_srs[0]):
-                self.bad_srs = (place, exc)
-
-    def _encloses(self, elem: ET.Element, place: int, earlier: int) -> bool:
-        """Whether ``elem``, which ended at ``place``, encloses the element
-        that ended at ``earlier``: an element ends right after its
-        subtree, so the subtree fills the places just before its own.
-        Of two elements, the one that ended later comes first in document
-        order exactly where it encloses the other.  The root encloses
-        every element, the freed ones too."""
-        return elem is self.root or earlier > place - self._size(elem)
-
-    def _size(self, elem: ET.Element) -> int:
-        """How many elements the subtree under ``elem`` holds, itself
-        included.  Sizes are kept, so each subtree is counted once however
-        often its size is asked for, and the count keeps its own stack."""
-        sizes = self.sizes
-        stack = [elem]
-        while elem not in sizes:
-            top = stack[-1]
-            uncounted = [child for child in top if child not in sizes]
-            if uncounted:
-                stack.extend(uncounted)
-            else:
-                sizes[top] = 1 + sum(map(sizes.__getitem__, top))
-                stack.pop()
-        return sizes[elem]
+            if self.bad_srs is None:
+                self.bad_srs = exc
 
     # -- driver ---------------------------------------------------------
 
@@ -476,10 +433,6 @@ class _Importer:
                                  f"root element is {name!r}, "
                                  "expected CityModel")
         crs = self._crs()
-        # Free the parse's bookkeeping before the members left in the tree
-        # are converted (all of them, unless each was freed as it ended),
-        # when the tree and the model together make the peak memory.
-        self.id_ends = self.sizes = None
         for child in root:
             self._root_child(child)
         metadata = {"referenceSystem": crs} if crs else {}
@@ -501,7 +454,7 @@ class _Importer:
         """The one CRS that the srsNames give, as "EPSG:n", or None where
         none is given."""
         if self.bad_srs is not None:
-            raise self.bad_srs[1]
+            raise self.bad_srs
         codes = self.codes
         if len(codes) > 1:
             raise GmlImportError("MIXED_CRS",
@@ -520,6 +473,10 @@ class _Importer:
         if target is None:
             raise GmlImportError("UNRESOLVED_XLINK",
                                  f"no element carries gml:id {href[1:]!r}")
+        if target is self.root and self.free:
+            # The root is still open, and it already holds later elements
+            # of the parsed chunk whose starts are not taken yet.
+            raise _Reread
         return target
 
     # -- features ---------------------------------------------------------

@@ -260,6 +260,9 @@ class Geometry(Record):
 
     _KNOWN = frozenset({"type", "lod", "boundaries", "semantics", "material",
                         "texture", "template", "transformationMatrix"})
+    # An instance's members: it takes its surfaces from its template.
+    _INSTANCE_KNOWN = frozenset({"type", "lod", "boundaries", "template",
+                                 "transformationMatrix"})
 
     def __init__(self, type: str, lod: float | int | None = None,
                  boundaries: list | None = None,
@@ -309,16 +312,22 @@ class Geometry(Record):
     def from_json(cls, obj: dict) -> "Geometry":
         g = cls(type=obj["type"], lod=obj.get("lod"),
                 boundaries=obj.get("boundaries", []))
-        # Semantics that are not an object stay as written, for
-        # ``shape_problems`` to refuse.
-        g.semantics = obj.get("semantics")
-        if isinstance(g.semantics, dict):
-            g.semantics = Semantics.from_json(g.semantics)
-        g.material = obj.get("material")
-        g.texture = obj.get("texture")
         g.template = obj.get("template")
         g.transformation_matrix = obj.get("transformationMatrix")
-        g.extra = {k: v for k, v in obj.items() if k not in cls._KNOWN}
+        known = cls._KNOWN
+        if g.is_instance():
+            # Semantics and appearance on an instance are not CityJSON
+            # 1.0 members: they stay in ``extra``, written back as read.
+            known = cls._INSTANCE_KNOWN
+        else:
+            # Semantics that are not an object stay as written, for
+            # ``shape_problems`` to refuse.
+            g.semantics = obj.get("semantics")
+            if isinstance(g.semantics, dict):
+                g.semantics = Semantics.from_json(g.semantics)
+            g.material = obj.get("material")
+            g.texture = obj.get("texture")
+        g.extra = {k: v for k, v in obj.items() if k not in known}
         return g
 
 
@@ -646,7 +655,7 @@ def _geometry_problems(path: str, geom: Geometry):
                 "instance boundaries hold exactly one reference point")]
     yield from bad
     sem = geom.semantics
-    if sem is not None and not geom.is_instance():
+    if sem is not None:
         if not (isinstance(sem, Semantics) and isinstance(sem.surfaces, list)
                 and isinstance(sem.values, list)):
             yield (f"{path}/semantics", "WRONG_MEMBER_TYPE",

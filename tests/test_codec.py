@@ -9,7 +9,7 @@ from cjtk import codec, geomops, synth
 from cjtk.errors import CodecError
 from cjtk.model import CityObject, replace
 
-from conftest import committed_corpus
+from conftest import CORPUS_DIR, committed_corpus
 from helpers import as_text, cube_tree, tree_of
 
 
@@ -219,6 +219,23 @@ def test_unknown_semantics_members_are_reported_by_full_path():
     assert diag.unknown_members == [
         "CityObjects/b-1/geometry/0/semantics/note"]
     assert model.city_objects["b-1"].geometry[0].semantics.extra == {"note": 1}
+    assert tree_of(model) == tree
+
+
+def test_an_instance_keeps_semantics_and_appearance_as_unknown_members():
+    """An instance takes its surfaces from its template, so semantics,
+    material and texture on it are not CityJSON 1.0 members: they are
+    reported, and written back as read."""
+    path = CORPUS_DIR / "22-two-instances.city.json"
+    tree = json.loads(path.read_text(encoding="utf-8"))
+    tree["CityObjects"]["lamp-row"]["geometry"][0].update(
+        semantics={"surfaces": [{"type": "RoofSurface"}], "values": [0]},
+        material={"visual": {"value": 0}},
+        texture={"winter": {"values": [[[0, 0]]]}})
+    model, diag = codec.parse(as_text(tree))
+    assert diag.unknown_members == [
+        f"CityObjects/lamp-row/geometry/0/{member}"
+        for member in ("semantics", "material", "texture")]
     assert tree_of(model) == tree
 
 

@@ -731,22 +731,27 @@ def test_a_link_forward_to_a_later_member(reads):
 
 def test_an_id_repeated_in_a_later_member_and_linked_there(reads):
     """The first element in document order keeps a gml:id, even where its
-    member is freed before the second one comes."""
+    member is freed before the second one comes.  Only a link to the id
+    needs the whole tree; the repeated id alone is read once."""
     linked = gen_document(
         _member("b1", _polygon_xml(_LOW, pid="p"))
         + _member("b2", _polygon_xml(_HIGH, pid="p"), "#p"))
     inlined = gen_document(
         _member("b1", _polygon_xml(_LOW, pid="p"))
         + _member("b2", _polygon_xml(_HIGH, pid="q"), _polygon_xml(_LOW)))
+    repeated = gen_document(
+        _member("b1", _polygon_xml(_LOW, pid="p"))
+        + _member("b2", _polygon_xml(_HIGH, pid="p")))
     assert _outcome(linked) == _outcome(inlined)
     assert (reads(linked), reads(inlined)) == (2, 1)
+    assert _outcome(repeated) == _whole_tree_outcome(repeated)
+    assert reads(repeated) == 1
 
 
 def test_a_root_id_equal_to_a_member_element_id(reads):
-    """The root comes first in document order, so it takes over the id of
-    the MultiSurface it encloses, after that MultiSurface's member was
-    converted and freed: the link leads to the root, as a link to the
-    root's own id does."""
+    """The root starts first in document order, so it keeps the id that
+    the MultiSurface inside it carries again: the link leads to the root,
+    as a link to the root's own id does."""
     def document(root_id: str, target: str) -> str:
         body = _member("b", _polygon_xml(_LOW), holders=(
             f'<bldg:lod1MultiSurface xlink:href="#{target}"/>'))
@@ -762,6 +767,22 @@ def test_a_root_id_equal_to_a_member_element_id(reads):
                                "reason": "unsupported geometry of b"}]
     assert _outcome(taken_over) == _outcome(to_the_root)
     assert (reads(taken_over), reads(to_the_root)) == (2, 2)
+
+
+def test_a_link_to_the_root_between_members_reads_the_whole_tree(reads):
+    """While members are freed, the root is still open, and it already
+    holds the later members of the parsed chunk under their namespaced
+    tags: a link to the root's own id reads the document again, so the
+    link walks the root as the whole-tree reading does."""
+    text = gen_document(
+        _member("b1", _polygon_xml(_LOW))
+        + _member("b2", _polygon_xml(_HIGH), "#city")
+        + _member("b3", _polygon_xml(_LOW))).replace(
+        "<core:CityModel", '<core:CityModel gml:id="city"', 1)
+    assert _outcome(text) == _whole_tree_outcome(text)
+    assert reads(text) == 2
+    _, report = import_citygml(text)
+    assert not any("{" in entry["element"] for entry in report.skipped)
 
 
 def test_a_city_object_member_below_the_root_is_not_a_member(reads):
@@ -827,6 +848,7 @@ def _whole_tree_outcome(text):
 
 
 _ID = re.compile(r'gml:id="([^"]+)"')
+_ROOT_ID = re.compile(r'<core:CityModel gml:id="([^"]+)"')
 _HREF = re.compile(r'xlink:href="#([^"]+)"')
 
 
@@ -834,7 +856,7 @@ def _mutated(rng, text: str) -> str:
     """``text`` with one change, of the kinds that a member may not
     settle alone and a few that it may."""
     ids = _ID.findall(text)
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind < 2:  # a link retargeted, or an id repeated, anywhere
         spots = list((_HREF if kind == 0 else _ID).finditer(text))
         at = rng.choice(spots)
@@ -842,11 +864,18 @@ def _mutated(rng, text: str) -> str:
     if kind == 2:
         return text.replace("<core:CityModel",
                             f'<core:CityModel gml:id="{rng.choice(ids)}"', 1)
-    if kind == 3:
+    if kind == 3 or kind == 7:  # a member linking to an id, or the root's
+        target = rng.choice(ids)
+        if kind == 7:
+            root = _ROOT_ID.search(text)
+            if root is None:
+                text = text.replace("<core:CityModel",
+                                    '<core:CityModel gml:id="city"', 1)
+            target = root.group(1) if root else "city"
         members = [m.start() for m in re.finditer("  <core:cityObjectMember>",
                                                   text)]
         spare = _member(rng.choice(ids + ["spare"]), _polygon_xml(_LOW),
-                        f"#{rng.choice(ids)}")
+                        f"#{target}")
         at = rng.choice(members)
         return text[:at] + rng.choice(
             [spare, f"<core:wrapper>{spare}</core:wrapper>"]) + text[at:]
@@ -864,21 +893,28 @@ def _mutated(rng, text: str) -> str:
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_member_by_member_reads_as_the_whole_tree_does(seed):
-    """Documents with links and ids across members, root ids, nested
-    members, srsNames and bad coordinates import exactly as the whole-tree
-    reading does: the same model and report, or the same error."""
+def test_member_by_member_reads_as_the_whole_tree_does(seed, monkeypatch):
+    """Documents with links and ids across members, root ids and links to
+    them, nested members, srsNames and bad coordinates import exactly as
+    the whole-tree reading does: the same model and report, or the same
+    error.  So they do as a str, as UTF-8 bytes and as a binary file, and
+    in chunks small enough that members span several of them."""
     rng = random.Random(seed)
     text = synth.scene_to_citygml(synth.make_scene(
         seed=seed, buildings=rng.randrange(1, 5),
         part_every=rng.choice([0, 2])))
     for _ in range(rng.randrange(1, 4)):
         text = _mutated(rng, text)
-    try:
-        outcome = _outcome(text)
-    except GmlImportError as exc:
-        outcome = exc.code, exc.message
-    assert outcome == _whole_tree_outcome(text)
+    expected = _whole_tree_outcome(text)
+    data = text.encode("utf-8")
+    for chunk in (gml._CHUNK, 997, 61):
+        monkeypatch.setattr(gml, "_CHUNK", chunk)
+        for source in (text, data, io.BytesIO(data)):
+            try:
+                outcome = _outcome(source)
+            except GmlImportError as exc:
+                outcome = exc.code, exc.message
+            assert outcome == expected, (chunk, type(source).__name__)
 
 
 @pytest.mark.parametrize("kind", ["file", "file-at-an-offset",
