@@ -8,8 +8,9 @@ the vertex pool and transform only, vertex hygiene rebuilds the pool and
 the geometries' index arrays, and an expanded instance shares the
 template's semantics.  Nothing here deep-copies; callers that mutate a
 result in place should ``copy.deepcopy`` it first.  The package's one
-pool compaction (``compact_pool``, over ``model.boundary_indices``) and
-one extent walk (``object_extent``) live here.
+pool compaction (``compact_pool``, over ``model.boundary_indices`` and
+``model.indices_of``) and one extent reader (``object_extent``) live
+here.
 
 Quantization replaces every float vertex with integer multiples of a
 quantum (10^-digits), recording the quantum and a per-axis offset in the
@@ -24,11 +25,12 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
-                    boundary_indices, is_finite_number, is_matrix,
-                    iter_boundary_indices, map_boundaries, replace)
+                    boundary_indices, indices_of, is_finite_number, is_matrix,
+                    map_boundaries, replace)
 
 _MAX_QUANTUM = 2 ** 53
 _BANK = "geometry-templates/vertices-templates"
@@ -171,10 +173,11 @@ def dedupe_vertices(model: CityModel, tolerance: float = 0.0) -> CityModel:
             else:
                 new_index[vi] = new_index[target]
 
-    if len(survivors) == len(verts) and boundary_indices(
-            (g for _, _, g in model.iter_geometries()),
-            len(verts)) is not None:
+    geometries = [g for _, _, g in model.iter_geometries()]
+    if len(survivors) == len(verts) \
+            and boundary_indices(geometries, len(verts)) is not None:
         return replace(model)  # nothing merged: every index maps to itself
+    _pool_indices(geometries, len(verts), "vertices")  # names a bad one
     return _rebase(model, survivors, new_index.__getitem__)
 
 
@@ -198,33 +201,37 @@ def compact_pool(geometries, size: int, path: str):
     """(survivors, new_index): the pool rows the geometries index, in pool
     order, and the function mapping each to its index among them.
 
-    An index outside the pool of ``size`` rows, negative included, raises
-    VERTEX_INDEX_OUT_OF_RANGE at ``path``.
+    An index outside the pool of ``size`` rows, negative or not an integer
+    included, raises VERTEX_INDEX_OUT_OF_RANGE at ``path``.
     """
-    geometries = list(geometries)  # walked one by one where not flattened
-    survivors = sorted(set(boundary_indices(geometries) or [
-        i for g in geometries for i in iter_boundary_indices(g.boundaries)]))
-    if survivors and not (0 <= survivors[0] and survivors[-1] < size):
-        bad = survivors[0] if survivors[0] < 0 else survivors[-1]
-        raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
-                        f"index {bad} outside pool of {size}", path)
+    survivors = sorted(set(_pool_indices(geometries, size, path)))
     return survivors, {old: new for new, old in enumerate(survivors)}.__getitem__
+
+
+def _pool_indices(geometries, size: int, path: str) -> list:
+    """Every vertex index of the geometries; VERTEX_INDEX_OUT_OF_RANGE at
+    ``path`` naming the first, in document order, that is not an int in
+    0..size-1."""
+    geometries = list(geometries)  # read one by one where not flattened
+    used = boundary_indices(geometries, size)
+    if used is None:
+        used = [i for g in geometries for i in indices_of(g)]
+        bad = [i for i in used if not isinstance(i, int) or not 0 <= i < size]
+        if bad:
+            raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
+                            f"index {bad[0]!r} outside pool of {size}", path)
+    return used
 
 
 def _rebase(model: CityModel, survivors: list[int], new_index) -> CityModel:
     """New model keeping the ``survivors`` rows, in that order, as its pool.
 
-    Every geometry is rebuilt with its indices passed through ``new_index``
-    (a KeyError: outside the pool); everything else is shared with ``model``.
+    Every geometry is rebuilt with its indices passed through ``new_index``;
+    everything else is shared with ``model``.
     """
-    try:
-        objects = {oid: replace(co, geometry=[g.remapped(new_index)
-                                              for g in co.geometry])
-                   for oid, co in model.city_objects.items()}
-    except KeyError as exc:
-        raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE", f"index {exc.args[0]!r} "
-                        f"outside pool of {len(model.vertices)}",
-                        "vertices") from None
+    objects = {oid: replace(co, geometry=[g.remapped(new_index)
+                                          for g in co.geometry])
+               for oid, co in model.city_objects.items()}
     return replace(model, city_objects=objects,
                    vertices=[model.vertices[old] for old in survivors])
 
@@ -312,8 +319,10 @@ def object_extent(model: CityModel, oid: str):
             rows = instance_world_vertices(
                 model, geom, f"CityObjects/{oid}/geometry/{gi}")
         else:
-            rows = [model.real_vertex(i)
-                    for i in set(iter_boundary_indices(geom.boundaries))]
+            indices = indices_of(geom)
+            with suppress(TypeError):  # an object, for real_vertex to name
+                indices = set(indices)
+            rows = [model.real_vertex(i) for i in indices]
         if rows:
             columns = list(zip(*rows))
             boxes.append((list(map(min, columns)), list(map(max, columns))))

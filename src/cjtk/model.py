@@ -15,11 +15,11 @@ The shape rules that codec, validator and ops share are written here once
 point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
 their themes), so those modules cannot disagree.
 
-Boundaries of a known depth are read through ``flatten`` (by depth group
-in ``boundary_indices``), and ``walk`` gives the position of each node,
-to name a bad one.  ``iter_boundary_indices`` walks one array of any
-depth: where the depth is unknown, and one geometry at a time in
-``object_extent``.
+Boundaries are read one way: ``flatten`` reads them a list level at a
+time, to the depth their kind says; ``walk`` gives each node's position,
+to name a bad one; ``map_leaves`` copies them.  ``boundary_indices`` (a
+depth group at once) and ``indices_of`` (one geometry, by ``walk`` where
+``flatten`` fails) read vertex indices over the first two.
 
 Models are treated as values: operations elsewhere in the package return
 new models and never alter their argument.  Every result shares the parts
@@ -82,9 +82,6 @@ GEOMETRY_DEPTH = {
     "MultiSolid": 5,
     "CompositeSolid": 5,
 }
-
-SURFACE_KINDS = {"MultiSurface", "CompositeSurface", "Solid", "MultiSolid",
-                 "CompositeSolid"}
 
 SEMANTIC_SURFACE_TYPES = {
     "RoofSurface",
@@ -259,7 +256,7 @@ class Geometry(Record):
                  "texture", "template", "transformation_matrix", "extra")
 
     _KNOWN = frozenset({"type", "lod", "boundaries", "semantics", "material",
-                        "texture", "template", "transformationMatrix"})
+                        "texture"})
     # An instance's members: it takes its surfaces from its template.
     _INSTANCE_KNOWN = frozenset({"type", "lod", "boundaries", "template",
                                  "transformationMatrix"})
@@ -312,13 +309,14 @@ class Geometry(Record):
     def from_json(cls, obj: dict) -> "Geometry":
         g = cls(type=obj["type"], lod=obj.get("lod"),
                 boundaries=obj.get("boundaries", []))
-        g.template = obj.get("template")
-        g.transformation_matrix = obj.get("transformationMatrix")
         known = cls._KNOWN
         if g.is_instance():
-            # Semantics and appearance on an instance are not CityJSON
-            # 1.0 members: they stay in ``extra``, written back as read.
+            # Semantics and appearance on an instance, like a template and
+            # matrix on any other geometry, are not CityJSON 1.0 members:
+            # they stay in ``extra``, written back as read.
             known = cls._INSTANCE_KNOWN
+            g.template = obj.get("template")
+            g.transformation_matrix = obj.get("transformationMatrix")
         else:
             # Semantics that are not an object stay as written, for
             # ``shape_problems`` to refuse.
@@ -530,20 +528,18 @@ def boundary_indices(geometries, size: int | None = None) -> list | None:
     return out if fits else None
 
 
-def iter_boundary_indices(boundaries) -> Iterator[int]:
-    """All vertex indices in a boundaries array of any depth, in order.
-
-    The walk keeps its own stack, so any depth of nesting is walked.
-    """
-    stack = [iter([boundaries])]
-    while stack:
-        for b in stack[-1]:
-            if isinstance(b, list):
-                stack.append(iter(b))
-                break
-            yield b
-        else:
-            stack.pop()
+def indices_of(geom: Geometry) -> list:
+    """Every item of a geometry's boundaries that is not a list, in
+    document order: through one ``flatten`` where they nest ``depth_of``
+    it deep over integers, by ``walk`` otherwise (an unknown kind, broken
+    nesting or a leaf that is not an integer, kept for the caller to
+    name)."""
+    depth = depth_of(geom)
+    leaves = None if depth is None else flatten([geom.boundaries], depth)
+    if leaves is not None and _all_ints(leaves):
+        return leaves
+    return [node for _, node, _ in walk(geom.boundaries, math.inf)
+            if not isinstance(node, list)]
 
 
 def map_boundaries(boundaries, fn: Callable[[int], int]):
@@ -585,23 +581,6 @@ def walk(node, depth: int) -> Iterator[tuple[tuple, object, int]]:
         if left and isinstance(node, list):
             stack += [(at + (i,), x, left - 1)
                       for i, x in enumerate(node)][::-1]
-
-
-def iter_rings(kind: str, boundaries) -> Iterator[tuple[str, list]]:
-    """Every (path, ring) of a surface-bearing geometry whose boundaries
-    ``shape_problems`` accepts.
-
-    A ring is an innermost index list; the path is the slash-joined list of
-    positions leading to it inside the boundaries array.
-    """
-    if kind not in SURFACE_KINDS:
-        return
-    level = [("", boundaries)]
-    # Rings lie one level above the indices.
-    for _ in range(GEOMETRY_DEPTH[kind] - 1):
-        level = [(f"{where}/{i}" if where else str(i), child)
-                 for where, node in level for i, child in enumerate(node)]
-    yield from level
 
 
 # -- shape rules ----------------------------------------------------------

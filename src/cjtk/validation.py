@@ -36,8 +36,8 @@ from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, CityModel, Geometry,
-                    boundary_indices, depth_of, is_extent, is_finite_number,
-                    is_matrix, is_scale, iter_boundary_indices, iter_rings,
+                    boundary_indices, depth_of, flatten, indices_of,
+                    is_extent, is_finite_number, is_matrix, is_scale,
                     shape_problems, walk)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
@@ -110,14 +110,15 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
     if geom.lod is None:
         err(f"{base}/lod", "MISSING_REQUIRED_MEMBER",
             "every geometry carries a numeric lod")
-    for where, ring in iter_rings(geom.type, geom.boundaries):
-        if len(ring) < 3:
-            err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
-                "a ring needs at least 3 vertex indices")
-        elif ring[0] == ring[-1]:
-            err(f"{base}/boundaries/{where}", "BAD_GEOMETRY_SHAPE",
-                "rings are implicitly closed; the first vertex must "
-                "not be repeated at the end")
+    # Rings lie one level above the indices; walked only where one fails.
+    depth = GEOMETRY_DEPTH[geom.type]
+    if depth >= 3 and any(map(_ring_problem,
+                              flatten([geom.boundaries], depth - 1))):
+        for at, ring, left in walk(geom.boundaries, depth - 1):
+            problem = not left and _ring_problem(ring)
+            if problem:
+                err(f"{base}/boundaries/{'/'.join(map(str, at))}",
+                    "BAD_GEOMETRY_SHAPE", problem)
     if geom.semantics is not None:
         for si, surf in enumerate(geom.semantics.surfaces):
             stype = surf.get("type")
@@ -125,6 +126,16 @@ def _check_geometry(model: CityModel, geom: Geometry, base: str, err, warn):
                     and not stype.startswith("+")):
                 warn(f"{base}/semantics/surfaces/{si}", "UNKNOWN_SEMANTIC_TYPE",
                      f"{stype!r} is not a standard semantic surface type")
+
+
+def _ring_problem(ring) -> str | None:
+    """What is wrong with one ring of vertex indices, or None."""
+    if len(ring) < 3:
+        return "a ring needs at least 3 vertex indices"
+    if ring[0] == ring[-1]:
+        return ("rings are implicitly closed; the first vertex must not be "
+                "repeated at the end")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +214,7 @@ def _check_pool(size: int, pool_path: str, vertex: str, user: str,
     if used is None:  # name each geometry's first bad index
         used = []
         for path, geom in geometries:
-            indices = list(iter_boundary_indices(geom.boundaries))
+            indices = indices_of(geom)
             used += indices
             for idx in indices:
                 if not isinstance(idx, int) or isinstance(idx, bool) \

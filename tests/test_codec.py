@@ -239,6 +239,22 @@ def test_an_instance_keeps_semantics_and_appearance_as_unknown_members():
     assert tree_of(model) == tree
 
 
+def test_a_template_and_matrix_off_an_instance_are_unknown_members():
+    """Only an instance places a template, so on any other geometry a
+    template and matrix are reported, and written back as read."""
+    tree = cube_tree()
+    geom = tree["CityObjects"]["b-1"]["geometry"][0]
+    geom.update(type="MultiSurface", boundaries=geom["boundaries"][0],
+                template=0, transformationMatrix=[1.0, 0, 0, 0, 0, 1.0, 0, 0,
+                                                  0, 0, 1.0, 0, 0, 0, 0, 1.0])
+    model, diag = codec.parse(as_text(tree))
+    assert diag.unknown_members == [
+        f"CityObjects/b-1/geometry/0/{member}"
+        for member in ("template", "transformationMatrix")]
+    assert model.city_objects["b-1"].geometry[0].template is None
+    assert tree_of(model) == tree
+
+
 def test_empty_appearance_round_trips_but_empty_metadata_is_dropped():
     tree = cube_tree(appearance={})
     model, _ = codec.parse(as_text(tree))
@@ -362,6 +378,17 @@ def _template_ring(ring):
     })
 
 
+def _unknown_kind(leaf):
+    """A Building whose geometry of unknown type "Foo" has ``leaf`` where
+    a vertex index goes, over a pool of three vertices."""
+    return as_text({
+        "type": "CityJSON", "version": "1.0",
+        "CityObjects": {"a": {"type": "Building", "geometry": [
+            {"type": "Foo", "lod": 1, "boundaries": [[leaf], [1]]}]}},
+        "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+    })
+
+
 def hostile_models():
     """Valid JSON that breaks a rule of the model, by name:
     (document, {stage: code}).
@@ -382,6 +409,10 @@ def hostile_models():
                  ("clean",): "VERTEX_INDEX_OUT_OF_RANGE",
                  ("dedupe",): "VERTEX_INDEX_OUT_OF_RANGE",
                  ("metadata",): "VERTEX_INDEX_OUT_OF_RANGE"}
+    # Not an integer, in a geometry no kind's depth reads.
+    no_integer = {("validate",): "UNKNOWN_COTYPE",
+                  ("partition", "--by-type"): "VERTEX_INDEX_OUT_OF_RANGE",
+                  **bad_index}
     return {
         "vertex-1e999": (_marked(vertex, "1e999"),
                          {("validate",): "BAD_GEOMETRY_SHAPE",
@@ -398,6 +429,8 @@ def hostile_models():
                                    {("validate",): "INVALID_EXTENT"}),
         "index-past-the-pool": (_pool_of_four([0, 1, 2, 7]), bad_index),
         "index-negative": (_pool_of_four([0, 1, 2, -1]), bad_index),
+        "index-a-string": (_unknown_kind("x"), no_integer),
+        "index-an-object": (_unknown_kind({}), no_integer),
         "template-index-past-the-bank": (
             _template_ring([0, 1, 2, 7]),
             {("metadata",): "VERTEX_INDEX_OUT_OF_RANGE",

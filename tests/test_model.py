@@ -10,8 +10,8 @@ from cjtk import (CityModel, CityObject, Geometry, Transform, boundary_depth,
                   codec)
 from cjtk.errors import CjtkError
 from cjtk.model import (FIRST_LEVEL_TYPES, SECOND_LEVEL_TYPES, Record,
-                        Semantics, TemplateBank, iter_boundary_indices,
-                        iter_rings, map_boundaries, replace)
+                        Semantics, TemplateBank, indices_of, map_boundaries,
+                        replace)
 
 from conftest import committed_corpus
 from helpers import CUBE_SHELL, as_model, cube_tree, tree_of
@@ -36,24 +36,34 @@ def test_boundary_depth_rejects_unknown_kind():
     assert exc.value.code == "UNKNOWN_GEOMETRY_KIND"
 
 
-def test_iter_boundary_indices_document_order():
-    assert list(iter_boundary_indices([[[0, 3], [2]], [[1]]])) == [0, 3, 2, 1]
+def test_indices_of_a_known_kind_in_document_order():
+    assert indices_of(Geometry("Solid", 2, [CUBE_SHELL])) == \
+        [i for face in CUBE_SHELL for ring in face for i in ring]
+    assert indices_of(Geometry("MultiSurface", 2, [[[0, 3], [2]], [[1]]])) \
+        == [0, 3, 2, 1]
+    assert indices_of(Geometry("GeometryInstance", template=0,
+                               boundaries=[7])) == [7]
+
+
+def test_indices_of_an_unknown_kind_or_deeper_nesting_in_document_order():
+    assert indices_of(Geometry("Foo", 2, [[[0, 3], [2]], [[1]]])) == \
+        [0, 3, 2, 1]
+    assert indices_of(Geometry(["MultiPoint"], 2, [0, [1]])) == [0, 1]
+    assert indices_of(Geometry("MultiSurface", 2, [[[0, [3, [4]]], [2]]])) \
+        == [0, 3, 4, 2]
+    assert indices_of(Geometry("Foo", 2, 5)) == [5]
+
+
+def test_indices_of_keeps_an_item_that_is_no_integer_for_its_caller():
+    assert indices_of(Geometry("MultiSurface", 2,
+                               [[[0, "x", {}]], [[True, 2.0, None]]])) == \
+        [0, "x", {}, True, 2.0, None]
+    assert indices_of(Geometry("Foo", 2, [["x"], [1]])) == ["x", 1]
 
 
 def test_map_boundaries_keeps_shape():
     src = [[[0, 1], [2]], [[3]]]
     assert map_boundaries(src, lambda i: i * 10) == [[[0, 10], [20]], [[30]]]
-
-
-def test_iter_rings_solid_paths():
-    rings = dict(iter_rings("Solid", [CUBE_SHELL]))
-    assert set(rings) == {f"0/{i}/0" for i in range(6)}
-    assert rings["0/0/0"] == [0, 3, 2, 1]
-
-
-def test_iter_rings_skips_non_surface_kinds():
-    assert list(iter_rings("MultiPoint", [0, 1, 2])) == []
-    assert list(iter_rings("MultiLineString", [[0, 1], [2, 3]])) == []
 
 
 def test_second_level_types_point_at_first_level_parents():

@@ -13,7 +13,7 @@ from cjtk.validation import (errors_of, parse_and_validate,
 from cjtk.model import shape_problems
 
 from conftest import committed_corpus
-from helpers import (as_model, as_text, base_inputs, codes_of,
+from helpers import (CUBE_SHELL, as_model, as_text, base_inputs, codes_of,
                      consistency_mutants, cube_tree, deep_documents,
                      mutant_text, record_model, shape_mutants, tree_of)
 from test_codec import hostile_inputs, hostile_models
@@ -83,6 +83,33 @@ def test_short_ring_and_explicitly_closed_ring():
     assert [f.code for f in findings] == ["BAD_GEOMETRY_SHAPE"] * 2
     assert findings[0].path.endswith("boundaries/0/0/0")
     assert findings[1].path.endswith("boundaries/0/1/0")
+
+
+def test_bad_rings_in_two_solids_of_a_multisolid_are_named_in_order():
+    tree = cube_tree()
+    geom = tree["CityObjects"]["b-1"]["geometry"][0]
+    second = [[list(ring) for ring in face] for face in CUBE_SHELL]
+    second[4][0] = [2, 3, 7, 2]    # repeats the first vertex
+    geom["type"] = "MultiSolid"
+    geom["boundaries"] = [geom["boundaries"], [second]]
+    geom["boundaries"][0][0][2][0] = [0, 1]  # two corners
+    findings = validate_structure(as_model(tree))
+    base = "CityObjects/b-1/geometry/0/boundaries"
+    assert [(f.code, f.path, f.message) for f in findings] == [
+        ("BAD_GEOMETRY_SHAPE", f"{base}/0/0/2/0",
+         "a ring needs at least 3 vertex indices"),
+        ("BAD_GEOMETRY_SHAPE", f"{base}/1/0/4/0",
+         "rings are implicitly closed; the first vertex must not be "
+         "repeated at the end")]
+
+
+def test_points_and_lines_have_no_rings_to_check():
+    tree = cube_tree()
+    tree["CityObjects"]["b-1"]["geometry"] = [
+        {"type": "MultiLineString", "lod": 1, "boundaries": [[0, 1], [2, 3]]},
+        {"type": "MultiLineString", "lod": 1, "boundaries": [[4, 5, 4]]},
+        {"type": "MultiPoint", "lod": 1, "boundaries": [6, 7]}]
+    assert validate(as_model(tree)) == []
 
 
 def test_missing_lod():
