@@ -11,6 +11,8 @@ left to right, entirely in memory::
 output.  Exit codes: 0 success (and valid), 1 validation warnings only,
 2 errors (validation errors or a failed stage, including a crash, which
 reports ``stage: [INTERNAL_ERROR] <type>: <message>``), 3 usage errors.
+The error and usage lines are written best-effort: a standard error that
+cannot be written leaves the exit code as it is.
 Where the platform has SIGPIPE, a reader that closes standard output early
 ends the process by that signal, silently, as it ends ``cat``.
 
@@ -139,8 +141,18 @@ def run_pipeline(processors, input, extension_paths):
 
 
 def _fail(message: str):
-    _echo(f"Error: {message}", sys.stderr)
+    _complain(f"Error: {message}")
     sys.exit(2)
+
+
+def _complain(text: str):
+    """Write one line to standard error, best-effort: a stream that cannot
+    be written (a full disk, ``2>/dev/full``) must not change the exit
+    code that follows."""
+    try:
+        _echo(text, sys.stderr)
+    except OSError:
+        pass
 
 
 # -- validation ---------------------------------------------------------------
@@ -550,7 +562,7 @@ def _parse(argv: list[str]):
 
 def main(argv: list[str] | None = None):
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and exit
-    with its code."""
+    with its code; the in-process entry, which leaves ``gc`` alone."""
     import signal
     if hasattr(signal, "SIGPIPE"):
         # A reader that stops early (``| head``) ends the process as it
@@ -559,12 +571,24 @@ def main(argv: list[str] | None = None):
     try:
         run_pipeline(*_parse(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
-        _echo(f"usage error: {exc}", sys.stderr)
+        _complain(f"usage error: {exc}")
         sys.exit(3)
     except KeyboardInterrupt:
-        _echo("", sys.stderr)
+        _complain("")
         sys.exit(130)
 
 
+def entry():
+    """The ``cjtk`` command: ``main()``, then every live object moved into
+    the collector's permanent generation, which the interpreter's
+    exit-time collections skip.  Shutdown is otherwise unchanged: atexit
+    handlers, the flush of the standard streams and the exit code."""
+    import gc
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -25,7 +25,6 @@ identity on the stored integers.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 
 from .errors import CjtkError
 from .model import (CityModel, Geometry, TemplateBank, Transform,
@@ -216,7 +215,7 @@ def _pool_indices(geometries, size: int, path: str) -> list:
     used = boundary_indices(geometries, size)
     if used is None:
         used = [i for g in geometries for i in indices_of(g)]
-        bad = [i for i in used if not isinstance(i, int) or not 0 <= i < size]
+        bad = [i for i in used if type(i) is not int or not 0 <= i < size]
         if bad:
             raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
                             f"index {bad[0]!r} outside pool of {size}", path)
@@ -320,7 +319,8 @@ def object_extent(model: CityModel, oid: str):
                 model, geom, f"CityObjects/{oid}/geometry/{gi}")
         else:
             indices = indices_of(geom)
-            with suppress(TypeError):  # an object, for real_vertex to name
+            # Anything but ints stays a list, for real_vertex to name in order.
+            if set(map(type, indices)) <= {int}:
                 indices = set(indices)
             rows = [model.real_vertex(i) for i in indices]
         if rows:

@@ -458,7 +458,7 @@ class CityModel(Record):
 
     def real_vertex(self, i: int) -> tuple[float, float, float]:
         """Vertex i in real-world coordinates (transform applied if set)."""
-        if not isinstance(i, int) or not 0 <= i < len(self.vertices):
+        if type(i) is not int or not 0 <= i < len(self.vertices):
             raise CjtkError("VERTEX_INDEX_OUT_OF_RANGE",
                             f"index {i!r} outside pool of {len(self.vertices)}")
         v = self.vertices[i]
@@ -693,8 +693,7 @@ def _boundary_problem(boundaries, depth: int, path: str) -> list:
     for at, node, left in walk(boundaries, depth):
         if left and not isinstance(node, list):
             message = f"expected {left} more array level(s)"
-        elif not left and (not isinstance(node, int)
-                           or isinstance(node, bool)):
+        elif not left and type(node) is not int:
             message = f"vertex reference {node!r} is not an integer"
         else:
             continue

@@ -217,8 +217,7 @@ def _check_pool(size: int, pool_path: str, vertex: str, user: str,
             indices = indices_of(geom)
             used += indices
             for idx in indices:
-                if not isinstance(idx, int) or isinstance(idx, bool) \
-                        or not 0 <= idx < size:
+                if type(idx) is not int or not 0 <= idx < size:
                     err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
                         f"index {idx!r} not in 0..{size - 1}")
                     break

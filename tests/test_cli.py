@@ -1,5 +1,6 @@
 """Command-line pipeline, exercised through real subprocesses."""
 
+import gc
 import json
 import os
 import random
@@ -26,12 +27,17 @@ from test_gml_import import hostile_documents
 from test_ops import town_tree
 
 
-def run_cli(*args, stdin_text=None, stdin=None, cwd=None):
+def cli_env():
+    """The environment without a default extension search path."""
     env = os.environ.copy()
     env.pop("CJTK_EXTENSIONS", None)
+    return env
+
+
+def run_cli(*args, stdin_text=None, stdin=None, cwd=None):
     return subprocess.run([sys.executable, "-m", "cjtk.cli", *args],
                           input=stdin_text, stdin=stdin, capture_output=True,
-                          text=True, env=env, cwd=cwd)
+                          text=True, env=cli_env(), cwd=cwd)
 
 
 @pytest.fixture()
@@ -904,3 +910,72 @@ def test_save_writes_a_device_in_place(town_path):
     proc = run_cli(str(town_path), "save", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == codec.dumps(codec.load(town_path))
+
+
+# -- unwritable streams and the command's entry --------------------------------
+
+
+def _exit_cases(tmp_path, town_path):
+    """Command lines that exit 0, 2 (errors found) and 3 (usage error)."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(as_text(cube_tree(cotype="Skyscraper")), encoding="utf-8")
+    return [([town_path, "validate", "--json"], 0),
+            ([bad, "validate"], 2),
+            ([tmp_path / "missing.json", "validate"], 3)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this platform")
+def test_a_full_stream_keeps_the_exit_code(tmp_path):
+    """The error and usage lines are best-effort: with standard error on a
+    full device, the exit code is still 3 or 2, not 1."""
+    gml = tmp_path / "square.gml"
+    gml.write_text(SQUARE_VARIANTS["poslist-one-line"](), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(as_text(cube_tree(cotype="Skyscraper")), encoding="utf-8")
+    for argv, code, stdout_full in [
+            ([tmp_path / "missing.json", "validate"], 3, False),
+            ([gml, "import", "save", tmp_path / "out.json"], 2, False),
+            ([bad, "validate"], 2, True)]:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cjtk.cli", *map(str, argv)],
+                stdout=full if stdout_full else subprocess.DEVNULL,
+                stderr=full, env=cli_env())
+        assert proc.returncode == code, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path,
+                                                  town_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.delenv("CJTK_EXTENSIONS", raising=False)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        for argv, code in _exit_cases(tmp_path, town_path):
+            assert _cli_main(argv, monkeypatch, capsys)[0] == code
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+_FROZEN_AT_EXIT = (
+    "import atexit, gc; atexit.register(lambda: print("
+    "gc.get_freeze_count() > 0)); from cjtk.cli import {0}; {0}()")
+
+
+def test_the_command_freezes_the_collector_as_it_exits(tmp_path, town_path):
+    for argv, code in _exit_cases(tmp_path, town_path):
+        argv = list(map(str, argv))
+        want = run_cli(*argv)
+        assert want.returncode == code
+        for function, frozen in (("entry", True), ("main", False)):
+            got = subprocess.run(
+                [sys.executable, "-c", _FROZEN_AT_EXIT.format(function),
+                 *argv], capture_output=True, text=True, env=cli_env())
+            assert (got.returncode, got.stdout, got.stderr) \
+                == (code, f"{want.stdout}{frozen}\n", want.stderr)

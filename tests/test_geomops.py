@@ -13,7 +13,7 @@ from cjtk.errors import CjtkError
 from cjtk.geomops import instantiate_template
 from cjtk.model import replace
 
-from helpers import as_model, cube_tree, tree_of
+from helpers import as_model, cube_tree, record_model, tree_of
 from test_validation import IDENTITY, instance_tree
 
 
@@ -101,7 +101,7 @@ COORDINATES = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(value=COORDINATES, shift=COORDINATES, digits=st.integers(0, 12))
 @example(value=0.5, shift=0.0, digits=0)
 @example(value=-2.5, shift=0.0, digits=0)
@@ -249,6 +249,20 @@ def test_dedupe_names_the_first_index_outside_the_pool(bad, tolerance):
         dedupe_vertices(as_model(tree), tolerance=tolerance)
     assert exc.value.code == "VERTEX_INDEX_OUT_OF_RANGE"
     assert exc.value.message == f"index {bad[0]} outside pool of 8"
+
+
+@pytest.mark.parametrize("index", [True, False])
+@pytest.mark.parametrize("op", [
+    remove_orphan_vertices, dedupe_vertices,
+    lambda m: dedupe_vertices(m, tolerance=0.5), compute_extent])
+def test_a_bool_index_is_outside_the_pool(op, index):
+    tree = cube_tree()
+    tree["CityObjects"]["b-1"]["geometry"][0]["boundaries"][0][2][0][1] \
+        = index
+    with pytest.raises(CjtkError) as exc:
+        op(record_model(tree))
+    assert exc.value.code == "VERTEX_INDEX_OUT_OF_RANGE"
+    assert exc.value.message == f"index {index} outside pool of 8"
 
 
 def test_dedupe_rejects_negative_tolerance():
