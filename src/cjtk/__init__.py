@@ -22,15 +22,14 @@ _EXPORTS = {
               "Transform", "boundary_depth"],
     "codec": ["parse", "loads", "load", "dumps", "dump"],
     "validation": ["validate", "validate_text", "validate_structure",
-                   "validate_consistency", "is_valid"],
+                   "validate_consistency", "validate_extended", "is_valid"],
     "geomops": ["quantize", "dequantize", "dedupe_vertices",
                 "remove_orphan_vertices", "instantiate_template",
                 "compute_extent"],
     "ops": ["subset", "merge", "partition_grid", "partition_by_type",
             "partition_random", "update_texture_paths", "refresh_metadata",
             "stats"],
-    "extensions": ["Extension", "load_extension", "validate_extended",
-                   "strip_extensions"],
+    "extensions": ["Extension", "load_extension", "strip_extensions"],
     "gml": ["import_citygml", "ImportReport"],
     "errors": ["CjtkError", "CodecError", "ExtensionError", "GmlImportError",
                "Finding", "ERROR", "WARNING"],

@@ -16,14 +16,18 @@ cannot be written leaves the exit code as it is.
 Where the platform has SIGPIPE, a reader that closes standard output early
 ends the process by that signal, silently, as it ends ``cat``.
 
-The command line is parsed whole before any stage runs.  A stage's
-options come first, each followed by as many values as it takes, then
-its positionals; the next word starts the next stage.
+The command line is parsed whole before any stage runs, by one parser
+that reads the table of stages (``_STAGES``), which also makes the help.
+A stage's options come first, each followed by as many values as it
+takes, even values that look like options or stage names (the first may
+be attached: ``--id=x``); ``--`` ends them.  Its positionals come next,
+and the next word starts the next stage.
 
 The input is parsed at most once, and a pipeline loads only what it
 uses: each stage imports the library modules it calls when it runs.
 Parsing a CityJSON input loads ``codec`` (with ``model`` and
-``errors``); ``validate`` adds ``validation`` and ``extensions``;
+``errors``); ``validate`` adds ``validation``, and ``extensions`` only
+when ``--extension`` names a file or ``CJTK_EXTENSIONS`` is set;
 ``compress``, ``decompress``, ``dedupe`` and ``clean`` add ``geomops``;
 ``subset``, ``merge``, ``partition``, ``textures-path``, ``metadata``
 and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
@@ -32,10 +36,10 @@ and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
 
 from __future__ import annotations
 
-import argparse
 import io
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -116,7 +120,9 @@ def _echo(text: str, file=None):
     print(text, file=file or sys.stdout, flush=True)
 
 
-def run_pipeline(processors, input, extension_paths):
+def run_pipeline(processors, input, extension_paths=()):
+    """Process the CityJSON (or CityGML) file INPUT through a pipeline of
+    stages."""
     from .errors import CjtkError
 
     # CityGML is read as bytes, in the encoding its XML declaration names:
@@ -158,14 +164,17 @@ def _complain(text: str):
 # -- validation ---------------------------------------------------------------
 
 
-def validate_cmd(as_json):
+def validate_cmd(as_json=False):
     """Check the model; exit 0 valid, 1 warnings only, 2 errors."""
     def stage(state: _State):
-        from . import extensions, validation
+        from . import validation
         from .errors import ERROR, WARNING
 
-        exts = extensions.discover() + [extensions.load_extension(path)
-                                        for path in state.extension_paths]
+        exts = []
+        if state.extension_paths or os.environ.get(validation.ENV_VAR):
+            from . import extensions
+            exts = extensions.discover() + [extensions.load_extension(path)
+                                            for path in state.extension_paths]
         if state.model is None and not state.finished:
             # Later stages reuse the model parsed here.
             state.model, findings = validation.parse_and_validate(
@@ -190,7 +199,7 @@ def validate_cmd(as_json):
 # -- coordinate stages --------------------------------------------------------
 
 
-def compress_cmd(digits):
+def compress_cmd(digits=3):
     """Quantize vertices onto an integer grid with a transform."""
     return _model_stage("compress", "geomops", "quantize", digits=digits,
                         requantize=True)
@@ -201,7 +210,7 @@ def decompress_cmd():
     return _model_stage("decompress", "geomops", "dequantize")
 
 
-def dedupe_cmd(tolerance):
+def dedupe_cmd(tolerance=0.0):
     """Merge duplicate (or near-duplicate) vertices."""
     return _model_stage("dedupe", "geomops", "dedupe_vertices",
                         tolerance=tolerance)
@@ -215,16 +224,15 @@ def clean_cmd():
 # -- object stages ------------------------------------------------------------
 
 
-def subset_cmd(ids, types, bbox):
+def subset_cmd(ids=None, types=None, bbox=None):
     """Keep a selection of objects (plus their children)."""
     if not ids and not types and bbox is None:
         raise UsageError("subset needs --id, --type, or --bbox")
-    return _model_stage("subset", "ops", "subset", ids=ids or None,
-                        types=types or None,
-                        bbox=bbox[-4:] if bbox else None)  # the last --bbox
+    return _model_stage("subset", "ops", "subset", ids=ids, types=types,
+                        bbox=bbox)
 
 
-def merge_cmd(other, policy):
+def merge_cmd(other, policy="error"):
     """Merge the pipeline model with OTHER (another CityJSON file).
 
     Chain several merge stages to combine more than two files.
@@ -285,7 +293,8 @@ def _merge_run(stages: list[_MergeStage]):
     return stage
 
 
-def partition_cmd(grid, by_type, random_k, seed, out_dir):
+def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
+                  out_dir="."):
     """Split the model into part files; ends the pipeline."""
     chosen = sum(x is not None and x is not False
                  for x in (grid, by_type or None, random_k))
@@ -312,11 +321,20 @@ def partition_cmd(grid, by_type, random_k, seed, out_dir):
         stem = Path(state.source).stem if state.source != "-" else "stdin"
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        for pid, part in parts:
-            target = directory / f"{stem}_{pid}.json"
-            codec.dump(part, target)
-            _echo(str(target))
+        # Every part is written before any path is printed; a write that
+        # fails takes the part files this run made with it.
+        targets = [directory / f"{stem}_{pid}.json" for pid, _ in parts]
+        made = [target for target in targets if not os.path.lexists(target)]
+        try:
+            for target, (_, part) in zip(targets, parts):
+                codec.dump(part, target)
+        except BaseException:
+            for target in made:
+                target.unlink(missing_ok=True)
+            raise
         state.finished = True
+        for target in targets:
+            _echo(str(target))
     return stage
 
 
@@ -366,7 +384,7 @@ def import_cmd():
     return stage
 
 
-def save_cmd(output, pretty):
+def save_cmd(output, pretty=False):
     """Write the model to OUTPUT ("-" = standard output, minified)."""
     def stage(state: _State):
         from . import codec
@@ -386,178 +404,193 @@ def save_cmd(output, pretty):
 
 def _existing_file(path: str) -> str:
     if not Path(path).exists():
-        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+        raise ValueError(f"file {path!r} does not exist")
     if Path(path).is_dir():
-        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+        raise ValueError(f"file {path!r} is a directory")
     return path
 
 
 def _not_a_file(path: str) -> str:
     if Path(path).is_file():
-        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+        raise ValueError(f"directory {path!r} is a file")
     return path
 
 
-def _option(nargs: int, help: str, **kwargs):
-    """An option that takes ``nargs`` words as its values (0: a flag), with
-    argparse's add_argument keywords.  argparse is given each value
-    attached to the option (see ``_take``), so an option of several values
-    collects them one by one."""
-    action = {0: "store_true", 1: "store"}.get(nargs, "append")
-    return nargs, {"action": action, **kwargs, "help": help}
-
-
 # Every stage: the function that makes it from its parsed arguments (its
-# docstring is the stage's help), its positionals as argparse's
-# add_argument takes them, and its options.
+# docstring is the stage's help), and its options and positionals (named
+# in capitals).  An option takes ``nargs`` words (default 1), the last
+# occurrence winning unless ``append`` collects them all; one not given
+# takes the default of the parameter it sets (``dest``, else its name).
+# ``type`` converts each word, ``choices`` limits it and ``metavar``
+# stands for it in the help.  ``_PIPELINE`` is the same for the words
+# before the first stage.
 _STAGES = {
-    "validate": (validate_cmd, {}, {
-        "--json": _option(0, "Report findings as JSON lines instead of text.",
-                          dest="as_json")}),
-    "compress": (compress_cmd, {}, {
-        "--digits": _option(1, "Decimal digits kept (quantum = 10^-digits; "
-                               "default 3).", default=3, type=int,
-                            choices=range(13), metavar="0..12")}),
-    "decompress": (decompress_cmd, {}, {}),
-    "dedupe": (dedupe_cmd, {}, {
-        "--tolerance": _option(1, "Merge vertices within this per-axis "
-                                  "distance (stored units; default 0).",
-                               default=0.0, type=float)}),
-    "clean": (clean_cmd, {}, {}),
-    "subset": (subset_cmd, {}, {
-        "--id": _option(1, "Keep this object (repeatable).", dest="ids",
-                        action="append", default=[], metavar="ID"),
-        "--type": _option(1, "Keep objects of this type (repeatable).",
-                          dest="types", action="append", default=[],
-                          metavar="TYPE"),
-        "--bbox": _option(4, "Keep objects whose extent centroid falls in "
-                             "the box.", type=float,
-                          metavar="MINX MINY MAXX MAXY")}),
-    "merge": (merge_cmd, {"other": dict(metavar="OTHER",
-                                        type=_existing_file)}, {
-        "--policy": _option(1, "What to do when two inputs share an object "
-                               "id (default error).", default="error",
-                            choices=["error", "suffix"])}),
-    "partition": (partition_cmd, {}, {
-        "--grid": _option(1, "Grid split, e.g. 4x3.", metavar="NXxNY"),
-        "--by-type": _option(0, "One part per first-level object type."),
-        "--random": _option(1, "K parts by seeded random draw.",
-                            dest="random_k", type=int, metavar="K"),
-        "--seed": _option(1, "Seed for --random (default 0).", default=0,
-                          type=int),
-        "--out-dir": _option(1, "Directory receiving <stem>_<part-id>.json "
-                                "files (default .).", default=".",
-                             type=_not_a_file, metavar="DIR")}),
-    "textures-path": (textures_path_cmd, {}, {
-        "--base": _option(1, "New base for every texture image path.",
-                          required=True)}),
-    "metadata": (metadata_cmd, {}, {}),
-    "info": (info_cmd, {}, {}),
-    "import": (import_cmd, {}, {}),
-    "save": (save_cmd, {"output": dict(metavar="OUTPUT")}, {
-        "--pretty": _option(0, "Indent the JSON output.")}),
+    "validate": (validate_cmd, {
+        "--json": dict(nargs=0, dest="as_json",
+                       help="Report findings as JSON lines instead of text.")}),
+    "compress": (compress_cmd, {
+        "--digits": dict(type=int, choices=range(13), metavar="0..12",
+                         help="Decimal digits kept (quantum = 10^-digits; "
+                              "default 3).")}),
+    "decompress": (decompress_cmd, {}),
+    "dedupe": (dedupe_cmd, {
+        "--tolerance": dict(type=float, metavar="TOLERANCE", help="Merge "
+                            "vertices within this per-axis distance (stored "
+                            "units; default 0).")}),
+    "clean": (clean_cmd, {}),
+    "subset": (subset_cmd, {
+        "--id": dict(dest="ids", append=True, metavar="ID",
+                     help="Keep this object (repeatable)."),
+        "--type": dict(dest="types", append=True, metavar="TYPE",
+                       help="Keep objects of this type (repeatable)."),
+        "--bbox": dict(nargs=4, type=float, metavar="MINX MINY MAXX MAXY",
+                       help="Keep objects whose extent centroid falls in "
+                            "the box.")}),
+    "merge": (merge_cmd, {
+        "OTHER": dict(type=_existing_file,
+                      help="The CityJSON file to merge in."),
+        "--policy": dict(choices=["error", "suffix"], metavar="{error,suffix}",
+                         help="What to do when two inputs share an object "
+                              "id (default error).")}),
+    "partition": (partition_cmd, {
+        "--grid": dict(metavar="NXxNY", help="Grid split, e.g. 4x3."),
+        "--by-type": dict(nargs=0,
+                          help="One part per first-level object type."),
+        "--random": dict(dest="random_k", type=int, metavar="K",
+                         help="K parts by seeded random draw."),
+        "--seed": dict(type=int, metavar="SEED",
+                       help="Seed for --random (default 0)."),
+        "--out-dir": dict(type=_not_a_file, metavar="DIR",
+                          help="Directory receiving <stem>_<part-id>.json "
+                               "files (default .).")}),
+    "textures-path": (textures_path_cmd, {
+        "--base": dict(required=True, metavar="BASE",
+                       help="New base for every texture image path.")}),
+    "metadata": (metadata_cmd, {}),
+    "info": (info_cmd, {}),
+    "import": (import_cmd, {}),
+    "save": (save_cmd, {
+        "OUTPUT": dict(help="The file to write; - for standard output."),
+        "--pretty": dict(nargs=0, help="Indent the JSON output.")}),
 }
 
-_PIPELINE = (None, {
-    "input": dict(metavar="INPUT",
-                  help="CityJSON or CityGML file; - for standard input.")}, {
-    "--extension": _option(1, "Extension file to validate against "
-                              "(repeatable); the CJTK_EXTENSIONS variable "
-                              "adds a default search path.",
-                           dest="extension_paths", action="append",
-                           default=[], type=_existing_file, metavar="FILE")})
+_PIPELINE = (run_pipeline, {
+    "INPUT": dict(help="CityJSON or CityGML file; - for standard input."),
+    "--extension": dict(dest="extension_paths", append=True,
+                        type=_existing_file, metavar="FILE",
+                        help="Extension file to validate against "
+                             "(repeatable); the CJTK_EXTENSIONS variable "
+                             "adds a default search path.")})
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose errors are ``UsageError``s."""
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
-
-
-def _parser(prog: str, spec, **kwargs) -> _Parser:
-    _, positionals, options = spec
-    parser = _Parser(prog=prog, add_help=False, allow_abbrev=False,
-                     **kwargs)
-    parser.add_argument("--help", action="help",
-                        help="Show this message and exit.")
-    for name, kw in positionals.items():
-        parser.add_argument(name, **kw)
-    for flag, (_, kw) in options.items():
-        parser.add_argument(flag, **kw)
-    return parser
-
-
-def _pipeline_parser() -> _Parser:
-    width = max(map(len, _STAGES))
-    stages = "\n".join(f"  {name:<{width}}  {fn.__doc__.splitlines()[0]}"
-                       for name, (fn, _, _) in _STAGES.items())
-    return _parser(
-        "cjtk", _PIPELINE,
-        usage="%(prog)s [--extension FILE] INPUT STAGE [STAGE ...]",
-        description="Process the CityJSON (or CityGML) file INPUT through "
-                    "a pipeline of stages.",
-        epilog=f"stages:\n{stages}\n\n"
-               "'cjtk INPUT STAGE --help' shows a stage's options.",
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-
-
-def _take(spec, args: list[str]) -> list[str]:
-    """Remove the words of one stage from the front of ``args`` and return
-    them as argparse should read them.
-
-    The stage's options come first.  Each takes the words after it as its
-    values, as many as it has, even words that look like options or stage
-    names; its first value may also be attached (``--id=x``).  Each value
-    goes to argparse attached to its option, so that argparse reads it as
-    a value too.  ``--`` ends the options.  The stage's positionals come
-    next, and the word after them starts the next stage.
-    """
-    _, positionals, options = spec
-    words = []
+def _take(prog: str, spec, args: list[str]) -> dict:
+    """Remove the words of one stage (or, with ``_PIPELINE``, those before
+    the first stage) from the front of ``args`` and return its arguments;
+    ``--help`` among its options prints the help and exits."""
+    entries, values = spec[1], {}
     while args and args[0].startswith("-") and args[0] != "-":
         word = args.pop(0)
         if word == "--":
             break
+        if word == "--help":
+            _help(prog, spec)
         flag, attached, value = word.partition("=")
-        nargs = options[flag][0] if flag in options else 0
-        if nargs == 0:
-            words.append(word)  # argparse refuses an unknown word or a value
-            continue
-        values = [value] if attached else []
-        missing = nargs - len(values)
-        if len(args) < missing:
-            raise UsageError(f"{flag} takes {nargs} value(s)")
-        values += args[:missing]
-        del args[:missing]
-        words += [f"{flag}={v}" for v in values]
-    if positionals and args:
-        words.append("--")
-        words += args[:len(positionals)]
-        del args[:len(positionals)]
-    return words
+        if flag not in entries:
+            raise UsageError(f"{prog}: unrecognized option {word!r}")
+        nargs, words = entries[flag].get("nargs", 1), [value] * bool(attached)
+        need = nargs - len(words)
+        if not 0 <= need <= len(args):
+            raise UsageError(f"{prog}: {flag} takes {nargs} value(s)")
+        words += args[:need]
+        del args[:need]
+        _put(prog, flag, entries[flag], words, values)
+    for name, entry in entries.items():
+        if name.isupper():
+            if not args:
+                raise UsageError(f"{prog}: {name} is required")
+            _put(prog, name, entry, [args.pop(0)], values)
+        elif entry.get("required") and _dest(name, entry) not in values:
+            raise UsageError(f"{prog}: {name} is required")
+    return values
+
+
+def _dest(name: str, entry: dict) -> str:
+    return entry.get("dest") or name.lstrip("-").replace("-", "_").lower()
+
+
+def _put(prog: str, name: str, entry: dict, words: list[str], values: dict):
+    """Put the value that ``words`` give the option or positional ``name``
+    into ``values``."""
+    try:
+        given = [entry.get("type", str)(word) for word in words]
+    except ValueError as exc:
+        raise UsageError(f"{prog}: {name}: {exc}") from None
+    if any(value not in entry.get("choices", [value]) for value in given):
+        raise UsageError(f"{prog}: {name}: {words[0]!r} is not in "
+                         f"{entry['metavar']}")
+    nargs, dest = entry.get("nargs", 1), _dest(name, entry)
+    if entry.get("append"):
+        values.setdefault(dest, []).extend(given)
+    else:  # a flag, given no words, is True
+        values[dest] = given[0] if nargs == 1 else given or True
+
+
+def _help(prog: str, spec):
+    """Print the help of one stage, or with ``_PIPELINE`` of the command
+    line, made from its table entry, and exit."""
+    import textwrap
+
+    def table(rows):
+        width = max(len(label) for label, _ in rows)
+        return "\n".join(textwrap.fill(text, 79, initial_indent=(
+            f"  {label:<{width}}  "), subsequent_indent=" " * (width + 4))
+            for label, text in rows)
+
+    make, entries = spec
+    labels = {name: f"{name} {entry['metavar']}" if "metavar" in entry
+              else name for name, entry in entries.items()}
+    usage = [label if name.isupper() or entries[name].get("required")
+             else f"[{label}]" for name, label in sorted(
+                 labels.items(), key=lambda item: item[0].isupper())]
+    usage += ["STAGE [STAGE ...]"] * (spec is _PIPELINE)
+    parts = [textwrap.fill(  # with no break inside an item
+        " ".join(item.replace(" ", "\xa0") for item in usage), 79,
+        initial_indent=f"usage: {prog} ",
+        subsequent_indent=" " * len(f"usage: {prog} ")).replace("\xa0", " ")]
+    parts += [textwrap.fill(" ".join(paragraph.split()), 79)
+              for paragraph in make.__doc__.split("\n\n")]
+    parts.append(table([(labels[name], entry["help"])
+                        for name, entry in entries.items()]
+                       + [("--help", "Show this message and exit.")]))
+    if spec is _PIPELINE:
+        parts += ["stages:\n" + table([(name, fn.__doc__.splitlines()[0])
+                                       for name, (fn, _) in _STAGES.items()]),
+                  "'cjtk INPUT STAGE --help' shows a stage's options."]
+    try:  # best-effort, as the error lines are: the exit code stays 0
+        _echo("\n\n".join(parts))
+    except OSError:
+        pass
+    sys.exit(0)
 
 
 def _parse(argv: list[str]):
-    """The input, extension files and stages of a command line."""
+    """The stages of a command line, and the arguments that the words
+    before them give ``run_pipeline``."""
     args = list(argv)
-    pipeline = _pipeline_parser()
-    top = pipeline.parse_args(_take(_PIPELINE, args))
+    top = _take("cjtk", _PIPELINE, args)
     processors = []
     while args:
         name = args.pop(0)
         if name == "--help":  # "cjtk INPUT --help" shows this help too
-            pipeline.parse_args([name])
+            _help("cjtk", _PIPELINE)
         if name not in _STAGES:
             raise UsageError(f"no such stage {name!r} (see cjtk --help)")
         spec = _STAGES[name]
-        parsed = _parser(f"cjtk INPUT {name}", spec,
-                         description=spec[0].__doc__).parse_args(
-            _take(spec, args))
-        processors.append((name, spec[0](**vars(parsed))))
+        processors.append(
+            (name, spec[0](**_take(f"cjtk INPUT {name}", spec, args))))
     if not processors:
         raise UsageError("no stage given (see cjtk --help)")
-    return processors, top.input, top.extension_paths
+    return processors, top
 
 
 def main(argv: list[str] | None = None):
@@ -569,7 +602,8 @@ def main(argv: list[str] | None = None):
         # ends ``cat``: by SIGPIPE, with nothing on stderr.
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
-        run_pipeline(*_parse(sys.argv[1:] if argv is None else argv))
+        processors, top = _parse(sys.argv[1:] if argv is None else argv)
+        run_pipeline(processors, **top)
     except UsageError as exc:
         _complain(f"usage error: {exc}")
         sys.exit(3)

@@ -1,4 +1,4 @@
-"""Extension files: loading, checking, applying.
+"""Extension files: loading, checking, combining and stripping.
 
 An extension is a JSON document of type ``CityJSON_Extension`` that may add
 three kinds of things to the core encoding, all spelled with a leading
@@ -19,6 +19,9 @@ required, and enum.  Anything else is rejected when the file loads, not
 silently ignored, as is a file that is not such a document at all: each
 raises ``ExtensionError``.  When several loaded extensions define a "+"
 name, the first one's fragment checks it.
+
+Checking a model against loaded extensions is validation's last layer,
+``validation.validate_extended``, which this module names too.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import json
 import os
 from pathlib import Path
 
-from .errors import ExtensionError, Finding, reporters
+from .errors import ExtensionError
 from .model import COBJECT_TYPES, CityModel, Record, replace
-
-ENV_VAR = "CJTK_EXTENSIONS"
+from .validation import ENV_VAR, validate_extended  # noqa: F401
 
 _FRAGMENT_KEYS = {"type", "properties", "items", "required", "enum"}
 _TYPE_NAMES = {"string", "number", "integer", "boolean", "object", "array"}
@@ -270,105 +272,6 @@ def _matches_type(value, ftype) -> bool:
     if ftype == "array":
         return isinstance(value, list)
     return True
-
-
-# -- model-level validation ---------------------------------------------------
-
-
-def validate_extended(model: CityModel, exts: list[Extension]) -> list[Finding]:
-    """Check every "+" item in the model against the loaded extensions.
-
-    Undefined "+" names yield UNDECLARED_EXTENSION_MEMBER; values that
-    contradict their schema fragment yield EXTENSION_SCHEMA_VIOLATION;
-    geometry hidden outside the standard geometry member yields
-    MISPLACED_GEOMETRY; extensions declared by the model but not provided
-    yield MISSING_EXTENSION_SCHEMA.  Findings come back sorted.
-    """
-    combine(exts)
-    out: list[Finding] = []
-    err, _ = reporters(out, "extension")
-    provided = {e.name for e in exts}
-    for name in model.extensions or {}:
-        if name not in provided:
-            err(f"extensions/{name}", "MISSING_EXTENSION_SCHEMA",
-                "declared extension was not provided")
-
-    def declared_and_checked(tables, name, value, path, what, where=None,
-                             undeclared_path=None):
-        """The "+" item ``name`` is undeclared, or its ``value`` is checked
-        against the fragment of the first of ``tables`` (name -> fragment
-        maps, one per extension) that declares it."""
-        frag = next((table[name] for table in tables if name in table), None)
-        if frag is None:
-            err(undeclared_path or path, "UNDECLARED_EXTENSION_MEMBER",
-                f"no loaded extension defines {what}")
-            return
-        for problem in check_fragment(value, frag,
-                                      name if where is None else where):
-            err(path, "EXTENSION_SCHEMA_VIOLATION", problem)
-
-    for oid, co in model.city_objects.items():
-        base = f"CityObjects/{oid}"
-        if co.type.startswith("+"):
-            declared_and_checked(
-                (e.extra_city_objects for e in exts), co.type, co.to_json(),
-                base, repr(co.type), where=oid, undeclared_path=f"{base}/type")
-        for name, value in co.attributes.items():
-            if name.startswith("+"):
-                declared_and_checked(
-                    (e.extra_attributes.get(co.type, {}) for e in exts), name,
-                    value, f"{base}/attributes/{name}",
-                    f"{name!r} on {co.type}")
-        for name, value in co.extra.items():
-            if _contains_geometry(value):
-                err(f"{base}/{name}", "MISPLACED_GEOMETRY",
-                    "geometries may only live under the geometry member")
-
-    for name, value in model.extra.items():
-        if name.startswith("+"):
-            declared_and_checked((e.extra_root_properties for e in exts),
-                                 name, value, name, f"root member {name!r}")
-    out.sort()
-    return out
-
-
-def _contains_geometry(value) -> bool:
-    """True when a value smuggles geometry: a boundaries member anywhere,
-    or a nested index array of at least ring size (two or more levels
-    deep, three or more items below it, all of them integers).
-
-    The walk keeps its own stack, so any depth of nesting is walked, and
-    judges each list once: a list whose walk ends hands its depth, item
-    count and all-integers flag on to the list holding it.
-    """
-    stack = [(iter([value]), None)]  # (children, list facts or None)
-    while stack:
-        children, facts = stack[-1]
-        for child in children:
-            if facts is not None and not isinstance(child, list):
-                facts[1] += 1
-                facts[2] = facts[2] and type(child) is int
-            if isinstance(child, dict):
-                if "boundaries" in child:
-                    return True
-                stack.append((iter(child.values()), None))
-                break
-            if isinstance(child, list):
-                stack.append((iter(child), [1, 0, True]))
-                break
-        else:
-            stack.pop()
-            if facts is None:
-                continue
-            depth, count, ints = facts
-            if depth >= 2 and count >= 3 and ints:
-                return True
-            holder = stack[-1][1]
-            if holder is not None:
-                holder[0] = max(holder[0], depth + 1)
-                holder[1] += count
-                holder[2] = holder[2] and ints
-    return False
 
 
 # -- stripping ----------------------------------------------------------------

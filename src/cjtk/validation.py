@@ -1,4 +1,5 @@
-"""Two-layer validation: structural rules and referential consistency.
+"""Layered validation: structural rules, referential consistency and
+extensions.
 
 Structure answers "is each piece well-formed on its own".  It reports the
 problems of ``model.shape_problems``, the rules the codec raises at the
@@ -17,8 +18,12 @@ boundaries they annotate, no duplicate vertices (warnings), and, in the
 vertex pool and the template bank alike, every boundary index inside the
 pool and no unreferenced vertices (warnings).
 
-`validate` composes the layers and, when extensions are supplied, the
-extension checks.  `validate_text` adds the syntax layer in front, so a
+Extensions answer "is every "+" item declared and shaped as declared"
+(`validate_extended`).  This module owns the layer; ``cjtk.extensions``
+owns the extension files, and a validation given none never loads it.
+
+`validate` composes the layers, the last only when a list of extensions
+is supplied.  `validate_text` adds the syntax layer in front, so a
 report always begins at the first stage that fails: syntax errors suppress
 structure findings, structure errors suppress consistency findings, and so
 on.  Each finding carries its stage, a path, a code, and a severity;
@@ -33,7 +38,6 @@ from operator import getitem
 
 from .codec import parse
 from .errors import ERROR, WARNING, CjtkError, Finding, reporters
-from .extensions import Extension, validate_extended
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, CityModel, Geometry,
                     boundary_indices, depth_of, flatten, indices_of,
@@ -41,6 +45,7 @@ from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     shape_problems, walk)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
+ENV_VAR = "CJTK_EXTENSIONS"  # names extensions.discover's search path
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +251,123 @@ def _semantics_problem(boundaries, values, levels: int, nsurf: int):
 
 
 # ---------------------------------------------------------------------------
+# extensions
+# ---------------------------------------------------------------------------
+
+
+def validate_extended(model: CityModel, exts: list) -> list[Finding]:
+    """Check every "+" item in the model against the loaded extensions.
+
+    Undefined "+" names yield UNDECLARED_EXTENSION_MEMBER; values that
+    contradict their schema fragment yield EXTENSION_SCHEMA_VIOLATION;
+    geometry hidden outside the standard geometry member yields
+    MISPLACED_GEOMETRY; extensions declared by the model but not provided
+    yield MISSING_EXTENSION_SCHEMA.  Findings come back sorted.  ``exts``
+    holds ``extensions.Extension``s, whose module loads only to check them.
+    """
+    if exts:
+        from .extensions import check_fragment, combine
+        combine(exts)
+    out: list[Finding] = []
+    err, _ = reporters(out, "extension")
+    provided = {e.name for e in exts}
+    for name in model.extensions or {}:
+        if name not in provided:
+            err(f"extensions/{name}", "MISSING_EXTENSION_SCHEMA",
+                "declared extension was not provided")
+
+    def declared_and_checked(tables, name, value, path, what, where=None,
+                             undeclared_path=None):
+        """The "+" item ``name`` is undeclared, or its ``value`` is checked
+        against the fragment of the first of ``tables`` (name -> fragment
+        maps, one per extension) that declares it."""
+        frag = next((table[name] for table in tables if name in table), None)
+        if frag is None:
+            err(undeclared_path or path, "UNDECLARED_EXTENSION_MEMBER",
+                f"no loaded extension defines {what}")
+            return
+        for problem in check_fragment(value, frag,
+                                      name if where is None else where):
+            err(path, "EXTENSION_SCHEMA_VIOLATION", problem)
+
+    for oid, co in model.city_objects.items():
+        base = f"CityObjects/{oid}"
+        if co.type.startswith("+"):
+            declared_and_checked(
+                (e.extra_city_objects for e in exts), co.type, co.to_json(),
+                base, repr(co.type), where=oid, undeclared_path=f"{base}/type")
+        for name, value in co.attributes.items():
+            if name.startswith("+"):
+                declared_and_checked(
+                    (e.extra_attributes.get(co.type, {}) for e in exts), name,
+                    value, f"{base}/attributes/{name}",
+                    f"{name!r} on {co.type}")
+        for name, value in co.extra.items():
+            if _contains_geometry(value):
+                err(f"{base}/{name}", "MISPLACED_GEOMETRY",
+                    "geometries may only live under the geometry member")
+
+    for name, value in model.extra.items():
+        if name.startswith("+"):
+            declared_and_checked((e.extra_root_properties for e in exts),
+                                 name, value, name, f"root member {name!r}")
+    out.sort()
+    return out
+
+
+def _contains_geometry(value) -> bool:
+    """True when a value smuggles geometry: a boundaries member anywhere,
+    or a nested index array of at least ring size (two or more levels
+    deep, three or more items below it, all of them integers).
+
+    The walk keeps its own stack, so any depth of nesting is walked, and
+    judges each list once: a list whose walk ends hands its depth, item
+    count and all-integers flag on to the list holding it.
+    """
+    stack = [(iter([value]), None)]  # (children, list facts or None)
+    while stack:
+        children, facts = stack[-1]
+        for child in children:
+            if facts is not None and not isinstance(child, list):
+                facts[1] += 1
+                facts[2] = facts[2] and type(child) is int
+            if isinstance(child, dict):
+                if "boundaries" in child:
+                    return True
+                stack.append((iter(child.values()), None))
+                break
+            if isinstance(child, list):
+                stack.append((iter(child), [1, 0, True]))
+                break
+        else:
+            stack.pop()
+            if facts is None:
+                continue
+            depth, count, ints = facts
+            if depth >= 2 and count >= 3 and ints:
+                return True
+            holder = stack[-1][1]
+            if holder is not None:
+                holder[0] = max(holder[0], depth + 1)
+                holder[1] += count
+                holder[2] = holder[2] and ints
+    return False
+
+
+# ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
 
 
 def validate(model: CityModel,
-             extensions: list[Extension] | None = None) -> list[Finding]:
+             extensions: list | None = None) -> list[Finding]:
     """Structure first; consistency only on structurally sound models;
     extension checks last."""
     return _after_structure(model, validate_structure(model), extensions)
 
 
 def _after_structure(model: CityModel, findings: list[Finding],
-                     extensions: list[Extension] | None) -> list[Finding]:
+                     extensions: list | None) -> list[Finding]:
     """Structure ``findings`` and the later layers they allow."""
     if not any(f.severity == ERROR for f in findings):
         findings += validate_consistency(model)
@@ -270,13 +379,13 @@ def _after_structure(model: CityModel, findings: list[Finding],
 
 
 def validate_text(text: str | bytes,
-                  extensions: list[Extension] | None = None) -> list[Finding]:
+                  extensions: list | None = None) -> list[Finding]:
     """Full pipeline for raw bytes/text: syntax, then the model layers."""
     return parse_and_validate(text, extensions)[1]
 
 
 def parse_and_validate(text: str | bytes,
-                       extensions: list[Extension] | None = None) \
+                       extensions: list | None = None) \
         -> tuple[CityModel | None, list[Finding]]:
     """``validate_text`` that also returns the parsed model, or None when
     the text does not parse.  The codec has already applied the shape

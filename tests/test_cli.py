@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -137,6 +138,40 @@ def test_partition_writes_part_files(town_path, tmp_path):
     for path in want:
         part = codec.load(path)
         assert len(part.city_objects) == 1
+
+
+_FULL = pytest.mark.skipif(not sys.platform.startswith("linux")
+                           or not os.path.exists("/dev/full"),
+                           reason="no /dev/full on this platform")
+
+
+@_FULL
+def test_partition_writes_every_part_before_printing_a_path(town_path,
+                                                            tmp_path):
+    out_dir = tmp_path / "parts"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cjtk.cli", str(town_path), "partition",
+             "--grid", "2x2", "--out-dir", str(out_dir)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env())
+    assert proc.returncode == 2, proc.stderr
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"town.city_{pid}.json" for pid in ("r0c0", "r0c1", "r1c0", "r1c1")]
+
+
+@_FULL
+def test_a_failed_partition_removes_the_part_files_it_made(town_path,
+                                                           tmp_path):
+    out_dir = tmp_path / "parts"
+    out_dir.mkdir()
+    (out_dir / "town.city_r0c1.json").write_text("old", encoding="utf-8")
+    (out_dir / "town.city_r1c1.json").mkdir()  # the last part's path
+    proc = run_cli(str(town_path), "partition", "--grid", "2x2",
+                   "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert sorted(p.name for p in out_dir.iterdir()) \
+        == ["town.city_r0c1.json", "town.city_r1c1.json"]
 
 
 def test_partition_ends_the_pipeline(town_path, tmp_path):
@@ -430,6 +465,19 @@ ARGV_CASES = {
     "help": ("--help", 0, None),
     "help-after-input": ("IN --help", 0, None),
     "stage-help": ("IN subset --help", 0, None),
+    "a-bbox-around-the-first-object": (
+        "IN subset --bbox -1 -1 11 11 save -", 0, None),
+    "an-attached-digits": ("IN compress --digits=3", 0, ""),
+    "digits-in-hexadecimal": ("IN compress --digits 0x3", 3, ""),
+    "two-ids": ("IN subset --id sw --id ne save -", 0, None),
+    "an-attached-policy": ("IN merge --policy=suffix OTHER", 0, ""),
+    "textures-path-without-base": ("IN textures-path", 3, ""),
+    "partition-by-grid-and-type": ("IN partition --grid 2x2 --by-type", 3, ""),
+    "dashes-before-the-output": ("IN save -- -", 0, None),
+    "pretty-after-the-output": ("IN save - --pretty", 3, ""),
+    "a-bbox-holding-nan": ("IN subset --bbox nan 0 1 1 info", 2, ""),
+    "no-arguments": ("", 3, ""),
+    "stage-help-before-a-bad-stage": ("IN validate --help nosuch", 0, None),
 }
 
 
@@ -447,6 +495,33 @@ def test_argv_parsing(name, town_path, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_the_last_bbox_wins(town_path):
+    first = "--bbox", "-1e3", "-1e3", "-1e2", "-1e2"
+    last = "--bbox", "-1", "-1", "11", "11"
+    proc = run_cli(str(town_path), "subset", *first, *last, "save", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(str(town_path), "subset", *last,
+                                  "save", "-").stdout
+    assert set(json.loads(proc.stdout)["CityObjects"]) == {"sw"}
+
+
+def test_the_help_names_every_stage_and_option():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    for name, entry in cli._STAGES.items():
+        summary = entry[0].__doc__.splitlines()[0]
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(summary)}$",
+                         proc.stdout, re.MULTILINE), name
+    proc = run_cli("IN", "subset", "--help")
+    assert proc.returncode == 0
+    words = " ".join(proc.stdout.split())
+    for option in ("--id ID Keep this object (repeatable).",
+                   "--type TYPE Keep objects of this type (repeatable).",
+                   "--bbox MINX MINY MAXX MAXY Keep objects whose extent "
+                   "centroid falls in the box."):
+        assert option in words
+
+
 def test_extension_files_are_loaded_by_validate_only(town_path, tmp_path):
     bad = tmp_path / "bad.ext.json"
     bad.write_text('{"type": "CityJSON"}', encoding="utf-8")
@@ -456,6 +531,19 @@ def test_extension_files_are_loaded_by_validate_only(town_path, tmp_path):
     proc = run_cli("--extension", str(bad), str(town_path), "validate")
     assert proc.returncode == 2
     assert "validate: [NOT_EXTENSION]" in proc.stderr
+
+
+def test_the_extension_variable_is_read_by_validate(tmp_path):
+    path = tmp_path / "noise.city.json"
+    path.write_text(as_text(noise_building_tree()), encoding="utf-8")
+    proc = run_cli(str(path), "validate", "--json")
+    assert proc.returncode == 2
+    assert "UNDECLARED_EXTENSION_MEMBER" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "cjtk.cli", str(path), "validate", "--json"],
+        capture_output=True, text=True,
+        env=dict(cli_env(), CJTK_EXTENSIONS=str(NOISE_EXTENSION_PATH)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 @pytest.mark.parametrize("name,stage", [
@@ -928,8 +1016,9 @@ def _exit_cases(tmp_path, town_path):
                     or not os.path.exists("/dev/full"),
                     reason="no /dev/full on this platform")
 def test_a_full_stream_keeps_the_exit_code(tmp_path):
-    """The error and usage lines are best-effort: with standard error on a
-    full device, the exit code is still 3 or 2, not 1."""
+    """The error, usage and help lines are best-effort: with standard error
+    (or, for the help, standard output) on a full device, the exit code is
+    still 3, 2 or 0, not 1."""
     gml = tmp_path / "square.gml"
     gml.write_text(SQUARE_VARIANTS["poslist-one-line"](), encoding="utf-8")
     bad = tmp_path / "bad.json"
@@ -937,7 +1026,8 @@ def test_a_full_stream_keeps_the_exit_code(tmp_path):
     for argv, code, stdout_full in [
             ([tmp_path / "missing.json", "validate"], 3, False),
             ([gml, "import", "save", tmp_path / "out.json"], 2, False),
-            ([bad, "validate"], 2, True)]:
+            ([bad, "validate"], 2, True),
+            (["--help"], 0, True), ([bad, "subset", "--help"], 0, True)]:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "cjtk.cli", *map(str, argv)],

@@ -29,6 +29,12 @@ def test_unknown_attribute_raises_attribute_error():
         cjtk.no_such_name
 
 
+def test_the_extension_layer_is_one_function_under_every_name():
+    from cjtk import extensions, validation
+    assert extensions.validate_extended is validation.validate_extended
+    assert cjtk.validate_extended is validation.validate_extended
+
+
 def test_cli_import_loads_only_what_its_stages_need():
     probe = ("import sys, cjtk.cli; print(' '.join(m for m in "
              "('cjtk.gml', 'cjtk.validation', 'xml.etree.ElementTree') "
@@ -88,7 +94,8 @@ def test_a_pipeline_loads_only_the_modules_of_its_stages(tmp_path):
 
     loaded = _modules_loaded_by(str(doc), "validate", "--json")
     assert "cjtk.validation" in loaded
-    assert not loaded & {"cjtk.ops", "cjtk.geomops", "cjtk.gml"}
+    assert not loaded & {"cjtk.ops", "cjtk.geomops", "cjtk.gml",
+                         "cjtk.extensions", "argparse", "gettext", "locale"}
     assert _third_party(loaded) == set()
 
     loaded = _modules_loaded_by(str(gml), "import", "compress", "save",
