@@ -23,6 +23,11 @@ takes, even values that look like options or stage names (the first may
 be attached: ``--id=x``); ``--`` ends them.  Its positionals come next,
 and the next word starts the next stage.
 
+The input is opened before any stage runs and read by the first stage
+that needs a model, which hands the open file (or standard input) to its
+reader and then closes it; a path that cannot be opened or read is a
+usage error.  ``codec.parse`` frees the decoded text as soon as
+``json.loads`` returns, so later stages run beside the model alone.
 The input is parsed at most once, and a pipeline loads only what it
 uses: each stage imports the library modules it calls when it runs.
 Parsing a CityJSON input loads ``codec`` (with ``model`` and
@@ -36,7 +41,6 @@ and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
@@ -49,22 +53,36 @@ class UsageError(Exception):
 
 
 class _State:
-    """What flows between stages: the input text until something needs a
-    model."""
+    """What flows between stages: the open input, then the model."""
 
-    def __init__(self, source: str, text, extension_paths):
+    def __init__(self, source: str, extension_paths):
         self.source = source
-        self.text: str | bytes | io.BufferedIOBase | None = text
+        try:  # before any stage runs
+            self.input = sys.stdin.buffer if source == "-" \
+                else open(source, "rb")
+        except OSError as exc:
+            raise UsageError(f"cannot read {source}: {exc.strerror}") from None
         self.model = None
         self.exit = 0
         self.finished = False
         self.extension_paths = extension_paths
 
-    def take_text(self) -> str | bytes | io.BufferedIOBase:
-        """The input text (or file), which the state then lets go of, so
-        that the reader that takes it can free it as it goes."""
-        text, self.text = self.text, None
-        return text
+    def read(self, reader, *args):
+        """``reader(input, *args)``, the input then closed; a read that
+        fails is a usage error."""
+        try:
+            return reader(self.input, *args)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot read {self.source}: {exc.strerror}") from None
+        finally:
+            self.close()
+
+    def close(self):
+        """Let go of the input: a file is closed, standard input is not."""
+        if self.input is not None and self.input is not sys.stdin.buffer:
+            self.input.close()
+        self.input = None
 
     def require_model(self, stage: str):
         if self.finished:
@@ -72,8 +90,7 @@ class _State:
                 f"{stage}: the pipeline already ended with partition")
         if self.model is None:
             from . import codec
-            self.model, _ = codec.parse(self.text)
-            self.text = None
+            self.model, _ = self.read(codec.parse)
         return self.model
 
 
@@ -89,31 +106,6 @@ def _model_stage(name: str, module: str, op: str, **kwargs):
     return stage
 
 
-def _read_input(source: str,
-                citygml: bool) -> str | bytes | io.BufferedIOBase:
-    """The input.  CityGML comes as the open binary file, standard input
-    included, for the importer to read in chunks.  Other input comes as
-    its text, decoded here so that its bytes are not kept while it is
-    parsed; bytes that are not UTF-8 stay bytes, for the JSON parser to
-    report as SYNTAX_ERROR."""
-    if source == "-":
-        return sys.stdin.buffer if citygml \
-            else _decoded(sys.stdin.buffer.read())
-    try:
-        return open(source, "rb") if citygml \
-            else _decoded(Path(source).read_bytes())
-    except OSError as exc:
-        raise UsageError(f"cannot read {source}: {exc.strerror}") from None
-
-
-def _decoded(data: bytes) -> str | bytes:
-    from . import codec
-    try:
-        return codec.decode(data)
-    except codec.CodecError:
-        return data
-
-
 def _echo(text: str, file=None):
     """Write one line and flush, so a stage's output precedes what later
     stages write to the other stream."""
@@ -125,24 +117,23 @@ def run_pipeline(processors, input, extension_paths=()):
     stages."""
     from .errors import CjtkError
 
-    # CityGML is read as bytes, in the encoding its XML declaration names:
-    # decoded, a single character beyond U+FFFF would make every
-    # character of the text take four bytes.  A file is opened here, so
-    # that a path that cannot be read is a usage error before any stage.
-    state = _State(input, _read_input(input, processors[0][0] == "import"),
-                   extension_paths)
-    for name, processor in _merge_runs_folded(processors):
-        try:
-            processor(state)
-        except UsageError:
-            raise
-        except CjtkError as exc:
-            _fail(f"{name}: [{exc.code}] {exc.message}"
-                  + (f" at {exc.path}" if exc.path else ""))
-        except Exception as exc:
-            _fail(f"{name}: [INTERNAL_ERROR] {type(exc).__name__}: {exc}")
-        if state.exit >= 2:
-            break
+    state = _State(input, extension_paths)
+    try:
+        for name, processor in _merge_runs_folded(processors):
+            try:
+                processor(state)
+            except UsageError:
+                raise
+            except CjtkError as exc:
+                _fail(f"{name}: [{exc.code}] {exc.message}"
+                      + (f" at {exc.path}" if exc.path else ""))
+            except Exception as exc:
+                _fail(f"{name}: [INTERNAL_ERROR] {type(exc).__name__}: "
+                      f"{exc}")
+            if state.exit >= 2:
+                break
+    finally:  # an input no stage read, as when a merge's OTHER fails first
+        state.close()
     sys.exit(state.exit)
 
 
@@ -177,9 +168,8 @@ def validate_cmd(as_json=False):
                                             for path in state.extension_paths]
         if state.model is None and not state.finished:
             # Later stages reuse the model parsed here.
-            state.model, findings = validation.parse_and_validate(
-                state.text, exts)
-            state.text = None
+            state.model, findings = state.read(
+                validation.parse_and_validate, exts)
         else:
             findings = validation.validate(state.require_model("validate"),
                                            exts)
@@ -281,7 +271,7 @@ def _merge_run(stages: list[_MergeStage]):
         others = []
         try:
             for s in stages:
-                other, _ = codec.parse(Path(s.other).read_bytes())
+                other = codec.load(s.other)
                 state.require_model("merge")
                 others.append(other)
             state.model = ops.merge([state.model, *others], policy=policy)
@@ -371,14 +361,9 @@ def import_cmd():
     """
     def stage(state: _State):
         from . import gml
-        if state.model is not None or state.text is None:
+        if state.model is not None or state.input is None:
             raise UsageError("import must be the first stage")
-        source = state.take_text()  # the open file, or standard input
-        try:
-            state.model, report = gml.import_citygml(source)
-        finally:
-            if source is not sys.stdin.buffer:
-                source.close()
+        state.model, report = state.read(gml.import_citygml)
         for line in report.to_json_lines():
             _echo(json.dumps(line), sys.stderr)
     return stage

@@ -161,10 +161,13 @@ def _reject_constant(name: str):
     raise _not_a_number(name)
 
 
-def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
-    """Parse a document (text, or UTF-8 bytes); returns the model plus
-    diagnostics."""
-    text = decode(text)
+def parse(text) -> tuple[CityModel, ParseDiagnostics]:
+    """Parse a document (text, UTF-8 bytes, or an open binary file, read
+    whole); returns the model plus diagnostics.  The decoded text is freed
+    as soon as ``json.loads`` returns, so a caller that hands over a file
+    holds the tree, and then the model, without the text beside them."""
+    text = decode(text.read() if hasattr(text, "read") else text)
+    surrogates = _SURROGATE_ESCAPE.search(text) is not None
     duplicates: dict[int, list[str]] = {}
     try:
         root = json.loads(text, parse_constant=_reject_constant,
@@ -178,7 +181,8 @@ def parse(text: str | bytes) -> tuple[CityModel, ParseDiagnostics]:
         # int() refuses a literal beyond the interpreter's digit limit.
         raise CodecError("SYNTAX_ERROR",
                          "an integer literal has too many digits") from None
-    if _SURROGATE_ESCAPE.search(text):
+    del text
+    if surrogates:
         _raise_lone_surrogates(root)
     if not isinstance(root, dict):
         raise CodecError("NOT_CITYJSON", "document root is not an object")
@@ -194,9 +198,9 @@ def loads(text: str | bytes) -> CityModel:
 def load(source) -> CityModel:
     """Parse from a path or an open text or binary file."""
     if hasattr(source, "read"):
-        return loads(source.read())
+        return parse(source)[0]
     with open(source, "rb") as fp:
-        return loads(fp.read())
+        return parse(fp)[0]
 
 
 def _require(cond: bool, code: str, message: str, path: str) -> None:

@@ -152,7 +152,8 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     model-internal links to match.  If any input is quantized, all are
     decoded and the result is re-encoded at the finest input scale with
     fresh minimum-corner offsets; per-model index offsets keep every
-    boundary, template and appearance reference valid.  A scale that is
+    boundary, template and appearance reference valid, and an input whose
+    template bank equals the one gathered so far adds none.  A scale that is
     not a positive finite number is refused with BAD_TRANSFORM.  Where
     every input carries one transform and re-encoding would give back the
     stored integers and that transform (``_keeps_pool``; all the tiles of
@@ -247,6 +248,8 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
     if nxt.templates is not None and nxt.templates.templates:
         if out.templates is None:
             out.templates = nxt.templates
+        elif nxt.templates == out.templates:  # one bank: indices hold
+            toffset = 0
         else:
             bank_offset = len(out.templates.vertices)
             out.templates = TemplateBank(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import filterfalse, islice
 from operator import getitem
 
 from .codec import parse
@@ -46,6 +47,7 @@ from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 ENV_VAR = "CJTK_EXTENSIONS"  # names extensions.discover's search path
+_BATCH = 64  # geometries whose indices _check_pool gathers at once
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +199,42 @@ def validate_consistency(model: CityModel) -> list[Finding]:
     # 4. every boundary index addresses an existing vertex, and every
     # vertex is addressed (warnings), in the model pool and the bank.
     _check_pool(len(model.vertices), "vertices", "vertex", "geometry",
-                [(f"CityObjects/{oid}/geometry/{gi}", geom)
-                 for oid, gi, geom in model.iter_geometries()], err, warn)
+                "CityObjects/{}/geometry/{}", model.iter_geometries(),
+                err, warn)
     if model.templates:
         bank = model.templates
         _check_pool(len(bank.vertices), "geometry-templates/vertices-templates",
                     "template vertex", "template",
-                    [(f"geometry-templates/templates/{ti}", t)
-                     for ti, t in enumerate(bank.templates)], err, warn)
+                    "geometry-templates/templates/{}",
+                    enumerate(bank.templates), err, warn)
 
     out.sort()
     return out
 
 
 def _check_pool(size: int, pool_path: str, vertex: str, user: str,
-                geometries, err, warn) -> None:
-    """Findings for a pool of ``size`` rows indexed by ``geometries``, a
-    list of (path, geometry) pairs: each geometry's first index outside
-    the pool, and each row no geometry indexes."""
-    used = boundary_indices((geom for _, geom in geometries), size)
-    if used is None:  # name each geometry's first bad index
-        used = []
-        for path, geom in geometries:
+                path: str, geometries, err, warn) -> None:
+    """Findings for a pool of ``size`` rows indexed by ``geometries``,
+    tuples of what fills in ``path`` and a geometry: each geometry's first
+    index outside the pool, and each row no geometry indexes.  Indices are
+    gathered ``_BATCH`` geometries at a time; paths only for findings."""
+    used: set = set()
+    geometries = iter(geometries)
+    while batch := list(islice(geometries, _BATCH)):
+        leaves = boundary_indices((item[-1] for item in batch), size)
+        if leaves is not None:
+            used.update(leaves)
+            continue
+        for *key, geom in batch:  # name each geometry's first bad index
             indices = indices_of(geom)
-            used += indices
+            used.update(indices)
             for idx in indices:
                 if type(idx) is not int or not 0 <= idx < size:
-                    err(f"{path}/boundaries", "VERTEX_INDEX_OUT_OF_RANGE",
+                    err(f"{path.format(*key)}/boundaries",
+                        "VERTEX_INDEX_OUT_OF_RANGE",
                         f"index {idx!r} not in 0..{size - 1}")
                     break
-    for vi in set(range(size)).difference(used):
+    for vi in filterfalse(used.__contains__, range(size)):
         warn(f"{pool_path}/{vi}", "ORPHAN_VERTEX",
              f"{vertex} is referenced by no {user}")
 
@@ -378,18 +386,18 @@ def _after_structure(model: CityModel, findings: list[Finding],
     return findings
 
 
-def validate_text(text: str | bytes,
-                  extensions: list | None = None) -> list[Finding]:
-    """Full pipeline for raw bytes/text: syntax, then the model layers."""
+def validate_text(text, extensions: list | None = None) -> list[Finding]:
+    """Full pipeline for raw bytes/text or an open binary file (see
+    ``parse_and_validate``): syntax, then the model layers."""
     return parse_and_validate(text, extensions)[1]
 
 
-def parse_and_validate(text: str | bytes,
-                       extensions: list | None = None) \
+def parse_and_validate(text, extensions: list | None = None) \
         -> tuple[CityModel | None, list[Finding]]:
     """``validate_text`` that also returns the parsed model, or None when
     the text does not parse.  The codec has already applied the shape
-    rules, so they do not run twice."""
+    rules, so they do not run twice.  ``codec.parse`` frees an open
+    file's text once ``json.loads`` returns: the layers run without it."""
     try:
         model, _ = parse(text)
     except CjtkError as exc:

@@ -1,6 +1,8 @@
 """Command-line pipeline, exercised through real subprocesses."""
 
+import errno
 import gc
+import io
 import json
 import os
 import random
@@ -228,6 +230,75 @@ def test_import_from_stdin_matches_the_file_import(crossing, tmp_path):
             == (from_file.returncode, from_file.stdout, from_file.stderr)
     if crossing:
         assert json.loads(from_file.stdout)["CityObjects"]["sq-2"]["geometry"]
+
+
+def _from_path_pipe_and_redirect(path, *stages):
+    """(exit code, stdout, stderr) of ``cjtk PATH STAGES...``, of the same
+    pipeline on ``path`` piped to standard input, and redirected to it."""
+    def run(args, **stdin):
+        proc = subprocess.run([sys.executable, "-m", "cjtk.cli", *args],
+                              capture_output=True, env=cli_env(), **stdin)
+        return proc.returncode, proc.stdout, proc.stderr
+    with path.open("rb") as redirected:
+        return [run([str(path), *stages]),
+                run(["-", *stages], input=path.read_bytes()),
+                run(["-", *stages], stdin=redirected)]
+
+
+@pytest.mark.parametrize("name, data, stages, code", [
+    ("clean", as_text(town_tree()).encode("utf-8"),
+     ["validate", "--json"], 0),
+    ("not-utf-8", as_text(cube_tree()).replace(
+        '"Building"', '"Building\\u00e9"').encode("utf-8").replace(
+        b"\\u00e9", b"\xe9"), ["validate", "--json"], 2),
+    ("json-syntax", b'{"type": "CityJSON",\n "version" "1.0"}',
+     ["validate", "--json"], 2),
+    ("pipeline", as_text(town_tree()).encode("utf-8"),
+     ["compress", "--digits", "3", "subset", "--type", "Building",
+      "save", "-"], 0),
+])
+def test_json_from_stdin_matches_the_path(name, data, stages, code,
+                                          tmp_path):
+    """CityJSON on standard input, from a pipe or a redirected file, gives
+    the output and exit code that the path gives."""
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    from_path, from_pipe, from_redirect = \
+        _from_path_pipe_and_redirect(path, *stages)
+    assert from_path[0] == code, from_path
+    assert from_pipe == from_path
+    assert from_redirect == from_path
+    if code == 2:
+        assert b"SYNTAX_ERROR" in from_path[1]
+    if name == "not-utf-8":
+        assert b"invalid UTF-8 at byte" in from_path[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                    reason="needs /proc/self/mem, which opens but not reads")
+@pytest.mark.parametrize("stages", [["validate", "--json"], ["info"],
+                                    ["import", "save", "-"]])
+def test_a_path_that_opens_but_fails_to_read_is_a_usage_error(stages):
+    proc = run_cli("/proc/self/mem", *stages)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("usage error: cannot read /proc/self/mem: ")
+
+
+@pytest.mark.parametrize("stages", [["validate", "--json"], ["info"],
+                                    ["import", "save", "-"]])
+def test_standard_input_that_fails_to_read_is_a_usage_error(
+        stages, monkeypatch, capsys):
+    class Failing(io.RawIOBase):
+        def readable(self):
+            return True
+
+        def readinto(self, buffer):
+            raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BufferedReader(Failing())))
+    assert _cli_main(["-", *stages], monkeypatch, capsys) \
+        == (3, "", "usage error: cannot read -: Input/output error\n")
 
 
 def test_an_unreadable_citygml_path_is_a_usage_error(tmp_path):
@@ -798,11 +869,12 @@ def _runs_across_transforms():
 
 @pytest.fixture()
 def parse_calls(monkeypatch):
-    """One entry per codec.parse call the CLI makes."""
+    """One entry per codec.parse call the CLI makes: what it was handed,
+    an open file."""
     calls = []
     parse = codec.parse
-    monkeypatch.setattr(codec, "parse", lambda text: (
-        calls.append(len(text)) or parse(text)))
+    monkeypatch.setattr(codec, "parse", lambda source: (
+        calls.append(source) or parse(source)))
     return calls
 
 
@@ -858,6 +930,25 @@ def test_a_run_merged_stage_by_stage_parses_each_file_once(
         == (2, "", "Error: merge: [SYNTAX_ERROR] Expecting ',' delimiter\n")
     assert merge_calls == [2] * 14
     assert len(parse_calls) == len(paths)
+
+
+@pytest.mark.parametrize("broken", [None, 0, 1])
+def test_the_input_is_closed_whether_or_not_a_stage_read_it(
+        broken, tmp_path, monkeypatch, capsys):
+    """The pipeline's input is closed once read, and also when the first
+    OTHER of a merge fails before any stage has read it."""
+    paths = _written(_runs_across_transforms()["mixed-digits"][:3],
+                     tmp_path, "part")
+    if broken is not None:
+        paths[1 + broken].write_text("[", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda *args: opened.append(
+        open(*args)) or opened[-1], raising=False)
+    code, _, _ = _cli_main(_merges(paths, "suffix", tmp_path / "out.json"),
+                           monkeypatch, capsys)
+    assert code == (0 if broken is None else 2)
+    assert [f.name for f in opened] == [str(paths[0])]
+    assert opened[0].closed
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

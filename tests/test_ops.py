@@ -261,6 +261,7 @@ def test_merge_offsets_templates():
     a = as_model(instance_tree())
     b = as_model(instance_tree())
     b.vertices[0] = [30.0, 40.0, 5.0]
+    b.templates.vertices[2] = [0.0, 2.0, 0.0]  # a bank of its own
     out = merge([a, b], policy="suffix")
     assert len(out.templates.templates) == 2
     assert len(out.templates.vertices) == 6
@@ -269,6 +270,37 @@ def test_merge_offsets_templates():
     assert inst.template == 1
     assert inst.boundaries == [1]
     assert validate(out) == []
+
+
+def _four_instances():
+    """Four instances of one 4-vertex template, two on each side of x=50."""
+    tree = instance_tree()
+    tree["geometry-templates"] = {
+        "templates": [{"type": "MultiSurface", "lod": 2,
+                       "boundaries": [[[0, 1, 2, 3]]]}],
+        "vertices-templates": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                               [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]}
+    instance = tree["CityObjects"].pop("tree-1")
+    for i, x in enumerate((10.0, 20.0, 80.0, 90.0)):
+        tree["CityObjects"][f"tree-{i}"] = {
+            **instance, "geometry": [{**instance["geometry"][0],
+                                      "boundaries": [i]}]}
+    tree["vertices"] = [[x, 20.0, 5.0] for x in (10.0, 20.0, 80.0, 90.0)]
+    return as_model(tree)
+
+
+def test_merge_keeps_one_template_bank_that_its_inputs_share():
+    model = _four_instances()
+    parts = [part for _, part in partition_grid(model, 2, 1)]
+    assert len(parts) == 2
+    for inputs in (parts, [codec.loads(codec.dumps(p)) for p in parts]):
+        out = merge(inputs)
+        assert out.templates == model.templates
+        assert sorted(out.city_objects) == sorted(model.city_objects)
+        assert {g.template for co in out.city_objects.values()
+                for g in co.geometry} == {0}
+        assert validate(out) == []
+        assert codec.loads(codec.dumps(out)).templates == model.templates
 
 
 def appearance_tree(oid, image, origin=(0.0, 0.0, 0.0)):

@@ -1,10 +1,11 @@
 """Structural and consistency checks, and how the stages compose."""
 
 import sys
+import tracemalloc
 
 import pytest
 
-from cjtk import codec, is_valid, ops, validate, validate_text
+from cjtk import codec, is_valid, ops, synth, validate, validate_text
 from cjtk.errors import CjtkError, CodecError
 from cjtk.validation import (errors_of, parse_and_validate,
                              validate_consistency, validate_structure,
@@ -368,6 +369,44 @@ def test_validate_text_runs_the_shape_rules_once_per_document(monkeypatch):
 def test_a_parsed_document_gets_the_findings_of_its_model():
     for text in _parsed_documents():
         assert parse_and_validate(text)[1] == validate(codec.parse(text)[0])
+
+
+def test_an_open_file_gives_what_its_bytes_give(tmp_path):
+    """Every corpus file, synth scene and parsing mutant, and every
+    hostile or shape-breaking document, read from an open binary file."""
+    texts = _parsed_documents() + list(hostile_inputs().values()) + [
+        mutant_text(tree) for tree in shape_mutants().values()]
+    path = tmp_path / "doc.json"
+    for text in texts:
+        data = text.encode("utf-8") if isinstance(text, str) else text
+        path.write_bytes(data)
+        with path.open("rb") as fp:
+            model, findings = parse_and_validate(fp)
+            assert not fp.closed  # the caller closes what it opened
+        assert (model, findings) == parse_and_validate(data)
+        assert findings == validate_text(text)
+
+
+def test_an_open_file_is_freed_as_it_is_parsed(tmp_path):
+    """Handed an open file, the reader holds the decoded text only until
+    ``json.loads`` returns, so parsing and validating a synth scene peaks
+    less than 1.25 times the file's size above the model it returns (0.83
+    on Python 3.11 to 3.13, 0.93 on 3.10, for 0.79 MB).  Text kept alive
+    through the model's construction peaks at 1.6 times, and text kept
+    through validation too at 2.1 times."""
+    path = tmp_path / "scene.json"
+    path.write_text(codec.dumps(synth.scene_to_model(synth.make_scene(
+        seed=3, buildings=400, part_every=5))), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with path.open("rb") as fp:
+            result = parse_and_validate(fp)
+        model, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[1] == []
+    assert peak - model < 1.25 * path.stat().st_size, (
+        peak, model, path.stat().st_size)
 
 
 @pytest.mark.parametrize("name", sorted(
