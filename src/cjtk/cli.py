@@ -36,7 +36,10 @@ when ``--extension`` names a file or ``CJTK_EXTENSIONS`` is set;
 ``compress``, ``decompress``, ``dedupe`` and ``clean`` add ``geomops``;
 ``subset``, ``merge``, ``partition``, ``textures-path``, ``metadata``
 and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
-``gml``.  ``--help`` loads none of them.
+``gml``; ``save``, ``partition`` and ``info`` add the writer,
+``_writer``.  A document with a duplicate key or an escaped surrogate
+adds ``_malformed``, which reports it.  ``--help`` loads none of them,
+only ``_help``, which makes the help from ``_STAGES``.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
             raise UsageError("--grid cells must be positive")
 
     def stage(state: _State):
-        from . import codec, ops
+        from . import _writer, ops
         model = state.require_model("partition")
         if grid is not None:
             parts = ops.partition_grid(model, nx, ny)
@@ -311,17 +314,9 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
         stem = Path(state.source).stem if state.source != "-" else "stdin"
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        # Every part is written before any path is printed; a write that
-        # fails takes the part files this run made with it.
+        # Every part is written, or none, before any path is printed.
         targets = [directory / f"{stem}_{pid}.json" for pid, _ in parts]
-        made = [target for target in targets if not os.path.lexists(target)]
-        try:
-            for target, (_, part) in zip(targets, parts):
-                codec.dump(part, target)
-        except BaseException:
-            for target in made:
-                target.unlink(missing_ok=True)
-            raise
+        _writer.dump_all([part for _, part in parts], targets)
         state.finished = True
         for target in targets:
             _echo(str(target))
@@ -372,15 +367,15 @@ def import_cmd():
 def save_cmd(output, pretty=False):
     """Write the model to OUTPUT ("-" = standard output, minified)."""
     def stage(state: _State):
-        from . import codec
+        from ._writer import dump
         model = state.require_model("save")
         if output == "-":
             if pretty:
                 raise UsageError("save -: standard output is minified only")
-            codec.dump(model, sys.stdout)
+            dump(model, sys.stdout)
             sys.stdout.write("\n")
         else:
-            codec.dump(model, output, pretty=pretty)
+            dump(model, output, pretty=pretty)
     return stage
 
 
@@ -521,38 +516,10 @@ def _put(prog: str, name: str, entry: dict, words: list[str], values: dict):
 
 
 def _help(prog: str, spec):
-    """Print the help of one stage, or with ``_PIPELINE`` of the command
-    line, made from its table entry, and exit."""
-    import textwrap
-
-    def table(rows):
-        width = max(len(label) for label, _ in rows)
-        return "\n".join(textwrap.fill(text, 79, initial_indent=(
-            f"  {label:<{width}}  "), subsequent_indent=" " * (width + 4))
-            for label, text in rows)
-
-    make, entries = spec
-    labels = {name: f"{name} {entry['metavar']}" if "metavar" in entry
-              else name for name, entry in entries.items()}
-    usage = [label if name.isupper() or entries[name].get("required")
-             else f"[{label}]" for name, label in sorted(
-                 labels.items(), key=lambda item: item[0].isupper())]
-    usage += ["STAGE [STAGE ...]"] * (spec is _PIPELINE)
-    parts = [textwrap.fill(  # with no break inside an item
-        " ".join(item.replace(" ", "\xa0") for item in usage), 79,
-        initial_indent=f"usage: {prog} ",
-        subsequent_indent=" " * len(f"usage: {prog} ")).replace("\xa0", " ")]
-    parts += [textwrap.fill(" ".join(paragraph.split()), 79)
-              for paragraph in make.__doc__.split("\n\n")]
-    parts.append(table([(labels[name], entry["help"])
-                        for name, entry in entries.items()]
-                       + [("--help", "Show this message and exit.")]))
-    if spec is _PIPELINE:
-        parts += ["stages:\n" + table([(name, fn.__doc__.splitlines()[0])
-                                       for name, (fn, _) in _STAGES.items()]),
-                  "'cjtk INPUT STAGE --help' shows a stage's options."]
+    """Print the help of ``spec``'s stage (or command line) and exit."""
+    from ._help import help_text
     try:  # best-effort, as the error lines are: the exit code stays 0
-        _echo("\n\n".join(parts))
+        _echo(help_text(prog, spec, _STAGES if spec is _PIPELINE else None))
     except OSError:
         pass
     sys.exit(0)

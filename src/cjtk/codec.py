@@ -14,29 +14,17 @@ Checks that need whole-model reasoning (index ranges, family links,
 semantics coherence) belong to the validator, which reports findings
 instead of raising.
 
-The writer emits members in one canonical order so output is stable
-across runs: type, version, metadata, extensions, transform, CityObjects,
-vertices, appearance, geometry-templates, then any retained unknown
-members.  Minified mode uses no whitespace; integers print without a
-decimal point and reals with their shortest round-trip form.  A NaN or
-infinity, which the reader refuses, is a ``SYNTAX_ERROR`` here too.
-
-``dumps`` and ``dump`` share one piece generator, and ``dump`` writes each
-piece as it comes, so writing a model holds one batch of city objects or
-vertex rows in text form at a time rather than the whole document (about
-150 KB of Python objects for a 3.3 MB document, against about 8 times the
-document for one ``json.dumps`` call).  The bytes are those of
-``json.dumps(model_to_json(model), ...)`` with the same options.  A path
-is written through a temporary sibling, so a failed write leaves no file.
+The writer (``model_to_json``, ``dumps``, ``dump``, ``dump_all``) lives
+in ``cjtk._writer``; the first use of one of its names here loads it
+(PEP 562), so a program that only reads never compiles it.  The reports
+of duplicate keys and lone surrogates, in ``cjtk._malformed``, load only
+for a document that has one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import stat
-from itertools import islice
 
 from .errors import CodecError
 from .model import (
@@ -51,6 +39,7 @@ from .model import (
 )
 
 _REQUIRED = ("version", "CityObjects", "vertices")
+_WRITER = ("model_to_json", "dumps", "dump", "dump_all")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
@@ -83,57 +72,6 @@ def _collecting_pairs_hook(duplicates: dict):
         return d
 
     return hook
-
-
-def _nodes(root):
-    """Every value of a parsed document with its slash-separated path, each
-    container before what it holds."""
-    stack = [(root, "")]
-    while stack:
-        node, path = stack.pop()
-        yield node, path
-        if isinstance(node, dict):
-            for k, v in node.items():
-                stack.append((v, f"{path}/{k}" if path else str(k)))
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                stack.append((v, f"{path}/{i}"))
-
-
-def _raise_lone_surrogates(root) -> None:
-    # An escaped surrogate that is not half of a pair decodes to a str that
-    # UTF-8 cannot encode.  The path is the string's, or for a key the
-    # object's, and so never holds the surrogate itself.
-    for node, path in _nodes(root):
-        strings = node if isinstance(node, dict) else \
-            [node] if isinstance(node, str) else ()
-        for s in strings:
-            try:
-                s.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CodecError("SYNTAX_ERROR", "unpaired surrogate escape "
-                                 "in a string (RFC 8259, section 8.2)",
-                                 path=path) from None
-
-
-def _raise_duplicates(root, duplicates: dict) -> None:
-    # Resolve each offending dict back to its document path; report the
-    # first offence in path order.  The CityObjects dict gets its own code
-    # because its keys are object identifiers.
-    paths = {id(node): path for node, path in _nodes(root)
-             if isinstance(node, dict)}
-    offences = []
-    for did, keys in duplicates.items():
-        where = paths.get(did, "?")
-        for k in keys:
-            offences.append((f"{where}/{k}" if where else str(k), where, k))
-    offences.sort()
-    path, where, key = offences[0]
-    if where == "CityObjects":
-        raise CodecError("DUPLICATE_ID",
-                         f"identifier {key!r} appears more than once", path=path)
-    raise CodecError("DUPLICATE_KEY", f"key {key!r} appears more than once",
-                     path=path)
 
 
 def decode(data: str | bytes) -> str:
@@ -183,11 +121,13 @@ def parse(text) -> tuple[CityModel, ParseDiagnostics]:
                          "an integer literal has too many digits") from None
     del text
     if surrogates:
-        _raise_lone_surrogates(root)
+        from ._malformed import raise_lone_surrogates
+        raise_lone_surrogates(root)
     if not isinstance(root, dict):
         raise CodecError("NOT_CITYJSON", "document root is not an object")
     if duplicates:
-        _raise_duplicates(root, duplicates)
+        from ._malformed import raise_duplicates
+        raise_duplicates(root, duplicates)
     return model_from_json(root)
 
 
@@ -298,131 +238,12 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
     return model, diag
 
 
-# -- writing ----------------------------------------------------------------
-
-# City objects, and vertex rows, encoded at once in minified output.  The
-# stdlib encoder briefly holds about 8 times the text it makes, so a batch
-# of 16 objects or 512 rows (under 20 KB of text) peaks near 150 KB; larger
-# batches were no faster on a 3.3 MB document.
-_OBJECT_BATCH = 16
-_VERTEX_BATCH = 512
-
-_MINIFIED = json.JSONEncoder(ensure_ascii=False, allow_nan=False,
-                             separators=(",", ":"))
-_PRETTY = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
-_STREAMED = object()  # the CityObjects value that ``_pieces`` encodes
-
-
-def _root(model: CityModel, city_objects) -> dict:
-    """The members of ``model`` in canonical order, with ``city_objects``
-    as the CityObjects value."""
-    out: dict[str, object] = {"type": "CityJSON", "version": model.version}
-    if model.metadata:
-        out["metadata"] = model.metadata
-    if model.extensions:
-        out["extensions"] = model.extensions
-    if model.transform is not None:
-        out["transform"] = model.transform.to_json()
-    out["CityObjects"] = city_objects
-    out["vertices"] = model.vertices
-    if model.appearance is not None:
-        out["appearance"] = model.appearance
-    if model.templates is not None:
-        out["geometry-templates"] = model.templates.to_json()
-    out.update(model.extra)
-    return out
-
-
-def model_to_json(model: CityModel) -> dict:
-    """Canonically ordered plain-dict form of a model."""
-    return _root(model, {oid: co.to_json()
-                         for oid, co in model.city_objects.items()})
-
-
-def _pieces(model: CityModel, pretty: bool):
-    """The text of ``model``, in pieces whose concatenation is
-    ``json.dumps(model_to_json(model), ...)`` with the writer's layout.
-
-    Minified, each member is encoded on its own, the city objects
-    ``_OBJECT_BATCH`` at a time (each object's plain-dict form is built
-    only for its batch) and the vertex pool ``_VERTEX_BATCH`` rows at a
-    time, so no piece holds more than one batch.  Pretty, the pieces are
-    the encoder's own chunks.
-    """
-    try:
-        if pretty:
-            yield from _PRETTY.iterencode(model_to_json(model))
-            return
-        yield "{"
-        for i, (key, value) in enumerate(
-                _root(model, _STREAMED).items()):
-            if i:
-                yield ","
-            if value is _STREAMED:
-                yield '"CityObjects":{'
-                objects = iter(model.city_objects.items())
-                batch = list(islice(objects, _OBJECT_BATCH))
-                while batch:
-                    yield _MINIFIED.encode(
-                        {oid: co.to_json() for oid, co in batch})[1:-1]
-                    batch = list(islice(objects, _OBJECT_BATCH))
-                    if batch:
-                        yield ","
-                yield "}"
-            elif key == "vertices" and value is model.vertices \
-                    and type(value) is list:
-                yield '"vertices":['
-                for start in range(0, len(value), _VERTEX_BATCH):
-                    if start:
-                        yield ","
-                    yield _MINIFIED.encode(
-                        value[start:start + _VERTEX_BATCH])[1:-1]
-                yield "]"
-            else:
-                yield _MINIFIED.encode({key: value})[1:-1]
-        yield "}"
-    except ValueError:
-        raise _not_a_number("a NaN or infinite value") from None
-
-
-def dumps(model: CityModel, pretty: bool = False) -> str:
-    return "".join(_pieces(model, pretty))
-
-
-def dump(model: CityModel, target, pretty: bool = False) -> None:
-    """Write to an open text file, or to a path, piece by piece.
-
-    A path is written through a temporary sibling that replaces it only
-    once the whole text is written, so a write that fails leaves no file
-    behind and an existing file as it was; the replacement keeps the
-    existing file's permission bits.  A path that names something other
-    than a regular file (``/dev/stdout``, a named pipe) is written in
-    place.
-    """
-    pieces = _pieces(model, pretty)
-    if hasattr(target, "write"):
-        for piece in pieces:
-            target.write(piece)
-        return
-    path = os.fspath(target)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.writelines(pieces)
-        return
-    path = os.path.realpath(path)  # a symbolic link keeps its target
-    head, name = os.path.split(path)
-    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        fp = open(temporary, "w", encoding="utf-8")
-    except OSError as exc:  # name the file asked for, not the temporary
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(target)) from None
-    try:
-        with fp:
-            fp.writelines(pieces)
-        if os.path.exists(path):
-            os.chmod(temporary, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(temporary, path)
-    except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
-        raise
+def __getattr__(name: str):
+    """A name of the writer.  The first such access loads ``cjtk._writer``
+    and binds all its names here, so later ones are plain lookups and code
+    that replaces ``codec.dumps`` (a tracer) finds it in this module."""
+    if name not in _WRITER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _writer
+    globals().update((writer, getattr(_writer, writer)) for writer in _WRITER)
+    return globals()[name]

@@ -153,13 +153,14 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
     decoded and the result is re-encoded at the finest input scale with
     fresh minimum-corner offsets; per-model index offsets keep every
     boundary, template and appearance reference valid, and an input whose
-    template bank equals the one gathered so far adds none.  A scale that is
-    not a positive finite number is refused with BAD_TRANSFORM.  Where
-    every input carries one transform and re-encoding would give back the
-    stored integers and that transform (``_keeps_pool``; all the tiles of
-    one ``partition`` of a model quantized at its minimum corner, for
-    one), the stored pools are concatenated as they are, without decoding
-    and re-encoding them: the result is the same.
+    template bank equals one already gathered (or all of them) adds none.
+    A scale that is not a positive finite number is refused with
+    BAD_TRANSFORM.  Where every input carries one transform and
+    re-encoding would give back the stored integers and that transform
+    (``_keeps_pool``; all the tiles of one ``partition`` of a model
+    quantized at its minimum corner, for one), the stored pools are
+    concatenated as they are, without decoding and re-encoding them: the
+    result is the same.
 
     Like every operation, merge shares with its inputs what it does not
     change.  It builds the containers it extends (the objects dict, the
@@ -192,8 +193,9 @@ def merge(models: list[CityModel], policy: str = "error") -> CityModel:
                   vertices=list(first.vertices),
                   metadata=dict(first.metadata),
                   extensions=dict(first.extensions), extra=dict(first.extra))
+    banks = [(first.templates, 0)]
     for nxt in inputs[1:]:
-        _absorb(out, nxt, policy)
+        _absorb(out, nxt, policy, banks)
 
     if digits and not (shared is not None
                        and _keeps_pool(out.vertices, shared, max(digits))):
@@ -235,21 +237,25 @@ def _transform_digits(tr) -> int:
     return max(0, min(12, -round(math.log10(min(tr.checked().scale)))))
 
 
-def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
+def _absorb(out: CityModel, nxt: CityModel, policy: str,
+            banks: list) -> None:
     """Add nxt's objects and members to out, in place.
 
     Only ``merge``'s own containers in ``out`` grow; of ``nxt``, only the
     objects and geometries whose links or indices move are rebuilt.
+    ``banks`` pairs each template bank in ``out`` with its first index.
     """
     voffset = len(out.vertices)
     out.vertices.extend(nxt.vertices)
 
     toffset = len(out.templates.templates) if out.templates else 0
     if nxt.templates is not None and nxt.templates.templates:
-        if out.templates is None:
+        known = [offset for bank, offset in [(out.templates, 0), *banks]
+                 if bank == nxt.templates]
+        if known:  # a bank out already holds: its indices move by its offset
+            toffset = known[0]
+        elif out.templates is None:
             out.templates = nxt.templates
-        elif nxt.templates == out.templates:  # one bank: indices hold
-            toffset = 0
         else:
             bank_offset = len(out.templates.vertices)
             out.templates = TemplateBank(
@@ -257,6 +263,8 @@ def _absorb(out: CityModel, nxt: CityModel, policy: str) -> None:
                 + [t.remapped(lambda i: i + bank_offset)
                    for t in nxt.templates.templates],
                 vertices=out.templates.vertices + nxt.templates.vertices)
+        if not known:
+            banks.append((nxt.templates, toffset))
 
     moffset = len((out.appearance or {}).get("materials", []))
     txoffset = len((out.appearance or {}).get("textures", []))

@@ -195,6 +195,7 @@ def validate_consistency(model: CityModel) -> list[Finding]:
                  f"same coordinates as vertex {seen[key]}")
         else:
             seen[key] = vi
+    del seen  # a tuple per vertex, not needed by the index pass
 
     # 4. every boundary index addresses an existing vertex, and every
     # vertex is addressed (warnings), in the model pool and the bank.

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from cjtk import codec, geomops, synth
+from cjtk import _writer, codec, geomops, synth
 from cjtk.errors import CodecError
 from cjtk.model import CityObject, replace
 
@@ -485,8 +485,8 @@ def writer_models():
         empty, city_objects={"tree": CityObject(type="PlantCover")})))
     big = synth.scene_to_model(synth.make_scene(seed=4, buildings=150,
                                                 part_every=3))
-    assert len(big.city_objects) > codec._OBJECT_BATCH
-    assert len(big.vertices) > codec._VERTEX_BATCH
+    assert len(big.city_objects) > _writer._OBJECT_BATCH
+    assert len(big.vertices) > _writer._VERTEX_BATCH
     out.append(("synth-150", big))
     out.append(("synth-150-quantized", geomops.quantize(big, 3)))
     out.append(("synth-unknown-members", replace(

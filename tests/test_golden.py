@@ -11,19 +11,23 @@ by code, path and message (keys under ``gml/`` and ``ext/``).  The
 findings of ``validate_text`` and ``validate`` on the corpus, the synth
 scenes, the shape mutants and the consistency mutants, and what the ops
 give or raise on the consistency mutants built in memory, are pinned
-under ``validate/``.  A refactor that is meant to leave outputs as they
+under ``validate/``.  The help of the command line and of each stage
+(standard output and exit code of ``--help``) is pinned under
+``cli/help/``.  A refactor that is meant to leave outputs as they
 are passes unchanged; a change that alters outputs on purpose regenerates
 the file and says why in its description::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 from pathlib import Path
 
-from cjtk import codec, extensions, geomops, gml, ops, synth, validation
+from cjtk import cli, codec, extensions, geomops, gml, ops, synth, validation
 from cjtk.errors import CjtkError
 
 from conftest import NOISE_EXTENSION_PATH, committed_corpus
@@ -557,8 +561,25 @@ def _validation_digests(bases) -> dict[str, str]:
     return out
 
 
-def digests() -> dict[str, str]:
+def _help_digests() -> dict[str, str]:
+    """The exit code and standard output of ``cjtk --help`` and of
+    ``cjtk IN <stage> --help`` for every stage (keys under ``cli/help/``)."""
     out = {}
+    for name in ["cjtk", *cli._STAGES]:
+        argv = ["--help"] if name == "cjtk" else ["IN", name, "--help"]
+        stdout, code = io.StringIO(), None
+        try:
+            with contextlib.redirect_stdout(stdout):
+                cli.main(argv)
+        except SystemExit as done:
+            code = done.code
+        out[f"cli/help/{name}"] = _pinned(
+            lambda: f"{code}\n{stdout.getvalue()}")
+    return out
+
+
+def digests() -> dict[str, str]:
+    out = _help_digests()
     for name, text in _gml_inputs():
         out[f"gml/{name}"] = _pinned(lambda: _imported(text))
     for name, doc in _extension_docs():

@@ -4,16 +4,16 @@ import math
 
 import pytest
 
-from cjtk import (Transform, codec, dequantize, merge, partition_by_type,
-                  partition_grid, partition_random, quantize,
-                  refresh_metadata, stats, subset, synth,
+from cjtk import (Transform, codec, dequantize, instantiate_template, merge,
+                  partition_by_type, partition_grid, partition_random,
+                  quantize, refresh_metadata, stats, subset, synth,
                   update_texture_paths)
-from cjtk.errors import CjtkError
+from cjtk.errors import ERROR, CjtkError
 from cjtk.model import replace
 from cjtk.validation import validate
 
-from helpers import (CUBE_SHELL, as_model, cube_tree, cube_vertices,
-                     shifted_shell, tree_of)
+from helpers import (CUBE_SHELL, as_model, corpus_tree, cube_tree,
+                     cube_vertices, shifted_shell, tree_of)
 from test_validation import instance_tree
 
 
@@ -301,6 +301,30 @@ def test_merge_keeps_one_template_bank_that_its_inputs_share():
                 for g in co.geometry} == {0}
         assert validate(out) == []
         assert codec.loads(codec.dumps(out)).templates == model.templates
+
+
+def _instanced(model):
+    """The world vertices of every instance in ``model``, sorted."""
+    return sorted(instantiate_template(model, oid, gi)[1]
+                  for oid, gi, g in model.iter_geometries() if g.is_instance())
+
+
+def test_merge_keeps_one_copy_of_each_template_bank_it_has_gathered():
+    a = as_model(corpus_tree("07-geometry-template"))
+    b = as_model(corpus_tree("22-two-instances"))
+    assert (len(a.templates.templates), len(a.templates.vertices)) == (1, 8)
+    assert (len(b.templates.templates), len(b.templates.vertices)) == (1, 4)
+    for inputs, templates, vertices in (([a, b, a], 2, 12),
+                                        ([a, a, b], 2, 12),
+                                        ([b, a, b, a], 2, 12),
+                                        ([a, b], 2, 12), ([b, b], 1, 4)):
+        out = merge(inputs, policy="suffix")
+        assert (len(out.templates.templates),
+                len(out.templates.vertices)) == (templates, vertices)
+        assert _instanced(out) == sorted(
+            rows for m in inputs for rows in _instanced(m))
+        assert [f for f in validate(out) if f.severity == ERROR] == []
+        assert codec.loads(codec.dumps(out)) == out
 
 
 def appearance_tree(oid, image, origin=(0.0, 0.0, 0.0)):

@@ -49,11 +49,12 @@ _MODULES_AT_EXIT = (
     "sorted(sys.modules)))); from cjtk.cli import main; main()")
 
 
-def _modules_loaded_by(*argv):
-    """The modules a CLI run of ``argv`` has loaded when it exits."""
+def _modules_loaded_by(*argv, code=0):
+    """The modules a CLI run of ``argv``, which exits with ``code``, has
+    loaded when it exits."""
     proc = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, *argv],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -95,15 +96,41 @@ def test_a_pipeline_loads_only_the_modules_of_its_stages(tmp_path):
     loaded = _modules_loaded_by(str(doc), "validate", "--json")
     assert "cjtk.validation" in loaded
     assert not loaded & {"cjtk.ops", "cjtk.geomops", "cjtk.gml",
-                         "cjtk.extensions", "argparse", "gettext", "locale"}
+                         "cjtk.extensions", "cjtk._writer", "cjtk._help",
+                         "cjtk._malformed", "argparse", "gettext", "locale"}
     assert _third_party(loaded) == set()
+
+    duplicate = tmp_path / "duplicate.city.json"
+    duplicate.write_text(as_text(cube_tree())[:-1] + ', "version": "1.0"}',
+                         encoding="utf-8")
+    loaded = _modules_loaded_by(str(duplicate), "validate", "--json", code=2)
+    assert "cjtk._malformed" in loaded
+    assert not loaded & {"cjtk._writer", "cjtk._help"}
 
     loaded = _modules_loaded_by(str(gml), "import", "compress", "save",
                                 str(tmp_path / "out.json"))
-    assert {"cjtk.gml", "cjtk.geomops"} <= loaded
-    assert not loaded & {"cjtk.validation", "cjtk.ops"}
+    assert {"cjtk.gml", "cjtk.geomops", "cjtk._writer"} <= loaded
+    assert not loaded & {"cjtk.validation", "cjtk.ops", "cjtk._help",
+                         "cjtk._malformed"}
     assert _third_party(loaded) == set()
 
     loaded = _modules_loaded_by("--help")
-    assert {m for m in loaded if m.startswith("cjtk")} == {"cjtk", "cjtk.cli"}
+    assert {m for m in loaded if m.startswith("cjtk")} \
+        == {"cjtk", "cjtk.cli", "cjtk._help"}
     assert _third_party(loaded) == set()
+
+    # Under ``python -m cjtk.cli`` the CLI runs as ``__main__``, so a module
+    # it loads lazily that imported ``cjtk.cli`` would compile it again.
+    for argv in (["--help"], [str(doc), "subset", "--help"],
+                 [str(doc), "validate", "--json"],
+                 [str(doc), "info", "partition", "--by-type", "--out-dir",
+                  str(tmp_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cjtk.cli", *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "cjtk" in imported, argv
+        assert "cjtk.cli" not in imported, argv
