@@ -6,7 +6,9 @@ type, version, metadata, extensions, transform, CityObjects, vertices,
 appearance, geometry-templates, then any retained unknown members.
 Minified mode uses no whitespace; integers print without a decimal point
 and reals with their shortest round-trip form.  A NaN or infinity, which
-the reader refuses, is a ``SYNTAX_ERROR`` here too.
+the reader refuses, is a ``SYNTAX_ERROR`` here too; its error comes
+from ``errors``, so the writer loads no reader (``import … save`` never
+compiles ``codec``).
 
 ``dumps`` and ``dump`` share one piece generator, and ``dump`` writes each
 piece as it comes, so a write holds one batch of city objects or vertex
@@ -24,7 +26,7 @@ import os
 import stat
 from itertools import islice
 
-from .codec import _not_a_number
+from .errors import _not_a_number
 from .model import CityModel
 
 # City objects, and vertex rows, encoded at once in minified output.  The

@@ -37,8 +37,9 @@ when ``--extension`` names a file or ``CJTK_EXTENSIONS`` is set;
 ``subset``, ``merge``, ``partition``, ``textures-path``, ``metadata``
 and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
 ``gml``; ``save``, ``partition`` and ``info`` add the writer,
-``_writer``.  A document with a duplicate key or an escaped surrogate
-adds ``_malformed``, which reports it.  ``--help`` loads none of them,
+``_writer``.  Neither ``gml`` nor ``_writer`` loads ``codec``, so
+``import … save`` compiles no JSON reader.  A document with a duplicate
+key or an escaped surrogate adds ``_malformed``, which reports it.  ``--help`` loads none of them,
 only ``_help``, which makes the help from ``_STAGES``.
 """
 

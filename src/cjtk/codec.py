@@ -8,11 +8,12 @@ escapes of unpaired UTF-16 surrogates, which no UTF-8 text can hold), a
 wrong or missing type tag, duplicate keys (duplicate city-object
 identifiers in particular), missing required members, members that must
 be objects or arrays to build a record, and a transform of finite
-doubles.  It then raises the first problem of ``model.shape_problems``
-(vertex rows, links, ``lod``, boundary nesting, semantics, appearance).
-Checks that need whole-model reasoning (index ranges, family links,
-semantics coherence) belong to the validator, which reports findings
-instead of raising.
+doubles.  It then raises the first problem of the shape rules,
+``shape_problems`` (vertex rows, links, ``lod``, boundary nesting,
+semantics, appearance), which live here beside the reader and which the
+validator reports as findings.  Checks that need whole-model reasoning
+(index ranges, family links, semantics coherence) belong to the
+validator, which reports findings instead of raising.
 
 The writer (``model_to_json``, ``dumps``, ``dump``, ``dump_all``) lives
 in ``cjtk._writer``; the first use of one of its names here loads it
@@ -24,18 +25,25 @@ for a document that has one.
 from __future__ import annotations
 
 import json
+import math
 import re
+from collections.abc import Iterator
+from itertools import islice
 
-from .errors import CodecError
+from .errors import CodecError, _not_a_number
 from .model import (
     CityModel,
     CityObject,
+    Geometry,
     Record,
     Semantics,
     TemplateBank,
     Transform,
+    _all_ints,
+    depth_of,
+    flatten,
     is_finite_number,
-    shape_problems,
+    walk,
 )
 
 _REQUIRED = ("version", "CityObjects", "vertices")
@@ -87,11 +95,6 @@ def decode(data: str | bytes) -> str:
                          f"invalid UTF-8 at byte {e.start}: {e.reason}",
                          line=data.count(b"\n", 0, e.start) + 1,
                          column=e.start - line_start + 1) from None
-
-
-def _not_a_number(name: str) -> CodecError:
-    return CodecError("SYNTAX_ERROR",
-                      f"{name} is not a JSON number (RFC 8259, section 6)")
 
 
 def _reject_constant(name: str):
@@ -236,6 +239,121 @@ def model_from_json(root: dict) -> tuple[CityModel, ParseDiagnostics]:
     model.extra = {k: v for k, v in root.items() if k not in known}
     diag.unknown_members.extend(sorted(model.extra))
     return model, diag
+
+
+# -- shape rules ----------------------------------------------------------
+
+
+def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
+    """Every (path, code, message) problem of the shape rules in ``model``,
+    in document order: the codec raises the first, the validator reports
+    them all.
+
+    Vertex pools and ``templates`` are arrays; pools hold rows of three
+    finite numbers.  A city object's ``parents``, ``children`` and
+    ``members`` are arrays of ids.  A geometry's ``lod`` is absent or a
+    finite number; an instance's boundaries hold exactly one integer
+    reference point; a known kind's nest ``GEOMETRY_DEPTH[kind]`` deep over
+    integers (a type that is not a string is no kind); ``semantics`` has an
+    array of objects, ``surfaces``, and an array, ``values``; ``material``
+    and ``texture`` are objects whose themes are objects.
+    """
+    yield from _pool_problems("vertices", model.vertices)
+    for oid, co in model.city_objects.items():
+        path = f"CityObjects/{oid}"
+        for member, ids in (("parents", co.parents), ("children", co.children),
+                            ("members", co.extra.get("members", []))):
+            if not isinstance(ids, list) \
+                    or not all(isinstance(x, str) for x in ids):
+                yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
+                       f"{member} must be an array of ids")
+        for gi, geom in enumerate(co.geometry):
+            yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
+    if model.templates is not None:
+        templates = model.templates.templates
+        if not isinstance(templates, list):
+            yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
+                   "templates must be an array")
+        else:
+            for ti, geom in enumerate(templates):
+                yield from _geometry_problems(
+                    f"geometry-templates/templates/{ti}", geom)
+        yield from _pool_problems("geometry-templates/vertices-templates",
+                                  model.templates.vertices)
+
+
+def _geometry_problems(path: str, geom: Geometry):
+    if geom.lod is not None and not is_finite_number(geom.lod):
+        yield f"{path}/lod", "WRONG_MEMBER_TYPE", "lod must be a number"
+    b, where, depth = geom.boundaries, f"{path}/boundaries", depth_of(geom)
+    bad = [] if depth is None else _boundary_problem(b, depth, where)
+    if not bad and geom.is_instance() and len(b) != 1:
+        bad = [(where, "BAD_GEOMETRY_SHAPE",
+                "instance boundaries hold exactly one reference point")]
+    yield from bad
+    sem = geom.semantics
+    if sem is not None:
+        if not (isinstance(sem, Semantics) and isinstance(sem.surfaces, list)
+                and isinstance(sem.values, list)):
+            yield (f"{path}/semantics", "WRONG_MEMBER_TYPE",
+                   "semantics needs surfaces and values arrays")
+        else:
+            for i, surface in enumerate(sem.surfaces):
+                if not isinstance(surface, dict):
+                    yield (f"{path}/semantics/surfaces/{i}",
+                           "WRONG_MEMBER_TYPE",
+                           "semantic surface must be an object")
+    for member, value in (("material", geom.material),
+                          ("texture", geom.texture)):
+        if value is not None and not isinstance(value, dict):
+            yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
+                   f"{member} must be an object")
+        elif value is not None:
+            yield from ((f"{path}/{member}/{theme}", "WRONG_MEMBER_TYPE",
+                         f"{member} theme must be an object")
+                        for theme, themed in value.items()
+                        if not isinstance(themed, dict))
+
+
+def _pool_problems(path: str, pool):
+    if not isinstance(pool, list):
+        return [(path, "WRONG_MEMBER_TYPE",
+                 f"{path.rpartition('/')[2]} must be an array")]
+    if _finite_rows(pool):
+        return []
+    return islice(((f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
+                    "vertex must hold exactly three finite numbers")
+                   for i, v in enumerate(pool) if not isinstance(v, list)
+                   or len(v) != 3 or not all(map(is_finite_number, v))), 1)
+
+
+def _finite_rows(rows) -> bool:
+    coords = flatten(rows, 1)
+    if coords is None or not set(map(len, rows)) <= {3} \
+            or not set(map(type, coords)) <= {int, float}:  # no bool
+        return False
+    try:
+        return all(map(math.isfinite, coords))
+    except OverflowError:  # an int beyond a double's range
+        return False
+
+
+def _boundary_problem(boundaries, depth: int, path: str) -> list:
+    """The first node, if any, where ``boundaries`` do not nest ``depth``
+    list levels deep over integers."""
+    leaves = flatten([boundaries], depth)
+    if leaves is not None and _all_ints(leaves):
+        return []
+    for at, node, left in walk(boundaries, depth):
+        if left and not isinstance(node, list):
+            message = f"expected {left} more array level(s)"
+        elif not left and type(node) is not int:
+            message = f"vertex reference {node!r} is not an integer"
+        else:
+            continue
+        return [(path + "".join(f"/{i}" for i in at), "BAD_GEOMETRY_SHAPE",
+                 message)]
+    return []
 
 
 def __getattr__(name: str):

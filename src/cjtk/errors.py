@@ -33,6 +33,13 @@ class CodecError(CjtkError):
         self.column = column
 
 
+def _not_a_number(name: str) -> CodecError:
+    """The error for a NaN or infinity, which the reader and the writer
+    both refuse."""
+    return CodecError("SYNTAX_ERROR",
+                      f"{name} is not a JSON number (RFC 8259, section 6)")
+
+
 class GmlImportError(CjtkError):
     """Raised by the CityGML importer."""
 

@@ -12,21 +12,26 @@ namespace URI or prefix.
 
 The document is parsed in chunks of 65,536 characters, or bytes where it
 comes as bytes, or as a binary file, in the encoding its XML declaration
-names.  Elements start in document order, and as each starts its tag is
-rewritten to its local name, its gml:ids are indexed for the XLinks that
-point at them and its srsName is read: of elements sharing a gml:id, the
-first keeps it, and the first srsName that is not an EPSG code is the one
-reported.  As each element ends, its tail and any text that is only
-whitespace are dropped (no reader needs them).
+names.  The parser reports each element as it starts, and nothing as it
+ends.  After each chunk the elements it started are taken in document
+order: each tag is rewritten to its local name, its gml:ids are indexed
+for the XLinks that point at them and its srsName is read.  Of elements
+sharing a gml:id, the first keeps it, and the first srsName that is not
+an EPSG code is the one reported.
 
-The document is converted one member at a time: as each child of the root
-ends (a ``cityObjectMember`` or ``featureMember``, or any other), it is
-converted and then freed with its gml:ids, so the tree never holds more
-than one of them.  Where one member cannot settle its conversion alone,
-the importer reads the document a second time, keeps the whole tree and
-converts the members once the parse is done, as a whole-tree reading
-does.  That happens on a link to an element outside its member, the root
-included, and on a member whose conversion fails, so that errors keep the
+The document is converted one member at a time.  After each chunk, every
+child of the root but the last (a ``cityObjectMember`` or
+``featureMember``, or any other) is complete, and once the parser is
+closed the last is too.  Each complete child is converted and then freed
+with its gml:ids, so the tree holds the complete members of one chunk
+plus the one still open.  Where one member cannot settle its conversion
+alone, the importer reads the document a second time, keeps the whole
+tree and converts the members once the parse is done, as a whole-tree
+reading does; that read, like any read under a root that is not a
+``CityModel``, drops each complete child's tails and whitespace-only
+texts instead (no reader needs them).  A second read happens on a link
+to an element outside the member being converted, the root included,
+and on a member whose conversion fails, so that errors keep the
 precedence of the whole-tree reading: a syntax error anywhere, then the
 root, then the srsNames, then the first failing member in document order.
 
@@ -197,6 +202,11 @@ def _ring_points(ring_elem: ET.Element) -> list[tuple]:
         elif name == "coordinates":
             cs = child.get("cs", ",")
             ts = child.get("ts", " ")
+            for name, separator in (("cs", cs), ("ts", ts)):
+                if not separator:
+                    raise GmlImportError(
+                        "BAD_COORDINATE_TOKEN",
+                        f"coordinates {name} names no separator")
             text = (child.text or "").strip()
             points = []
             for chunk in text.replace("\n", ts).split(ts):
@@ -309,9 +319,9 @@ class _Reread(Exception):
 
 def _import(source, free: bool) -> tuple[CityModel, ImportReport]:
     """One read of the document; ``free`` converts and frees each child of
-    the root as it ends."""
+    the root once it is complete."""
     importer = _Importer(free)
-    parser = ET.XMLPullParser(events=("start", "end"))
+    parser = ET.XMLPullParser(events=("start",))
     try:
         for chunk in _chunks(source):
             try:
@@ -321,9 +331,9 @@ def _import(source, free: bool) -> tuple[CityModel, ImportReport]:
                 raise GmlImportError("XML_SYNTAX_ERROR",
                                      f"cannot decode the document: {exc}") \
                     from None
-            importer.take(parser.read_events())
+            importer.take(parser.read_events(), closed=False)
         parser.close()
-        importer.take(parser.read_events())
+        importer.take(parser.read_events(), closed=True)
     except ET.ParseError as exc:
         line, column = exc.position
         raise GmlImportError(
@@ -343,13 +353,24 @@ def _chunks(source):
             yield chunk
 
 
+def _trim(child: ET.Element) -> None:
+    """Drop the tails and whitespace-only texts under a complete element,
+    which no reader needs (they strip or split the text anyway)."""
+    for elem in child.iter():
+        elem.tail = None
+        text = elem.text
+        if text is not None and text.isspace():
+            elem.text = None
+
+
 class _Importer:
     def __init__(self, free: bool):
-        # Convert and free each child of the root as it ends, where the
-        # root is a CityModel.
+        # Convert and free each child of the root once it is complete,
+        # where the root is a CityModel.
         self.free = free
         self.root: ET.Element | None = None
-        self.depth = 0  # elements started and not yet ended
+        self.settled = 0  # children of the root already trimmed
+        self.member: set[ET.Element] = set()  # the one being converted
         self.pool = VertexPool()
         self.objects: dict[str, CityObject] = {}
         self.report = ImportReport()
@@ -359,62 +380,68 @@ class _Importer:
         self.names = _LocalNames()
         # gml:id -> element, or None once the element has been freed
         self.ids: dict[str, ET.Element | None] = {}
-        self.held: list[str] = []  # the ids held in the open root child
+        # the ids kept below the root and not yet freed, in document order
+        self.held: list[str] = []
         self.codes: set[int] = set()  # EPSG codes of the srsNames
         self.bad_srs: GmlImportError | None = None  # the first NON_EPSG_CRS
 
     # -- parse ------------------------------------------------------------
 
-    def take(self, events) -> None:
-        """Take in elements as the parser starts and ends them.  As each
-        starts, in document order: rewrite its tag to its local name,
-        index its gml:ids, of which the first holder keeps each, and read
-        its srsName, keeping the first that is not an EPSG code as the
-        error that ``run`` raises once the parse has succeeded.  As each
-        ends, drop its tail and any text that is only whitespace, which no
-        reader needs (they strip or split the text anyway).  With
-        ``free``, each child of a CityModel root is converted and freed as
-        it ends."""
-        names, ids, held = self.names, self.ids, self.held
-        depth = self.depth
-        for event, elem in events:
-            if event == "start":
-                elem.tag = names[elem.tag]
-                for key, value in elem.items():
-                    if key == "srsName":
-                        if value:
-                            self._read_srs(value)
-                    elif names[key] == "id":
-                        if ids.setdefault(value, elem) is elem and depth:
-                            held.append(value)  # the root's own is not freed
-                if depth == 0:
-                    self.root = elem
-                    self.free = self.free and elem.tag == "CityModel"
-                depth += 1
-                continue
-            depth -= 1
-            elem.tail = None
-            text = elem.text
-            if text is not None and text.isspace():
-                elem.text = None
-            if depth == 1:
-                if self.free:
-                    self._free(elem)
-                held.clear()
-        self.depth = depth
+    def take(self, events, closed: bool) -> None:
+        """Take in the elements the parser has started since the last
+        call, then settle the children of the root that are complete.
+
+        As each element starts, in document order: rewrite its tag to its
+        local name, index its gml:ids, of which the first holder keeps
+        each, and read its srsName, keeping the first that is not an EPSG
+        code as the error that ``run`` raises once the parse has
+        succeeded.  Every child of the root but the last is complete, and
+        once the parser is ``closed`` the last is too.  With ``free``,
+        each complete child is converted and freed; otherwise its tails
+        and whitespace-only texts are dropped (``_trim``)."""
+        names, ids, held, root = self.names, self.ids, self.held, self.root
+        for _, elem in events:
+            elem.tag = names[elem.tag]
+            for key, value in elem.items():
+                if key == "srsName":
+                    if value:
+                        self._read_srs(value)
+                elif names[key] == "id" and ids.setdefault(value, elem) \
+                        is elem:
+                    held.append(value)
+            if root is None:
+                root = self.root = elem
+                self.free = self.free and elem.tag == "CityModel"
+                held.clear()  # the root's own id is never freed
+        if root is None:
+            return
+        still_open = 0 if closed else 1  # the root's last child
+        while len(root) - self.settled > still_open:
+            child = root[self.settled]
+            if self.free:
+                self._free(child)  # which takes it out of the root
+            else:
+                _trim(child)
+                self.settled += 1
 
     def _free(self, child: ET.Element) -> None:
-        """Convert a child of the root, then free it and mark its gml:ids
-        as freed.  A link out of it finds no target; that, like any other
-        coded error, reads the document again."""
+        """Convert a complete child of the root, then free it and mark its
+        gml:ids as freed.  A link out of it, which ``_resolve`` refuses, or
+        any other coded error reads the document again."""
+        self.member = member = set(child.iter())
         try:
             self._root_child(child)
         except GmlImportError:
             raise _Reread from None
         self.root.remove(child)
-        for value in self.held:
-            self.ids[value] = None
+        ids, held = self.ids, self.held
+        done = 0
+        while done < len(held) and ids[held[done]] in member:
+            ids[held[done]] = None
+            done += 1
+        del held[:done]
         self.claims.clear()
+        member.clear()
 
     def _read_srs(self, value: str) -> None:
         try:
@@ -473,9 +500,9 @@ class _Importer:
         if target is None:
             raise GmlImportError("UNRESOLVED_XLINK",
                                  f"no element carries gml:id {href[1:]!r}")
-        if target is self.root and self.free:
-            # The root is still open, and it already holds later elements
-            # of the parsed chunk whose starts are not taken yet.
+        if self.free and target not in self.member:
+            # The root or another member: the root is still open, and a
+            # later member may be too.
             raise _Reread
         return target
 

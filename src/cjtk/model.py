@@ -7,13 +7,13 @@ integer rows back to real-world coordinates.  Keeping the shapes identical
 to the wire format makes reading and writing cheap and keeps every
 operation honest about what actually gets stored.
 
-The shape rules that codec, validator and ops share are written here once
+The shape tests that codec, validator and ops share are written here once
 (``is_finite_number``, ``is_scale``, ``is_matrix``, ``is_extent``,
-``Transform.checked``, ``CityModel.placed_template`` and
-``shape_problems``: vertex rows; a city object's ``parents``,
-``children`` and ``members``; a geometry's ``lod``, instance reference
-point, boundary nesting, ``semantics``, ``material`` and ``texture`` and
-their themes), so those modules cannot disagree.
+``Transform.checked`` and ``CityModel.placed_template``), so those
+modules cannot disagree.  The rules a document's shape must keep
+(``codec.shape_problems``) live beside the reader that raises them, so
+a program that builds models without reading CityJSON (the CityGML
+importer) never compiles them.
 
 Boundaries are read one way: ``flatten`` reads them a list level at a
 time, to the depth their kind says; ``walk`` gives each node's position,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import CjtkError
 
@@ -319,7 +319,7 @@ class Geometry(Record):
             g.transformation_matrix = obj.get("transformationMatrix")
         else:
             # Semantics that are not an object stay as written, for
-            # ``shape_problems`` to refuse.
+            # ``codec.shape_problems`` to refuse.
             g.semantics = obj.get("semantics")
             if isinstance(g.semantics, dict):
                 g.semantics = Semantics.from_json(g.semantics)
@@ -415,7 +415,7 @@ class CityObject(Record):
             extent=obj.get("geographicalExtent"),
             extra={k: v for k, v in obj.items() if k not in known},
         )
-        # The links as written, null included, for ``shape_problems``.
+        # The links as written, null included, for ``codec.shape_problems``.
         co.parents = obj.get("parents", [])
         co.children = obj.get("children", [])
         return co
@@ -583,120 +583,5 @@ def walk(node, depth: int) -> Iterator[tuple[tuple, object, int]]:
                       for i, x in enumerate(node)][::-1]
 
 
-# -- shape rules ----------------------------------------------------------
-
-
-def shape_problems(model: CityModel) -> Iterator[tuple[str, str, str]]:
-    """Every (path, code, message) problem of the shape rules in ``model``,
-    in document order: the codec raises the first, the validator reports
-    them all.
-
-    Vertex pools and ``templates`` are arrays; pools hold rows of three
-    finite numbers.  A city object's ``parents``, ``children`` and
-    ``members`` are arrays of ids.  A geometry's ``lod`` is absent or a
-    finite number; an instance's boundaries hold exactly one integer
-    reference point; a known kind's nest ``GEOMETRY_DEPTH[kind]`` deep over
-    integers (a type that is not a string is no kind); ``semantics`` has an
-    array of objects, ``surfaces``, and an array, ``values``; ``material``
-    and ``texture`` are objects whose themes are objects.
-    """
-    yield from _pool_problems("vertices", model.vertices)
-    for oid, co in model.city_objects.items():
-        path = f"CityObjects/{oid}"
-        for member, ids in (("parents", co.parents), ("children", co.children),
-                            ("members", co.extra.get("members", []))):
-            if not isinstance(ids, list) \
-                    or not all(isinstance(x, str) for x in ids):
-                yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
-                       f"{member} must be an array of ids")
-        for gi, geom in enumerate(co.geometry):
-            yield from _geometry_problems(f"{path}/geometry/{gi}", geom)
-    if model.templates is not None:
-        templates = model.templates.templates
-        if not isinstance(templates, list):
-            yield ("geometry-templates/templates", "WRONG_MEMBER_TYPE",
-                   "templates must be an array")
-        else:
-            for ti, geom in enumerate(templates):
-                yield from _geometry_problems(
-                    f"geometry-templates/templates/{ti}", geom)
-        yield from _pool_problems("geometry-templates/vertices-templates",
-                                  model.templates.vertices)
-
-
-def _geometry_problems(path: str, geom: Geometry):
-    if geom.lod is not None and not is_finite_number(geom.lod):
-        yield f"{path}/lod", "WRONG_MEMBER_TYPE", "lod must be a number"
-    b, where, depth = geom.boundaries, f"{path}/boundaries", depth_of(geom)
-    bad = [] if depth is None else _boundary_problem(b, depth, where)
-    if not bad and geom.is_instance() and len(b) != 1:
-        bad = [(where, "BAD_GEOMETRY_SHAPE",
-                "instance boundaries hold exactly one reference point")]
-    yield from bad
-    sem = geom.semantics
-    if sem is not None:
-        if not (isinstance(sem, Semantics) and isinstance(sem.surfaces, list)
-                and isinstance(sem.values, list)):
-            yield (f"{path}/semantics", "WRONG_MEMBER_TYPE",
-                   "semantics needs surfaces and values arrays")
-        else:
-            for i, surface in enumerate(sem.surfaces):
-                if not isinstance(surface, dict):
-                    yield (f"{path}/semantics/surfaces/{i}",
-                           "WRONG_MEMBER_TYPE",
-                           "semantic surface must be an object")
-    for member, value in (("material", geom.material),
-                          ("texture", geom.texture)):
-        if value is not None and not isinstance(value, dict):
-            yield (f"{path}/{member}", "WRONG_MEMBER_TYPE",
-                   f"{member} must be an object")
-        elif value is not None:
-            yield from ((f"{path}/{member}/{theme}", "WRONG_MEMBER_TYPE",
-                         f"{member} theme must be an object")
-                        for theme, themed in value.items()
-                        if not isinstance(themed, dict))
-
-
-def _pool_problems(path: str, pool):
-    if not isinstance(pool, list):
-        return [(path, "WRONG_MEMBER_TYPE",
-                 f"{path.rpartition('/')[2]} must be an array")]
-    if _finite_rows(pool):
-        return []
-    return islice(((f"{path}/{i}", "BAD_GEOMETRY_SHAPE",
-                    "vertex must hold exactly three finite numbers")
-                   for i, v in enumerate(pool) if not isinstance(v, list)
-                   or len(v) != 3 or not all(map(is_finite_number, v))), 1)
-
-
 def _all_ints(level) -> bool:
     return set(map(type, level)) <= {int}
-
-
-def _finite_rows(rows) -> bool:
-    coords = flatten(rows, 1)
-    if coords is None or not set(map(len, rows)) <= {3} \
-            or not set(map(type, coords)) <= {int, float}:  # no bool
-        return False
-    try:
-        return all(map(math.isfinite, coords))
-    except OverflowError:  # an int beyond a double's range
-        return False
-
-
-def _boundary_problem(boundaries, depth: int, path: str) -> list:
-    """The first node, if any, where ``boundaries`` do not nest ``depth``
-    list levels deep over integers."""
-    leaves = flatten([boundaries], depth)
-    if leaves is not None and _all_ints(leaves):
-        return []
-    for at, node, left in walk(boundaries, depth):
-        if left and not isinstance(node, list):
-            message = f"expected {left} more array level(s)"
-        elif not left and type(node) is not int:
-            message = f"vertex reference {node!r} is not an integer"
-        else:
-            continue
-        return [(path + "".join(f"/{i}" for i in at), "BAD_GEOMETRY_SHAPE",
-                 message)]
-    return []

@@ -2,7 +2,7 @@
 extensions.
 
 Structure answers "is each piece well-formed on its own".  It reports the
-problems of ``model.shape_problems``, the rules the codec raises at the
+problems of ``codec.shape_problems``, the rules the codec raises at the
 syntax stage for documents; only a model built in memory can show them
 here, and a parsed document reuses the codec's shape pass instead of
 running it again (``parse_and_validate``).  On a model without them it
@@ -37,13 +37,12 @@ from functools import reduce
 from itertools import filterfalse, islice
 from operator import getitem
 
-from .codec import parse
+from .codec import parse, shape_problems
 from .errors import ERROR, WARNING, CjtkError, Finding, reporters
 from .model import (COBJECT_TYPES, GEOMETRY_DEPTH, SECOND_LEVEL_TYPES,
                     SEMANTIC_SURFACE_TYPES, CityModel, Geometry,
                     boundary_indices, depth_of, flatten, indices_of,
-                    is_extent, is_finite_number, is_matrix, is_scale,
-                    shape_problems, walk)
+                    is_extent, is_finite_number, is_matrix, is_scale, walk)
 
 _EPSG_RE = re.compile(r"^EPSG:\d+$")
 ENV_VAR = "CJTK_EXTENSIONS"  # names extensions.discover's search path

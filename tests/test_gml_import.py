@@ -273,6 +273,19 @@ def test_external_xlink():
     expect_code(text, "EXTERNAL_XLINK")
 
 
+@pytest.mark.parametrize("name", ["cs", "ts"])
+def test_an_empty_coordinates_separator_is_a_bad_token(name):
+    """A coordinates element whose ``cs`` or ``ts`` is empty names no
+    separator to split its text at: a coded error, not a crash, read
+    member by member and as a whole tree alike."""
+    custom = SQUARE_VARIANTS["coordinates-custom-separators"]()
+    text = re.sub(f'{name}="[^"]*"', f'{name}=""', custom)
+    assert text != custom
+    expect_code(text, "BAD_COORDINATE_TOKEN")
+    assert _whole_tree_outcome(text) == (
+        "BAD_COORDINATE_TOKEN", f"coordinates {name} names no separator")
+
+
 def test_mixed_crs():
     text = SQUARE_VARIANTS["poslist-one-line"]()
     text = text.replace("<gml:MultiSurface>",
@@ -662,6 +675,22 @@ def test_a_document_read_twice_peaks_as_a_whole_tree_reading(reads):
     assert peak < 4.5 * len(text)
 
 
+def test_an_indented_document_read_twice_peaks_as_a_whole_tree_reading(
+        reads):
+    """With every tag on a line of its own, the second read drops the
+    whitespace of each member once the chunk that completes it is parsed,
+    so the whitespace it holds at once is that of one chunk, and the import
+    peaks under the same bound as the compact document."""
+    text = synth.scene_to_citygml(
+        synth.make_scene(seed=7, buildings=120, part_every=5))
+    text = _GAP.sub(">\n" + " " * 12 + "<", text.replace(
+        "</core:CityModel>",
+        _member("linking", "#b0-f0") + "</core:CityModel>"))
+    assert reads(text) == 2
+    peak, _ = _peak_and_model(text)
+    assert peak < 4.5 * len(text)
+
+
 # ---------------------------------------------------------------------------
 # member by member: a document one member cannot settle is read again
 # ---------------------------------------------------------------------------
@@ -727,6 +756,39 @@ def test_a_link_forward_to_a_later_member(reads):
                            + _member("b2", _polygon_xml(_HIGH, pid="p2")))
     assert _outcome(linked) == _outcome(inlined)
     assert (reads(linked), reads(inlined)) == (2, 1)
+
+
+def test_a_link_forward_within_one_chunk(reads):
+    """The starts of a whole chunk are taken before its complete members
+    are converted, so the target of a link to the next member is indexed
+    by then.  It is still a link out of the member: the document is read
+    again, as where the target lies in a later chunk."""
+    text = gen_document(_member("b1", "#p2")
+                        + _member("b2", _polygon_xml(_HIGH, pid="p2"))
+                        + _member("b3", _polygon_xml(_LOW)))
+    assert len(text) < gml._CHUNK
+    assert reads(text) == 2
+    assert _outcome(text) == _whole_tree_outcome(text)
+
+
+def test_a_member_that_ends_with_a_chunk(reads, monkeypatch):
+    """A member whose end tag ends a chunk is the root's last child when
+    that chunk is settled, so it waits for the next one: read once where
+    its links stay inside it, twice where a later member links into it,
+    and as the whole-tree reading either way."""
+    plain = synth.scene_to_citygml(synth.make_scene(seed=5, buildings=3))
+    linked = plain.replace(
+        "</core:CityModel>",
+        _member("linking", "#b0-f0") + "</core:CityModel>")
+    for text, times in ((plain, 1), (linked, 2)):
+        expected = _whole_tree_outcome(text)
+        ends = [m.end() for m in re.finditer("</core:cityObjectMember>",
+                                             text)]
+        assert len(ends) >= 3
+        for end in ends:
+            monkeypatch.setattr(gml, "_CHUNK", end)
+            assert reads(text) == times, end
+            assert _outcome(text) == expected, end
 
 
 def test_an_id_repeated_in_a_later_member_and_linked_there(reads):
@@ -898,7 +960,8 @@ def test_member_by_member_reads_as_the_whole_tree_does(seed, monkeypatch):
     them, nested members, srsNames and bad coordinates import exactly as
     the whole-tree reading does: the same model and report, or the same
     error.  So they do as a str, as UTF-8 bytes and as a binary file, and
-    in chunks small enough that members span several of them."""
+    in chunks small enough that members span several of them, down to
+    one character or byte, so that every member ends with a chunk."""
     rng = random.Random(seed)
     text = synth.scene_to_citygml(synth.make_scene(
         seed=seed, buildings=rng.randrange(1, 5),
@@ -907,7 +970,7 @@ def test_member_by_member_reads_as_the_whole_tree_does(seed, monkeypatch):
         text = _mutated(rng, text)
     expected = _whole_tree_outcome(text)
     data = text.encode("utf-8")
-    for chunk in (gml._CHUNK, 997, 61):
+    for chunk in (gml._CHUNK, 997, 61, 7, 1):
         monkeypatch.setattr(gml, "_CHUNK", chunk)
         for source in (text, data, io.BytesIO(data)):
             try:

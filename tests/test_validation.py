@@ -11,7 +11,7 @@ from cjtk.validation import (errors_of, parse_and_validate,
                              validate_consistency, validate_structure,
                              warnings_of)
 
-from cjtk.model import shape_problems
+from cjtk.codec import shape_problems
 
 from conftest import committed_corpus
 from helpers import (CUBE_SHELL, as_model, as_text, base_inputs, codes_of,
