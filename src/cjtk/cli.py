@@ -21,7 +21,11 @@ that reads the table of stages (``_STAGES``), which also makes the help.
 A stage's options come first, each followed by as many values as it
 takes, even values that look like options or stage names (the first may
 be attached: ``--id=x``); ``--`` ends them.  Its positionals come next,
-and the next word starts the next stage.
+and the next word starts the next stage.  The order rules are checked in
+the same pass: ``import`` comes first or not at all, no stage follows
+``partition``, and ``save --pretty -`` is refused, as are option values
+out of range (``--random`` and ``--grid`` below 1).  So a usage error
+(exit 3) leaves no output and writes no file.
 
 The input is opened before any stage runs and read by the first stage
 that needs a model, which hands the open file (or standard input) to its
@@ -68,7 +72,6 @@ class _State:
             raise UsageError(f"cannot read {source}: {exc.strerror}") from None
         self.model = None
         self.exit = 0
-        self.finished = False
         self.extension_paths = extension_paths
 
     def read(self, reader, *args):
@@ -88,23 +91,19 @@ class _State:
             self.input.close()
         self.input = None
 
-    def require_model(self, stage: str):
-        if self.finished:
-            raise UsageError(
-                f"{stage}: the pipeline already ended with partition")
+    def require_model(self):
         if self.model is None:
             from . import codec
             self.model, _ = self.read(codec.parse)
         return self.model
 
 
-def _model_stage(name: str, module: str, op: str, **kwargs):
-    """The stage ``name``, which replaces the model with
-    ``op(model, **kwargs)`` from the cjtk module ``module``, imported when
-    the stage runs."""
+def _model_stage(module: str, op: str, **kwargs):
+    """A stage that replaces the model with ``op(model, **kwargs)`` from
+    the cjtk module ``module``, imported when the stage runs."""
     def stage(state: _State):
         import importlib
-        model = state.require_model(name)
+        model = state.require_model()
         library = importlib.import_module(f".{module}", __package__)
         state.model = getattr(library, op)(model, **kwargs)
     return stage
@@ -170,13 +169,12 @@ def validate_cmd(as_json=False):
             from . import extensions
             exts = extensions.discover() + [extensions.load_extension(path)
                                             for path in state.extension_paths]
-        if state.model is None and not state.finished:
+        if state.model is None:
             # Later stages reuse the model parsed here.
             state.model, findings = state.read(
                 validation.parse_and_validate, exts)
         else:
-            findings = validation.validate(state.require_model("validate"),
-                                           exts)
+            findings = validation.validate(state.model, exts)
         if findings:
             _echo("\n".join(
                 json.dumps(f.to_json()) if as_json else
@@ -195,24 +193,22 @@ def validate_cmd(as_json=False):
 
 def compress_cmd(digits=3):
     """Quantize vertices onto an integer grid with a transform."""
-    return _model_stage("compress", "geomops", "quantize", digits=digits,
-                        requantize=True)
+    return _model_stage("geomops", "quantize", digits=digits, requantize=True)
 
 
 def decompress_cmd():
     """Expand quantized vertices back to real-world floats."""
-    return _model_stage("decompress", "geomops", "dequantize")
+    return _model_stage("geomops", "dequantize")
 
 
 def dedupe_cmd(tolerance=0.0):
     """Merge duplicate (or near-duplicate) vertices."""
-    return _model_stage("dedupe", "geomops", "dedupe_vertices",
-                        tolerance=tolerance)
+    return _model_stage("geomops", "dedupe_vertices", tolerance=tolerance)
 
 
 def clean_cmd():
     """Drop vertices no geometry references."""
-    return _model_stage("clean", "geomops", "remove_orphan_vertices")
+    return _model_stage("geomops", "remove_orphan_vertices")
 
 
 # -- object stages ------------------------------------------------------------
@@ -222,8 +218,7 @@ def subset_cmd(ids=None, types=None, bbox=None):
     """Keep a selection of objects (plus their children)."""
     if not ids and not types and bbox is None:
         raise UsageError("subset needs --id, --type, or --bbox")
-    return _model_stage("subset", "ops", "subset", ids=ids, types=types,
-                        bbox=bbox)
+    return _model_stage("ops", "subset", ids=ids, types=types, bbox=bbox)
 
 
 def merge_cmd(other, policy="error"):
@@ -276,7 +271,7 @@ def _merge_run(stages: list[_MergeStage]):
         try:
             for s in stages:
                 other = codec.load(s.other)
-                state.require_model("merge")
+                state.require_model()
                 others.append(other)
             state.model = ops.merge([state.model, *others], policy=policy)
         except Exception:
@@ -302,10 +297,12 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
             raise UsageError(f"--grid wants NXxNY, got {grid!r}")
         if nx < 1 or ny < 1:
             raise UsageError("--grid cells must be positive")
+    if random_k is not None and random_k < 1:
+        raise UsageError("--random K must be positive")
 
     def stage(state: _State):
         from . import _writer, ops
-        model = state.require_model("partition")
+        model = state.require_model()
         if grid is not None:
             parts = ops.partition_grid(model, nx, ny)
         elif by_type:
@@ -318,7 +315,6 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
         # Every part is written, or none, before any path is printed.
         targets = [directory / f"{stem}_{pid}.json" for pid, _ in parts]
         _writer.dump_all([part for _, part in parts], targets)
-        state.finished = True
         for target in targets:
             _echo(str(target))
     return stage
@@ -329,20 +325,19 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
 
 def textures_path_cmd(base):
     """Rebase texture image paths onto --base."""
-    return _model_stage("textures-path", "ops", "update_texture_paths",
-                        base=base)
+    return _model_stage("ops", "update_texture_paths", base=base)
 
 
 def metadata_cmd():
     """Recompute derived metadata (extent, LoDs, appearance flags)."""
-    return _model_stage("metadata", "ops", "refresh_metadata")
+    return _model_stage("ops", "refresh_metadata")
 
 
 def info_cmd():
     """Print summary statistics as JSON."""
     def stage(state: _State):
         from . import ops
-        _echo(json.dumps(ops.stats(state.require_model("info")), indent=2))
+        _echo(json.dumps(ops.stats(state.require_model()), indent=2))
     return stage
 
 
@@ -357,8 +352,6 @@ def import_cmd():
     """
     def stage(state: _State):
         from . import gml
-        if state.model is not None or state.input is None:
-            raise UsageError("import must be the first stage")
         state.model, report = state.read(gml.import_citygml)
         for line in report.to_json_lines():
             _echo(json.dumps(line), sys.stderr)
@@ -367,12 +360,13 @@ def import_cmd():
 
 def save_cmd(output, pretty=False):
     """Write the model to OUTPUT ("-" = standard output, minified)."""
+    if output == "-" and pretty:
+        raise UsageError("save -: standard output is minified only")
+
     def stage(state: _State):
         from ._writer import dump
-        model = state.require_model("save")
+        model = state.require_model()
         if output == "-":
-            if pretty:
-                raise UsageError("save -: standard output is minified only")
             dump(model, sys.stdout)
             sys.stdout.write("\n")
         else:
@@ -539,8 +533,13 @@ def _parse(argv: list[str]):
         if name not in _STAGES:
             raise UsageError(f"no such stage {name!r} (see cjtk --help)")
         spec = _STAGES[name]
-        processors.append(
-            (name, spec[0](**_take(f"cjtk INPUT {name}", spec, args))))
+        values = _take(f"cjtk INPUT {name}", spec, args)
+        if name == "import" and processors:
+            raise UsageError("import must be the first stage")
+        if processors and processors[-1][0] == "partition":
+            raise UsageError(
+                f"{name}: the pipeline already ended with partition")
+        processors.append((name, spec[0](**values)))
     if not processors:
         raise UsageError("no stage given (see cjtk --help)")
     return processors, top

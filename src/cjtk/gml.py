@@ -27,9 +27,13 @@ with its gml:ids, so the tree holds the complete members of one chunk
 plus the one still open.  Where one member cannot settle its conversion
 alone, the importer reads the document a second time, keeps the whole
 tree and converts the members once the parse is done, as a whole-tree
-reading does; that read, like any read under a root that is not a
-``CityModel``, drops each complete child's tails and whitespace-only
-texts instead (no reader needs them).  A second read happens on a link
+reading does, and so does a read under a root that is not a
+``CityModel``.  Every read drops the tails and whitespace-only texts of
+each element once it is complete (no reader needs them), what is left of
+the open path after each chunk included: at each level, every child but
+the last.  So a child of the root that spans many chunks (one member
+holding every feature, say) is held without its whitespace, as the whole
+tree of a second read is.  A second read happens on a link
 to an element outside the member being converted, the root included,
 and on a member whose conversion fails, so that errors keep the
 precedence of the whole-tree reading: a syntax error anywhere, then the
@@ -353,14 +357,53 @@ def _chunks(source):
             yield chunk
 
 
-def _trim(child: ET.Element) -> None:
-    """Drop the tails and whitespace-only texts under a complete element,
-    which no reader needs (they strip or split the text anyway)."""
-    for elem in child.iter():
+def _trim(top: ET.Element, deep: bool = True) -> None:
+    """Drop the tail and whitespace-only text of a complete element and,
+    where ``deep``, of every element under it; no reader needs them (they
+    strip or split the text anyway)."""
+    for elem in top.iter() if deep else (top,):
         elem.tail = None
         text = elem.text
         if text is not None and text.isspace():
             elem.text = None
+
+
+def _trim_complete(path: list[list], closed: bool) -> None:
+    """``_trim`` each element that has become complete since the last
+    call, and none twice.
+
+    ``path`` runs down from the root through each last child, as the
+    last call left it, with the number of each element's children
+    already trimmed.  Every child but the last is complete at each
+    level, and once the parser is ``closed`` every element is.  Where
+    the path has left an element, that element and those below it on
+    the path are complete: what is left of them is trimmed, the
+    deepest first.  Then the path is walked down again from there,
+    each element's complete children trimmed past those already
+    done, and past the one the path left, which is done now."""
+    level = 1
+    while not closed and level < len(path) \
+            and path[level - 1][0][-1] is path[level][0]:
+        level += 1
+    left = level < len(path)  # the child at path[level - 1]'s count
+    below = False
+    for elem, done in reversed(path[level:]):
+        for child in elem[done + below:]:
+            _trim(child)
+        _trim(elem, deep=False)
+        below = True
+    del path[level:]
+    while True:
+        entry = path[-1]
+        elem = entry[0]
+        end = len(elem) - (not closed)
+        for child in elem[entry[1] + left:end]:
+            _trim(child)
+        if closed or not len(elem):
+            return
+        entry[1] = end
+        path.append([elem[-1], 0])
+        left = False
 
 
 class _Importer:
@@ -369,8 +412,9 @@ class _Importer:
         # where the root is a CityModel.
         self.free = free
         self.root: ET.Element | None = None
-        self.settled = 0  # children of the root already trimmed
-        self.member: set[ET.Element] = set()  # the one being converted
+        # [element, children trimmed] down the open path from the root
+        self.open: list[list] = []
+        self.member: set[str] = set()  # the gml:ids of the one converted
         self.pool = VertexPool()
         self.objects: dict[str, CityObject] = {}
         self.report = ImportReport()
@@ -382,6 +426,9 @@ class _Importer:
         self.ids: dict[str, ET.Element | None] = {}
         # the ids kept below the root and not yet freed, in document order
         self.held: list[str] = []
+        # where in ``held`` the ids of each child of the root not yet freed
+        # begin
+        self.starts: list[int] = []
         self.codes: set[int] = set()  # EPSG codes of the srsNames
         self.bad_srs: GmlImportError | None = None  # the first NON_EPSG_CRS
 
@@ -397,10 +444,15 @@ class _Importer:
         code as the error that ``run`` raises once the parse has
         succeeded.  Every child of the root but the last is complete, and
         once the parser is ``closed`` the last is too.  With ``free``,
-        each complete child is converted and freed; otherwise its tails
-        and whitespace-only texts are dropped (``_trim``)."""
+        each complete child is converted and freed.  What is complete of
+        the rest is then trimmed (``_trim_complete``)."""
         names, ids, held, root = self.names, self.ids, self.held, self.root
+        starts = self.starts
+        following = self._following()
         for _, elem in events:
+            if elem is following:
+                starts.append(len(held))
+                following = self._following()
             elem.tag = names[elem.tag]
             for key, value in elem.items():
                 if key == "srsName":
@@ -413,35 +465,46 @@ class _Importer:
                 root = self.root = elem
                 self.free = self.free and elem.tag == "CityModel"
                 held.clear()  # the root's own id is never freed
+                following = self._following()
         if root is None:
             return
-        still_open = 0 if closed else 1  # the root's last child
-        while len(root) - self.settled > still_open:
-            child = root[self.settled]
-            if self.free:
-                self._free(child)  # which takes it out of the root
-            else:
-                _trim(child)
-                self.settled += 1
+        path = self.open or [[root, 0]]
+        if self.free:
+            still_open = 0 if closed else 1  # the root's last child
+            while len(root) > still_open:
+                self._free(root[0])  # which takes it out of the root
+            if closed:
+                return
+            if len(path) > 1 and not (len(root) and root[-1] is path[1][0]):
+                del path[1:]  # freed, with what it held
+        self.open = path
+        _trim_complete(path, closed)
 
     def _free(self, child: ET.Element) -> None:
         """Convert a complete child of the root, then free it and mark its
         gml:ids as freed.  A link out of it, which ``_resolve`` refuses, or
         any other coded error reads the document again."""
-        self.member = member = set(child.iter())
+        held, starts = self.held, self.starts
+        mine = starts[1] if len(starts) > 1 else len(held)
+        self.member = member = set(held[:mine])
         try:
             self._root_child(child)
         except GmlImportError:
             raise _Reread from None
         self.root.remove(child)
-        ids, held = self.ids, self.held
-        done = 0
-        while done < len(held) and ids[held[done]] in member:
-            ids[held[done]] = None
-            done += 1
-        del held[:done]
+        ids = self.ids
+        for key in member:
+            ids[key] = None
+        del held[:mine]
+        starts[:] = [start - mine for start in starts[1:]]
         self.claims.clear()
         member.clear()
+
+    def _following(self) -> ET.Element | None:
+        """The next child of the root to start, where the parser has
+        built it already."""
+        root, seen = self.root, len(self.starts)
+        return root[seen] if root is not None and len(root) > seen else None
 
     def _read_srs(self, value: str) -> None:
         try:
@@ -500,7 +563,7 @@ class _Importer:
         if target is None:
             raise GmlImportError("UNRESOLVED_XLINK",
                                  f"no element carries gml:id {href[1:]!r}")
-        if self.free and target not in self.member:
+        if self.free and href[1:] not in self.member:
             # The root or another member: the root is still open, and a
             # later member may be too.
             raise _Reread

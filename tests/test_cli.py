@@ -202,78 +202,6 @@ def test_import_stage(tmp_path):
     assert report_lines[0]["features"] == {"Building": 1}
 
 
-@pytest.mark.parametrize("crossing", [False, True])
-def test_import_from_stdin_matches_the_file_import(crossing, tmp_path):
-    """A file and standard input that can seek (a redirected file) are
-    read in chunks, a pipe whole; all import alike, a document read twice
-    for a link across members included."""
-    if crossing:
-        linking = ('<core:cityObjectMember><bldg:Building gml:id="sq-2">'
-                   '<bldg:lod2MultiSurface xlink:href="#sq-ms"/>'
-                   '</bldg:Building></core:cityObjectMember>')
-        text = SQUARE_VARIANTS["poslist-one-line"]().replace(
-            "</core:cityObjectMember>", "</core:cityObjectMember>" + linking
-        ).replace("<gml:MultiSurface>", '<gml:MultiSurface gml:id="sq-ms">')
-    else:
-        text = synth.scene_to_citygml(synth.make_scene(seed=5, buildings=12,
-                                                       part_every=3))
-    src = tmp_path / "city.gml"
-    src.write_bytes(text.encode("utf-8"))
-    stages = ["import", "compress", "--digits", "3", "save", "-"]
-    from_file = run_cli(str(src), *stages)
-    from_pipe = run_cli("-", *stages, stdin_text=text)
-    with src.open("rb") as redirected:  # standard input that can seek
-        from_redirect = run_cli("-", *stages, stdin=redirected)
-    assert from_file.returncode == 0, from_file.stderr
-    for from_stdin in (from_pipe, from_redirect):
-        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) \
-            == (from_file.returncode, from_file.stdout, from_file.stderr)
-    if crossing:
-        assert json.loads(from_file.stdout)["CityObjects"]["sq-2"]["geometry"]
-
-
-def _from_path_pipe_and_redirect(path, *stages):
-    """(exit code, stdout, stderr) of ``cjtk PATH STAGES...``, of the same
-    pipeline on ``path`` piped to standard input, and redirected to it."""
-    def run(args, **stdin):
-        proc = subprocess.run([sys.executable, "-m", "cjtk.cli", *args],
-                              capture_output=True, env=cli_env(), **stdin)
-        return proc.returncode, proc.stdout, proc.stderr
-    with path.open("rb") as redirected:
-        return [run([str(path), *stages]),
-                run(["-", *stages], input=path.read_bytes()),
-                run(["-", *stages], stdin=redirected)]
-
-
-@pytest.mark.parametrize("name, data, stages, code", [
-    ("clean", as_text(town_tree()).encode("utf-8"),
-     ["validate", "--json"], 0),
-    ("not-utf-8", as_text(cube_tree()).replace(
-        '"Building"', '"Building\\u00e9"').encode("utf-8").replace(
-        b"\\u00e9", b"\xe9"), ["validate", "--json"], 2),
-    ("json-syntax", b'{"type": "CityJSON",\n "version" "1.0"}',
-     ["validate", "--json"], 2),
-    ("pipeline", as_text(town_tree()).encode("utf-8"),
-     ["compress", "--digits", "3", "subset", "--type", "Building",
-      "save", "-"], 0),
-])
-def test_json_from_stdin_matches_the_path(name, data, stages, code,
-                                          tmp_path):
-    """CityJSON on standard input, from a pipe or a redirected file, gives
-    the output and exit code that the path gives."""
-    path = tmp_path / f"{name}.json"
-    path.write_bytes(data)
-    from_path, from_pipe, from_redirect = \
-        _from_path_pipe_and_redirect(path, *stages)
-    assert from_path[0] == code, from_path
-    assert from_pipe == from_path
-    assert from_redirect == from_path
-    if code == 2:
-        assert b"SYNTAX_ERROR" in from_path[1]
-    if name == "not-utf-8":
-        assert b"invalid UTF-8 at byte" in from_path[1]
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
                     reason="needs /proc/self/mem, which opens but not reads")
 @pytest.mark.parametrize("stages", [["validate", "--json"], ["info"],
@@ -630,7 +558,10 @@ def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path):
         codes = [json.loads(line)["code"] for line in proc.stdout.splitlines()]
         assert stages[stage] in codes
     else:
-        proc = run_cli(str(path), *stage, "save", str(tmp_path / "out.json"))
+        # partition ends the pipeline; every other stage is followed by save
+        tail = ["--out-dir", str(tmp_path)] if stage[0] == "partition" \
+            else ["save", str(tmp_path / "out.json")]
+        proc = run_cli(str(path), *stage, *tail)
         assert f"{stage[0]}: [{stages[stage]}]" in proc.stderr
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

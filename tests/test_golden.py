@@ -11,25 +11,27 @@ by code, path and message (keys under ``gml/`` and ``ext/``).  The
 findings of ``validate_text`` and ``validate`` on the corpus, the synth
 scenes, the shape mutants and the consistency mutants, and what the ops
 give or raise on the consistency mutants built in memory, are pinned
-under ``validate/``.  The help of the command line and of each stage
-(standard output and exit code of ``--help``) is pinned under
-``cli/help/``.  A refactor that is meant to leave outputs as they
-are passes unchanged; a change that alters outputs on purpose regenerates
-the file and says why in its description::
+under ``validate/``.  Every row of the command-line table in
+``cli_cases.py`` (exit code, standard output, standard error and written
+files of one ``cjtk`` run, ``--help`` included) is pinned under
+``cli/``; ``PYTHONPATH=src python tests/cli_cases.py`` checks those rows
+alone, with nothing but the standard library and cjtk.  A refactor that is
+meant to leave outputs as they are passes unchanged; a change that alters
+outputs on purpose regenerates the file, ``cli/`` keys included, and says
+why in its description::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
 import copy
 import hashlib
-import io
 import json
 from pathlib import Path
 
-from cjtk import cli, codec, extensions, geomops, gml, ops, synth, validation
+from cjtk import codec, extensions, geomops, gml, ops, synth, validation
 from cjtk.errors import CjtkError
 
+import cli_cases
 from conftest import NOISE_EXTENSION_PATH, committed_corpus
 from gmlvariants import (CUBE_FACES, CUBE_VARIANTS, RESPELLED,
                          SQUARE_POINTS, SQUARE_VARIANTS)
@@ -561,25 +563,8 @@ def _validation_digests(bases) -> dict[str, str]:
     return out
 
 
-def _help_digests() -> dict[str, str]:
-    """The exit code and standard output of ``cjtk --help`` and of
-    ``cjtk IN <stage> --help`` for every stage (keys under ``cli/help/``)."""
-    out = {}
-    for name in ["cjtk", *cli._STAGES]:
-        argv = ["--help"] if name == "cjtk" else ["IN", name, "--help"]
-        stdout, code = io.StringIO(), None
-        try:
-            with contextlib.redirect_stdout(stdout):
-                cli.main(argv)
-        except SystemExit as done:
-            code = done.code
-        out[f"cli/help/{name}"] = _pinned(
-            lambda: f"{code}\n{stdout.getvalue()}")
-    return out
-
-
 def digests() -> dict[str, str]:
-    out = _help_digests()
+    out = cli_cases.digests()
     for name, text in _gml_inputs():
         out[f"gml/{name}"] = _pinned(lambda: _imported(text))
     for name, doc in _extension_docs():
