@@ -10,8 +10,7 @@ The ``cjtk`` command chains all of it on the command line.
 The public names below are resolved lazily (PEP 562): ``cjtk.merge`` or
 ``from cjtk import merge`` imports :mod:`cjtk.ops` on first use, so a
 program, such as the ``cjtk`` command, loads only the modules it uses.
-Each access returns the submodule's current attribute; ``cjtk.codec``
-loads its writer (``cjtk.dumps``, ...) from ``cjtk._writer`` on first use.
+Each access returns the submodule's current attribute.
 """
 
 import importlib

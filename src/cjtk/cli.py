@@ -34,17 +34,14 @@ usage error.  ``codec.parse`` frees the decoded text as soon as
 ``json.loads`` returns, so later stages run beside the model alone.
 The input is parsed at most once, and a pipeline loads only what it
 uses: each stage imports the library modules it calls when it runs.
-Parsing a CityJSON input loads ``codec`` (with ``model`` and
-``errors``); ``validate`` adds ``validation``, and ``extensions`` only
-when ``--extension`` names a file or ``CJTK_EXTENSIONS`` is set;
+Parsing a CityJSON input, and ``save``, load ``codec`` (with ``model``
+and ``errors``); ``validate`` adds ``validation``, and ``extensions``
+only when ``--extension`` names a file or ``CJTK_EXTENSIONS`` is set;
 ``compress``, ``decompress``, ``dedupe`` and ``clean`` add ``geomops``;
 ``subset``, ``merge``, ``partition``, ``textures-path``, ``metadata``
 and ``info`` add ``ops`` (which loads ``geomops``); ``import`` adds
-``gml``; ``save``, ``partition`` and ``info`` add the writer,
-``_writer``.  Neither ``gml`` nor ``_writer`` loads ``codec``, so
-``import … save`` compiles no JSON reader.  A document with a duplicate
-key or an escaped surrogate adds ``_malformed``, which reports it.  ``--help`` loads none of them,
-only ``_help``, which makes the help from ``_STAGES``.
+``gml``.  ``--help`` loads none of them: the help is made from
+``_STAGES`` here, with ``textwrap``, which no stage loads.
 """
 
 from __future__ import annotations
@@ -301,7 +298,7 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
         raise UsageError("--random K must be positive")
 
     def stage(state: _State):
-        from . import _writer, ops
+        from . import codec, ops
         model = state.require_model()
         if grid is not None:
             parts = ops.partition_grid(model, nx, ny)
@@ -314,7 +311,7 @@ def partition_cmd(grid=None, by_type=False, random_k=None, seed=0,
         directory.mkdir(parents=True, exist_ok=True)
         # Every part is written, or none, before any path is printed.
         targets = [directory / f"{stem}_{pid}.json" for pid, _ in parts]
-        _writer.dump_all([part for _, part in parts], targets)
+        codec.dump_all([part for _, part in parts], targets)
         for target in targets:
             _echo(str(target))
     return stage
@@ -364,7 +361,7 @@ def save_cmd(output, pretty=False):
         raise UsageError("save -: standard output is minified only")
 
     def stage(state: _State):
-        from ._writer import dump
+        from .codec import dump
         model = state.require_model()
         if output == "-":
             dump(model, sys.stdout)
@@ -511,10 +508,38 @@ def _put(prog: str, name: str, entry: dict, words: list[str], values: dict):
 
 
 def _help(prog: str, spec):
-    """Print the help of ``spec``'s stage (or command line) and exit."""
-    from ._help import help_text
+    """Print the help of ``spec``'s stage, or of the command line (which
+    lists the stages) for ``_PIPELINE``, and exit."""
+    import textwrap  # the help alone loads it
+
+    def table(rows):
+        width = max(len(label) for label, _ in rows)
+        return "\n".join(textwrap.fill(text, 79, initial_indent=(
+            f"  {label:<{width}}  "), subsequent_indent=" " * (width + 4))
+            for label, text in rows)
+
+    make, entries = spec
+    labels = {name: f"{name} {entry['metavar']}" if "metavar" in entry
+              else name for name, entry in entries.items()}
+    usage = [label if name.isupper() or entries[name].get("required")
+             else f"[{label}]" for name, label in sorted(
+                 labels.items(), key=lambda item: item[0].isupper())]
+    usage += ["STAGE [STAGE ...]"] * (spec is _PIPELINE)
+    parts = [textwrap.fill(  # with no break inside an item
+        " ".join(item.replace(" ", "\xa0") for item in usage), 79,
+        initial_indent=f"usage: {prog} ",
+        subsequent_indent=" " * len(f"usage: {prog} ")).replace("\xa0", " ")]
+    parts += [textwrap.fill(" ".join(paragraph.split()), 79)
+              for paragraph in make.__doc__.split("\n\n")]
+    parts.append(table([(labels[name], entry["help"])
+                        for name, entry in entries.items()]
+                       + [("--help", "Show this message and exit.")]))
+    if spec is _PIPELINE:
+        parts += ["stages:\n" + table([(name, fn.__doc__.splitlines()[0])
+                                       for name, (fn, _) in _STAGES.items()]),
+                  "'cjtk INPUT STAGE --help' shows a stage's options."]
     try:  # best-effort, as the error lines are: the exit code stays 0
-        _echo(help_text(prog, spec, _STAGES if spec is _PIPELINE else None))
+        _echo("\n\n".join(parts))
     except OSError:
         pass
     sys.exit(0)

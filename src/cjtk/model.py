@@ -11,9 +11,7 @@ The shape tests that codec, validator and ops share are written here once
 (``is_finite_number``, ``is_scale``, ``is_matrix``, ``is_extent``,
 ``Transform.checked`` and ``CityModel.placed_template``), so those
 modules cannot disagree.  The rules a document's shape must keep
-(``codec.shape_problems``) live beside the reader that raises them, so
-a program that builds models without reading CityJSON (the CityGML
-importer) never compiles them.
+(``codec.shape_problems``) live beside the reader that raises them.
 
 Boundaries are read one way: ``flatten`` reads them a list level at a
 time, to the depth their kind says; ``walk`` gives each node's position,

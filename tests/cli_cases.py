@@ -131,9 +131,10 @@ def _cases() -> list[Case]:
              0, writes=("pretty.json",)),
         Case("refuses/validate", [c02, "validate", "--json"], 0,
              refuses=("dataclasses", "inspect", "argparse",
-                      "cjtk.extensions", "cjtk._writer", "cjtk._help")),
+                      "cjtk.extensions", "textwrap")),
         Case("refuses/import", ["synth.gml", *gml, "refused.json"], 0,
-             writes=("refused.json",), refuses=("cjtk.codec",)),
+             writes=("refused.json",),
+             refuses=("cjtk.validation", "cjtk.ops", "textwrap")),
         # Usage errors of the whole command line come before any stage.
         Case("order/partition-then-info",
              [c02, "partition", "--by-type", "--out-dir", "by-type", "info"],

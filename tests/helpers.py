@@ -279,6 +279,26 @@ def shape_mutants():
                "WRONG_MEMBER_TYPE",
                f"CityObjects/{oid}/geometry/0/{member}/winter")
 
+    # The root appearance: arrays of materials and textures (objects) and
+    # of texture vertices.
+    def appearance(tree):
+        return tree["appearance"]
+
+    for member, corpus in (("materials", "16-appearance-materials"),
+                           ("textures", "15-appearance-textures"),
+                           ("vertices-texture", "15-appearance-textures")):
+        for name, value in (("false", False), ("int", 3), ("object", {})):
+            mutant(f"appearance-{member}-{name}", corpus_tree(corpus),
+                   setter(appearance, member, value), "WRONG_MEMBER_TYPE",
+                   f"appearance/{member}")
+    for member, corpus in (("materials", "16-appearance-materials"),
+                           ("textures", "15-appearance-textures")):
+        mutant(f"appearance-{member}-null-entry", corpus_tree(corpus),
+               setter(lambda t, m=member: appearance(t)[m], 1, None),
+               "WRONG_MEMBER_TYPE", f"appearance/{member}/1")
+        mutant(f"appearance-{member}-empty", corpus_tree(corpus),
+               setter(appearance, member, []))
+
     # Vertex pools: rows of three finite numbers.
     def row(tree):
         return tree["vertices"][2]

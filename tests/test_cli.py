@@ -1,4 +1,5 @@
-"""Command-line pipeline, exercised through real subprocesses."""
+"""Command-line pipeline, exercised through real subprocesses and in
+process."""
 
 import errno
 import gc
@@ -19,6 +20,7 @@ from cjtk import cli, codec, geomops, ops, synth
 from cjtk.errors import CjtkError
 from cjtk.model import Transform, replace
 
+import cli_cases
 from conftest import NOISE_EXTENSION_PATH
 from gmlvariants import SQUARE_VARIANTS
 from helpers import (as_model, as_text, base_inputs, cube_tree,
@@ -118,16 +120,6 @@ def test_stdin_and_stdout(town_path):
     assert "\n" not in proc.stdout.strip()
 
 
-def test_save_pretty_and_stdout_refusal(town_path, tmp_path):
-    out = tmp_path / "pretty.json"
-    assert run_cli(str(town_path), "save", "--pretty", str(out)) \
-        .returncode == 0
-    assert out.read_text(encoding="utf-8").startswith('{\n  "type"')
-    proc = run_cli(str(town_path), "save", "--pretty", "-")
-    assert proc.returncode == 3
-    assert "usage error" in proc.stderr
-
-
 def test_partition_writes_part_files(town_path, tmp_path):
     out_dir = tmp_path / "parts"
     proc = run_cli(str(town_path), "partition", "--grid", "2x2",
@@ -174,13 +166,6 @@ def test_a_failed_partition_removes_the_part_files_it_made(town_path,
     assert proc.stdout == ""
     assert sorted(p.name for p in out_dir.iterdir()) \
         == ["town.city_r0c1.json", "town.city_r1c1.json"]
-
-
-def test_partition_ends_the_pipeline(town_path, tmp_path):
-    proc = run_cli(str(town_path), "partition", "--by-type",
-                   "--out-dir", str(tmp_path / "x"), "save", "-")
-    assert proc.returncode == 3
-    assert "already ended" in proc.stderr
 
 
 def test_partition_wants_exactly_one_strategy(town_path):
@@ -294,12 +279,6 @@ def test_undecodable_citygml_is_an_xml_syntax_error(tmp_path):
     proc = run_cli(str(src), "import", "save", "-")
     assert proc.returncode == 2
     assert "import: [XML_SYNTAX_ERROR] not well-formed XML" in proc.stderr
-
-
-def test_import_must_come_first(town_path):
-    proc = run_cli(str(town_path), "compress", "import")
-    assert proc.returncode == 3
-    assert "first stage" in proc.stderr
 
 
 def test_extension_flag(tmp_path):
@@ -481,17 +460,19 @@ ARGV_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(ARGV_CASES))
-def test_argv_parsing(name, town_path, tmp_path):
+def test_argv_parsing(name, town_path, tmp_path, monkeypatch):
     argv, code, stdout = ARGV_CASES[name]
     other = tmp_path / "other.json"
     other.write_text(as_text(town_tree()), encoding="utf-8")
     paths = {"IN": town_path, "OTHER": other, "EXT": NOISE_EXTENSION_PATH,
              "MISSING": tmp_path / "missing.json"}
-    proc = run_cli(*(str(paths.get(arg, arg)) for arg in argv.split()))
-    assert proc.returncode == code, proc.stderr
+    monkeypatch.delenv("CJTK_EXTENSIONS", raising=False)
+    got, out, err = cli_cases._in_process(
+        [str(paths.get(arg, arg)) for arg in argv.split()], "path", None)
+    assert got == code, err
     if stdout is not None:
-        assert proc.stdout == stdout
-    assert "Traceback" not in proc.stderr
+        assert out.decode("utf-8") == stdout
+    assert b"Traceback" not in err
 
 
 def test_the_last_bbox_wins(town_path):
@@ -549,22 +530,26 @@ def test_the_extension_variable_is_read_by_validate(tmp_path):
     pytest.param(name, stage, id=f"{name}-{stage[0]}")
     for name, (_, stages) in sorted(hostile_models().items())
     for stage in sorted(stages)])
-def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path):
+def test_hostile_models_exit_two_with_a_coded_message(name, stage, tmp_path,
+                                                     monkeypatch):
     text, stages = hostile_models()[name]
     path = tmp_path / "hostile.json"
     path.write_text(text, encoding="utf-8")
+    monkeypatch.delenv("CJTK_EXTENSIONS", raising=False)
     if stage == ("validate",):
-        proc = run_cli(str(path), "validate", "--json")
-        codes = [json.loads(line)["code"] for line in proc.stdout.splitlines()]
+        code, out, err = cli_cases._in_process(
+            [str(path), "validate", "--json"], "path", None)
+        codes = [json.loads(line)["code"] for line in out.splitlines()]
         assert stages[stage] in codes
     else:
         # partition ends the pipeline; every other stage is followed by save
         tail = ["--out-dir", str(tmp_path)] if stage[0] == "partition" \
             else ["save", str(tmp_path / "out.json")]
-        proc = run_cli(str(path), *stage, *tail)
-        assert f"{stage[0]}: [{stages[stage]}]" in proc.stderr
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+        code, out, err = cli_cases._in_process(
+            [str(path), *stage, *tail], "path", None)
+        assert f"{stage[0]}: [{stages[stage]}]".encode() in err
+    assert code == 2
+    assert b"Traceback" not in err
 
 
 @pytest.mark.parametrize("name", sorted(deep_documents()))

@@ -96,29 +96,25 @@ def test_a_pipeline_loads_only_the_modules_of_its_stages(tmp_path):
     loaded = _modules_loaded_by(str(doc), "validate", "--json")
     assert "cjtk.validation" in loaded
     assert not loaded & {"cjtk.ops", "cjtk.geomops", "cjtk.gml",
-                         "cjtk.extensions", "cjtk._writer", "cjtk._help",
-                         "cjtk._malformed", "argparse", "gettext", "locale"}
+                         "cjtk.extensions", "textwrap", "argparse", "gettext",
+                         "locale"}
     assert _third_party(loaded) == set()
 
     duplicate = tmp_path / "duplicate.city.json"
     duplicate.write_text(as_text(cube_tree())[:-1] + ', "version": "1.0"}',
                          encoding="utf-8")
     loaded = _modules_loaded_by(str(duplicate), "validate", "--json", code=2)
-    assert "cjtk._malformed" in loaded
-    assert not loaded & {"cjtk._writer", "cjtk._help"}
+    assert "textwrap" not in loaded
 
     loaded = _modules_loaded_by(str(gml), "import", "compress", "save",
                                 str(tmp_path / "out.json"))
-    assert {"cjtk.gml", "cjtk.geomops", "cjtk._writer"} <= loaded
-    # The import path builds its model without the JSON reader or the
-    # shape rules that live beside it.
-    assert not loaded & {"cjtk.codec", "cjtk.validation", "cjtk.ops",
-                         "cjtk._help", "cjtk._malformed"}
+    assert {"cjtk.gml", "cjtk.geomops", "cjtk.codec"} <= loaded
+    assert not loaded & {"cjtk.validation", "cjtk.ops", "textwrap"}
     assert _third_party(loaded) == set()
 
     loaded = _modules_loaded_by("--help")
-    assert {m for m in loaded if m.startswith("cjtk")} \
-        == {"cjtk", "cjtk.cli", "cjtk._help"}
+    assert {m for m in loaded if m.startswith("cjtk")} == {"cjtk", "cjtk.cli"}
+    assert "textwrap" in loaded
     assert _third_party(loaded) == set()
 
     # Under ``python -m cjtk.cli`` the CLI runs as ``__main__``, so a module

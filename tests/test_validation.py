@@ -435,7 +435,10 @@ def _ops_succeed_or_refuse(model):
     for op in (lambda: ops.subset(model, ids=[first]),
                lambda: ops.partition_grid(model, 2, 2),
                lambda: ops.partition_by_type(model),
-               lambda: ops.merge([model, model], policy="suffix")):
+               lambda: ops.merge([model, model], policy="suffix"),
+               lambda: ops.update_texture_paths(model, "textures"),
+               lambda: ops.refresh_metadata(model),
+               lambda: ops.stats(model)):
         try:
             op()
         except CjtkError:
